@@ -5,15 +5,13 @@
 // are future work. Here the same cell is solved under CS-1..CS-4 — i.e.,
 // per-PDCH rates from 9.05 to 21.4 kbit/s — showing how strongly the QoS
 // measures and the "how many PDCHs" answer depend on channel quality. The
-// four configurations form a heterogeneous batch, so they run through
-// sweep_scenarios() and shard across the engine pool under --threads=N.
+// coding scheme is a campaign axis, so the four configurations are one
+// ctmc campaign whose variants shard across the engine pool under
+// --threads=N.
 #include <cstdio>
-#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "core/coding_scheme.hpp"
-#include "core/sweep.hpp"
-#include "traffic/threegpp.hpp"
 
 int main(int argc, char** argv) {
     using namespace gprsim;
@@ -22,35 +20,30 @@ int main(int argc, char** argv) {
         "Ablation -- coding schemes CS-1..CS-4 (traffic model 3, 5% GPRS, "
         "0.5 calls/s, 1 reserved PDCH)");
 
-    core::Parameters base = core::Parameters::with_traffic_model(traffic::traffic_model_3());
-    base.call_arrival_rate = 0.5;
-    base.reserved_pdch = 1;
-
-    const core::CodingScheme schemes[] = {core::CodingScheme::cs1, core::CodingScheme::cs2,
-                                          core::CodingScheme::cs3, core::CodingScheme::cs4};
-    std::vector<core::Parameters> scenarios;
-    for (core::CodingScheme scheme : schemes) {
-        scenarios.push_back(core::with_coding_scheme(base, scheme));
-    }
-
-    core::SweepOptions options;
-    options.solve.tolerance = 1e-9;
-    bench::apply_threads(options, args);
+    campaign::ScenarioSpec spec;
+    spec.named("ablation_coding_scheme")
+        .over_traffic_models({3})
+        .over_reserved_pdch({1})
+        .over_coding_schemes({core::CodingScheme::cs1, core::CodingScheme::cs2,
+                              core::CodingScheme::cs3, core::CodingScheme::cs4})
+        .with_rates({0.5})
+        .with_tolerance(1e-9);
     bench::WallTimer timer;
-    const std::vector<core::ScenarioPoint> points = core::sweep_scenarios(scenarios, options);
+    const campaign::CampaignResult result =
+        campaign::run_campaign(spec, bench::campaign_options(args));
     const double seconds = timer.seconds();
 
     std::printf("%6s %10s %12s %12s %12s %12s\n", "scheme", "kbit/s", "CDT [PDCH]", "PLP",
                 "QD [s]", "ATU [kbit/s]");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const core::Measures& m = points[i].measures;
+    for (std::size_t v = 0; v < result.variants.size(); ++v) {
+        const core::CodingScheme scheme = result.variants[v].coding_scheme;
+        const core::Measures& m = bench::measures_at(result, v, 0);
         std::printf("%6s %10.2f %12.4f %12.4e %12.4f %12.4f\n",
-                    core::coding_scheme_name(schemes[i]),
-                    core::coding_scheme_rate_kbps(schemes[i]), m.carried_data_traffic,
-                    m.packet_loss_probability, m.queueing_delay,
+                    core::coding_scheme_name(scheme), core::coding_scheme_rate_kbps(scheme),
+                    m.carried_data_traffic, m.packet_loss_probability, m.queueing_delay,
                     m.throughput_per_user_kbps);
     }
-    bench::print_walltime("4-scenario batch", seconds);
+    bench::print_walltime("4-variant campaign", seconds);
 
     std::printf("\nReading: at this load the cell is congestion-limited, so the\n");
     std::printf("channel rate translates almost directly into per-user throughput;\n");

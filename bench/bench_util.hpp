@@ -10,13 +10,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "campaign/runner.hpp"
 #include "campaign/sink.hpp"
-#include "core/sweep.hpp"
 
 namespace gprsim::bench {
 
@@ -62,35 +60,29 @@ struct BenchArgs {
     }
 };
 
-/// Applies --threads to a sweep: N != 1 shards independent sweep points
-/// across the engine pool (N == 0 uses all hardware threads).
-inline void apply_threads(core::SweepOptions& sweep, const BenchArgs& args) {
-    sweep.num_threads = args.threads;
-    sweep.parallel_points = args.threads != 1;
-}
-
-/// Campaign counterpart of apply_threads: --threads sizes the runner's
-/// task sharding (campaign output never depends on it).
+/// --threads sizes the campaign runner's task sharding (campaign output
+/// never depends on it).
 inline campaign::CampaignOptions campaign_options(const BenchArgs& args) {
     campaign::CampaignOptions options;
     options.num_threads = args.threads;
     return options;
 }
 
-/// Attaches the benches' stderr progress line to a campaign: every chain
-/// solve reports its variant label, rate, sweeps and wall time.
-inline void attach_solve_progress(campaign::CampaignOptions& options,
-                                  const campaign::ScenarioSpec& spec) {
-    // Labels are resolved up front (the callback outlives this scope).
-    auto variants =
-        std::make_shared<std::vector<campaign::Variant>>(spec.expand());
-    options.solve_progress = [variants](std::size_t,
-                                        const campaign::CampaignPoint& point) {
-        std::fprintf(stderr, "  [%s] rate %.2f: %lld sweeps, %.1fs%s\n",
-                     (*variants)[point.variant].label.c_str(), point.call_arrival_rate,
-                     point.iterations, point.solve_seconds,
-                     point.warm_parent >= 0 ? " (warm)" : "");
+/// Attaches the benches' stderr progress line to a campaign: every
+/// finished point reports its flat index, backend, rate, iterations and
+/// wall time.
+inline void attach_solve_progress(campaign::CampaignOptions& options) {
+    options.solve_progress = [](std::size_t flat, const eval::PointEvaluation& point) {
+        std::fprintf(stderr, "  point %zu %s rate %.2f: %lld iterations, %.1fs%s\n", flat,
+                     point.backend.c_str(), point.call_arrival_rate, point.iterations,
+                     point.wall_seconds, point.warm_parent >= 0 ? " (warm)" : "");
     };
+}
+
+/// Measures of a single-backend campaign at (variant, rate index).
+inline const core::Measures& measures_at(const campaign::CampaignResult& result,
+                                         std::size_t variant, std::size_t rate_index) {
+    return result.at(variant, rate_index).evaluations.front().measures;
 }
 
 inline void print_header(const std::string& title) {
@@ -160,10 +152,9 @@ inline bool write_json_records(const std::string& path,
 /// One machine-readable solver perf record. Two kinds share the struct:
 /// chain-solve records (dispatch empty; method is the iteration scheme the
 /// engine ran, or "auto" for a cost-model-selected solve) and campaign
-/// dispatch-mode records (dispatch = "sequential" / "batched"; these time a
-/// whole campaign run, not a solver method, and are keyed accordingly in
-/// the JSON so tooling never mistakes a dispatch mode for an iteration
-/// scheme).
+/// records (dispatch = "batched"; these time a whole campaign run, not a
+/// solver method, and are keyed accordingly in the JSON so tooling never
+/// mistakes a campaign for an iteration scheme).
 struct SolverRecord {
     std::string name;      ///< bench/case identifier
     long long states = 0;  ///< chain states (solver) / campaign points (dispatch)
@@ -178,11 +169,11 @@ struct SolverRecord {
 
 /// Collects SolverRecords and writes them as a flat JSON array so
 /// downstream tooling can diff perf across PRs. Records are kept
-/// structured; speedups are derived at write() time by pairing each record
-/// with its baseline in the SAME batch — the threads == 1 "gauss_seidel"
-/// record of the same case for solver records, the "sequential" record of
-/// the same case for dispatch records. A record with no such baseline gets
-/// "speedup": null instead of a bogus caller-supplied ratio.
+/// structured; speedups are derived at write() time by pairing each
+/// chain-solve record with the threads == 1 "gauss_seidel" record of the
+/// same case in the SAME batch. A record with no such baseline (every
+/// campaign record) gets "speedup": null instead of a bogus caller-supplied
+/// ratio.
 class BenchJsonWriter {
 public:
     void add(const SolverRecord& r) { records_.push_back(r); }
@@ -193,11 +184,9 @@ public:
         for (const SolverRecord& r : records_) {
             const SolverRecord* base = nullptr;
             for (const SolverRecord& c : records_) {
-                const bool match =
-                    r.dispatch.empty()
-                        ? (c.dispatch.empty() && c.name == r.name && c.threads == 1 &&
-                           c.method == "gauss_seidel")
-                        : (c.name == r.name && c.dispatch == "sequential");
+                const bool match = r.dispatch.empty() && c.dispatch.empty() &&
+                                   c.name == r.name && c.threads == 1 &&
+                                   c.method == "gauss_seidel";
                 if (match) {
                     base = &c;
                     break;

@@ -8,12 +8,11 @@
 // Paper findings: eta = 0.7 approximates TCP flow control best; smaller eta
 // throttles traffic even without congestion; eta = 1.0 (no flow control)
 // drives PLP toward 1 under load.
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.hpp"
-#include "core/model.hpp"
-#include "core/sweep.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/threegpp.hpp"
 
@@ -21,7 +20,7 @@ int main(int argc, char** argv) {
     using namespace gprsim;
     const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
     const std::vector<double> rates =
-        core::arrival_rate_grid(0.2, 1.0, args.grid(4, 9));
+        campaign::arrival_rate_grid(0.2, 1.0, args.grid(4, 9));
     const double etas[] = {0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
 
     bench::print_header(
@@ -32,17 +31,21 @@ int main(int argc, char** argv) {
     base.reserved_pdch = 1;
     base.gprs_fraction = 0.05;
 
-    // --- Markov model: PLP for each eta -----------------------------------
+    // --- Markov model: PLP for each eta (one ctmc campaign per eta) -------
     std::vector<std::vector<double>> plp(std::size(etas));
-    core::SweepOptions sweep;
-    sweep.solve.tolerance = 1e-9;
-    bench::apply_threads(sweep, args);
     for (std::size_t e = 0; e < std::size(etas); ++e) {
-        core::Parameters p = base;
-        p.flow_control_threshold = etas[e];
-        const auto points = core::sweep_call_arrival_rate(p, rates, sweep);
-        for (const auto& point : points) {
-            plp[e].push_back(point.measures.packet_loss_probability);
+        campaign::ScenarioSpec spec;
+        spec.named("fig05_model")
+            .over_traffic_models({3})
+            .over_reserved_pdch({1})
+            .over_gprs_fractions({0.05})
+            .with_rates(rates)
+            .with_tolerance(1e-9);
+        spec.flow_control_threshold = etas[e];
+        const campaign::CampaignResult result =
+            campaign::run_campaign(spec, bench::campaign_options(args));
+        for (std::size_t r = 0; r < rates.size(); ++r) {
+            plp[e].push_back(bench::measures_at(result, 0, r).packet_loss_probability);
         }
         std::fprintf(stderr, "  [model] eta = %.1f done\n", etas[e]);
     }

@@ -4,9 +4,9 @@
 //
 // Since the campaign refactor the whole figure is one declarative campaign
 // (campaigns/fig06_validation.json carries the same spec for the CLI):
-// method "both" runs, for every (GPRS fraction, arrival rate) point, one
-// warm-started chain solve plus R simulator replications, all claimed from
-// one thread pool; the simulator columns are replication-level 95%
+// methods ctmc + des run, for every (GPRS fraction, arrival rate) point,
+// one warm-started chain solve plus R simulator replications, all claimed
+// from one thread pool; the simulator columns are replication-level 95%
 // confidence intervals and the delta columns are the per-point model-minus-
 // simulator differences. Output is bitwise identical for every thread
 // count. Perf records land in BENCH_simulator.json.
@@ -25,15 +25,15 @@ int main(int argc, char** argv) {
 
     campaign::ScenarioSpec spec;
     spec.named("fig06_validation")
-        .with_method("both")
+        .with_methods({"ctmc", "des"})
         .over_traffic_models({3})
         .over_reserved_pdch({1})
         .over_gprs_fractions({0.02, 0.05, 0.10})
         .with_rate_grid(0.1, 1.0, args.grid(4, 10))
-        .with_tolerance(1e-9)
-        .with_replications(args.replication_count(4, 8))
-        .with_seed(600u);
+        .with_tolerance(1e-9);
     spec.flow_control_threshold = 0.7;  // the calibrated value of Fig. 5
+    spec.simulation.replications = args.replication_count(4, 8);
+    spec.simulation.seed = 600u;
     spec.simulation.warmup_time = args.full ? 3000.0 : 1500.0;
     spec.simulation.batch_count = args.full ? 20 : 10;
     spec.simulation.batch_duration = args.full ? 3000.0 : 1500.0;
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
                 spec.simulation.replications, args.threads);
 
     campaign::CampaignOptions options = bench::campaign_options(args);
-    bench::attach_solve_progress(options, spec);
+    bench::attach_solve_progress(options);
     bench::WallTimer timer;
     const campaign::CampaignResult result = campaign::run_campaign(spec, options);
 
@@ -59,17 +59,18 @@ int main(int argc, char** argv) {
                     "CDT sim [95% CI]", "delta", "ATU model", "ATU sim [95% CI]", "delta");
         for (std::size_t r = 0; r < result.rates.size(); ++r) {
             const campaign::CampaignPoint& point = result.at(v, r);
-            const auto& cdt = point.sim.carried_data_traffic;
-            const auto& atu = point.sim.throughput_per_user_kbps;
+            const core::Measures& model = point.evaluations[0].measures;
+            const auto& cdt = point.evaluations[1].sim.carried_data_traffic;
+            const auto& atu = point.evaluations[1].sim.throughput_per_user_kbps;
             std::printf(
                 "%8.3f | %10.3f [%8.3f, %8.3f]%s %+9.3f | %10.3f [%8.3f, %8.3f]%s %+9.3f\n",
-                point.call_arrival_rate, point.model.carried_data_traffic, cdt.lower(),
-                cdt.upper(), cdt.covers(point.model.carried_data_traffic) ? " in " : " OUT",
-                point.delta_cdt, point.model.throughput_per_user_kbps, atu.lower(),
-                atu.upper(), atu.covers(point.model.throughput_per_user_kbps) ? " in " : " OUT",
-                point.delta_atu);
-            inside += cdt.covers(point.model.carried_data_traffic) ? 1 : 0;
-            inside += atu.covers(point.model.throughput_per_user_kbps) ? 1 : 0;
+                point.call_arrival_rate, model.carried_data_traffic, cdt.lower(), cdt.upper(),
+                cdt.covers(model.carried_data_traffic) ? " in " : " OUT", point.deltas[1].cdt,
+                model.throughput_per_user_kbps, atu.lower(), atu.upper(),
+                atu.covers(model.throughput_per_user_kbps) ? " in " : " OUT",
+                point.deltas[1].atu);
+            inside += cdt.covers(model.carried_data_traffic) ? 1 : 0;
+            inside += atu.covers(model.throughput_per_user_kbps) ? 1 : 0;
             total += 2;
         }
     }
@@ -81,11 +82,11 @@ int main(int argc, char** argv) {
 
     double sim_seconds = 0.0;
     for (const campaign::CampaignPoint& point : result.points) {
-        sim_seconds += point.sim.simulated_time;
+        sim_seconds += point.evaluations[1].sim.simulated_time;
     }
     bench::SimJsonWriter json;
     json.add({"fig06_campaign", args.threads, spec.simulation.replications,
-              static_cast<long long>(result.summary.sim_events), sim_seconds,
+              static_cast<long long>(result.summary.backends[1].events), sim_seconds,
               timer.seconds()});
     json.write(args.json.empty() ? "BENCH_simulator.json" : args.json);
     return 0;

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
         .with_tolerance(1e-10);
 
     campaign::CampaignOptions options = bench::campaign_options(args);
-    bench::attach_solve_progress(options, spec);
+    bench::attach_solve_progress(options);
     const campaign::CampaignResult result = campaign::run_campaign(spec, options);
 
     // Variant-major order: traffic model outermost, then reserved PDCHs —
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
             for (std::size_t r = 0; r < result.rates.size(); ++r) {
                 std::printf("%10.3f", result.rates[r]);
                 for (std::size_t c = 0; c < 3; ++c) {
-                    std::printf(fmt, measure(result.at(t * 3 + c, r).model));
+                    std::printf(fmt, measure(bench::measures_at(result, t * 3 + c, r)));
                 }
                 std::printf("\n");
             }
@@ -68,22 +68,22 @@ int main(int argc, char** argv) {
     const std::size_t last = result.rates.size() - 1;
     std::printf("\nPaper checks:\n");
     std::printf("  CDT at 1 call/s, TM1, 1 PDCH: %.3f (paper: ~0.6 PDCHs)\n",
-                result.at(0, last).model.carried_data_traffic);
+                bench::measures_at(result, 0, last).carried_data_traffic);
     std::printf("  PLP(TM2) >= PLP(TM1) at matching configs: ");
     bool burstier_worse = true;
     for (std::size_t c = 0; c < 3; ++c) {
         for (std::size_t r = 0; r < result.rates.size(); ++r) {
-            if (result.at(3 + c, r).model.packet_loss_probability + 1e-12 <
-                result.at(c, r).model.packet_loss_probability) {
+            if (bench::measures_at(result, 3 + c, r).packet_loss_probability + 1e-12 <
+                bench::measures_at(result, c, r).packet_loss_probability) {
                 burstier_worse = false;
             }
         }
     }
     std::printf("%s\n", burstier_worse ? "yes" : "NO (check)");
     std::printf("  QD falls as PDCHs are reserved (TM2 @ 1 call/s): %.3f / %.3f / %.3f s\n",
-                result.at(3, last).model.queueing_delay,
-                result.at(4, last).model.queueing_delay,
-                result.at(5, last).model.queueing_delay);
+                bench::measures_at(result, 3, last).queueing_delay,
+                bench::measures_at(result, 4, last).queueing_delay,
+                bench::measures_at(result, 5, last).queueing_delay);
     campaign::print_campaign_summary(result, stdout);
     return 0;
 }

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     // --- blocking probability: closed form, full resolution ----------------
     campaign::ScenarioSpec blocking_spec;
     blocking_spec.named("fig10_blocking")
-        .with_method("erlang")
+        .with_methods({"erlang"})
         .over_reserved_pdch({2})
         .over_session_limits({50, 100, 150})
         .with_rate_grid(0.05, 1.0, 20);
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     for (std::size_t r = 0; r < blocking.rates.size(); ++r) {
         std::printf("%10.3f", blocking.rates[r]);
         for (std::size_t v = 0; v < blocking.variants.size(); ++v) {
-            const double p = blocking.at(v, r).model.gprs_blocking;
+            const double p = bench::measures_at(blocking, v, r).gprs_blocking;
             std::printf("  %12.4e", p);
             if (blocking.variants[v].max_gprs_sessions == 150) {
                 max_blocking_150 = std::max(max_blocking_150, p);
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
         .with_rate_grid(0.25, 1.0, args.grid(3, 8))
         .with_tolerance(1e-10);
     campaign::CampaignOptions options = bench::campaign_options(args);
-    bench::attach_solve_progress(options, cdt_spec);
+    bench::attach_solve_progress(options);
     const campaign::CampaignResult cdt = campaign::run_campaign(cdt_spec, options);
 
     std::printf("\nCarried data traffic [PDCHs]");
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     for (std::size_t r = 0; r < cdt.rates.size(); ++r) {
         std::printf("%10.3f", cdt.rates[r]);
         for (std::size_t v = 0; v < cdt.variants.size(); ++v) {
-            std::printf("  %12.4f", cdt.at(v, r).model.carried_data_traffic);
+            std::printf("  %12.4f", bench::measures_at(cdt, v, r).carried_data_traffic);
         }
         std::printf("\n");
     }
@@ -88,10 +88,11 @@ int main(int argc, char** argv) {
     std::printf("  max blocking at M = 150: %.2e (paper: below 1e-5)\n", max_blocking_150);
     if (args.full) {
         std::printf("  CDT at 1 call/s, M = 150: %.2f PDCHs (paper: ~1.8)\n",
-                    cdt.at(cdt.variants.size() - 1, last_rate).model.carried_data_traffic);
+                    bench::measures_at(cdt, cdt.variants.size() - 1, last_rate)
+                        .carried_data_traffic);
     } else {
         std::printf("  CDT at 1 call/s, M = 50: %.2f PDCHs (paper, M = 150: ~1.8)\n",
-                    cdt.at(0, last_rate).model.carried_data_traffic);
+                    bench::measures_at(cdt, 0, last_rate).carried_data_traffic);
     }
     campaign::print_campaign_summary(cdt, stdout);
     return 0;

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
     campaign::ScenarioSpec spec;
     spec.named("fig14_voice_impact")
-        .with_method("erlang")
+        .with_methods({"erlang"})
         .over_reserved_pdch({0, 1, 2, 4})
         .with_rate_grid(0.05, 1.0, args.grid(20, 20));
     const campaign::CampaignResult result =
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
         for (std::size_t r = 0; r < result.rates.size(); ++r) {
             std::printf("%10.3f", result.rates[r]);
             for (std::size_t v = 0; v < result.variants.size(); ++v) {
-                std::printf(fmt, measure(result.at(v, r).model));
+                std::printf(fmt, measure(bench::measures_at(result, v, r)));
             }
             std::printf("\n");
         }
@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
     const std::size_t four = result.variants.size() - 1;
     double worst_loss = 0.0;
     for (std::size_t r = 0; r < result.rates.size(); ++r) {
-        const double cvt0 = result.at(0, r).model.carried_voice_traffic;
-        const double cvt4 = result.at(four, r).model.carried_voice_traffic;
+        const double cvt0 = bench::measures_at(result, 0, r).carried_voice_traffic;
+        const double cvt4 = bench::measures_at(result, four, r).carried_voice_traffic;
         worst_loss = std::max(worst_loss, (cvt0 - cvt4) / cvt0);
     }
     std::printf("\nWorst-case relative CVT loss when reserving 4 PDCHs: %.2f%%\n",

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
 
     campaign::ScenarioSpec spec;
     spec.named("fig15_gprs_users")
-        .with_method("erlang")
+        .with_methods({"erlang"})
         .over_traffic_models({3})
         .over_gprs_fractions({0.02, 0.05, 0.10})
         .with_rate_grid(0.05, 1.0, args.grid(20, 20));
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
         for (std::size_t r = 0; r < result.rates.size(); ++r) {
             std::printf("%10.3f", result.rates[r]);
             for (std::size_t v = 0; v < result.variants.size(); ++v) {
-                std::printf(fmt, measure(result.at(v, r).model));
+                std::printf(fmt, measure(bench::measures_at(result, v, r)));
             }
             std::printf("\n");
         }
@@ -50,8 +50,10 @@ int main(int argc, char** argv) {
     double blocking_2pct_max = 0.0;
     double ags_10pct_max = 0.0;
     for (std::size_t r = 0; r < result.rates.size(); ++r) {
-        blocking_2pct_max = std::max(blocking_2pct_max, result.at(0, r).model.gprs_blocking);
-        ags_10pct_max = std::max(ags_10pct_max, result.at(2, r).model.average_gprs_sessions);
+        blocking_2pct_max =
+            std::max(blocking_2pct_max, bench::measures_at(result, 0, r).gprs_blocking);
+        ags_10pct_max =
+            std::max(ags_10pct_max, bench::measures_at(result, 2, r).average_gprs_sessions);
     }
     std::printf("\nPaper checks:\n");
     std::printf("  2%% GPRS: max blocking over sweep = %.2e (paper: stays below 1e-5)\n",

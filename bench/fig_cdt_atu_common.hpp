@@ -35,7 +35,7 @@ inline int run_cdt_atu_figure(const char* figure_name, double gprs_fraction, int
     print_header(title);
 
     campaign::CampaignOptions options = campaign_options(args);
-    attach_solve_progress(options, spec);
+    attach_solve_progress(options);
     const campaign::CampaignResult result = campaign::run_campaign(spec, options);
 
     std::printf("\nCarried data traffic [PDCHs]:\n%10s", "calls/s");
@@ -46,7 +46,7 @@ inline int run_cdt_atu_figure(const char* figure_name, double gprs_fraction, int
     for (std::size_t r = 0; r < result.rates.size(); ++r) {
         std::printf("%10.3f", result.rates[r]);
         for (std::size_t c = 0; c < result.variants.size(); ++c) {
-            std::printf("  %12.4f", result.at(c, r).model.carried_data_traffic);
+            std::printf("  %12.4f", measures_at(result, c, r).carried_data_traffic);
         }
         std::printf("\n");
     }
@@ -59,7 +59,7 @@ inline int run_cdt_atu_figure(const char* figure_name, double gprs_fraction, int
     for (std::size_t r = 0; r < result.rates.size(); ++r) {
         std::printf("%10.3f", result.rates[r]);
         for (std::size_t c = 0; c < result.variants.size(); ++c) {
-            std::printf("  %12.4f", result.at(c, r).model.throughput_per_user_kbps);
+            std::printf("  %12.4f", measures_at(result, c, r).throughput_per_user_kbps);
         }
         std::printf("\n");
     }
@@ -68,10 +68,10 @@ inline int run_cdt_atu_figure(const char* figure_name, double gprs_fraction, int
     // degradation. Report the largest arrival rate at which 4 reserved
     // PDCHs still meet it (degradation measured from the lightest load).
     const std::size_t four = result.variants.size() - 1;
-    const double reference = result.at(four, 0).model.throughput_per_user_kbps;
+    const double reference = measures_at(result, four, 0).throughput_per_user_kbps;
     double sustained = result.rates.front();
     for (std::size_t r = 0; r < result.rates.size(); ++r) {
-        if (result.at(four, r).model.throughput_per_user_kbps >= 0.5 * reference) {
+        if (measures_at(result, four, r).throughput_per_user_kbps >= 0.5 * reference) {
             sustained = result.rates[r];
         }
     }

@@ -6,11 +6,11 @@
 // For each case the harness solves the chain once with the serial seed path
 // (Gauss-Seidel, num_threads = 1) as the baseline, once through the auto
 // cost model (which at one thread must reproduce the baseline bitwise —
-// the record doubles as a dispatch check), then with the parallel methods
-// (red-black Gauss-Seidel, Jacobi) across thread counts, reporting wall
-// time, speedup, and the max-norm distance of each distribution from the
-// serial baseline. Records land in BENCH_solver.json (--json=PATH to
-// override) so later PRs can diff the perf trajectory.
+// the record doubles as a dispatch check), then with red-black
+// Gauss-Seidel across thread counts, reporting wall time, speedup, and the
+// max-norm distance of each distribution from the serial baseline.
+// Records land in BENCH_solver.json (--json=PATH to override) so later PRs
+// can diff the perf trajectory.
 //
 //   micro_solver [--full] [--m=N] [--threads=N] [--json=PATH] [--no-campaign]
 //
@@ -20,9 +20,9 @@
 // min(8, 2 x hardware threads). The quick default solves M = 10 (~130k
 // states, finishes in seconds); --full solves the Fig. 10 mid-size
 // configuration M = 100 (~10 million states); --m=N picks any session cap
-// in between. The multi-variant campaign timing section (sequential vs
-// merged batched dispatch, a few seconds) runs by default; --no-campaign
-// skips it when iterating on the solver kernels alone.
+// in between. The campaign timing section (a multi-variant ctmc + des
+// campaign and the network-scaling study, a few seconds) runs by default;
+// --no-campaign skips it when iterating on the solver kernels alone.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -176,34 +176,29 @@ int main(int argc, char** argv) try {
         ladder.push_back(max_threads);
     }
 
-    const ctmc::SolveMethod methods[] = {ctmc::SolveMethod::red_black_gauss_seidel,
-                                         ctmc::SolveMethod::jacobi};
-    for (ctmc::SolveMethod method : methods) {
-        for (int threads : ladder) {
-            ctmc::SolveOptions options = base;
-            options.method = method;
-            options.num_threads = threads;
-            const ctmc::SolveResult r = engine.solve(qt, options);
-            const double diff = max_norm_distance(r.distribution, baseline.distribution);
-            std::printf("%-26s %7d %9lld %10.3f %11.2fx %12.2e\n",
-                        ctmc::method_name(r.method_used), r.threads_used,
-                        static_cast<long long>(r.iterations), r.seconds,
-                        baseline.seconds / r.seconds, diff);
-            json.add({.name = case_name,
-                      .states = static_cast<long long>(qt.size()),
-                      .method = ctmc::method_name(r.method_used),
-                      .threads = r.threads_used,
-                      .seconds = r.seconds,
-                      .iterations = static_cast<long long>(r.iterations),
-                      .residual = r.residual,
-                      .residual_evaluations =
-                          static_cast<long long>(r.residual_evaluations)});
-            if (diff > 1e-10) {
-                std::fprintf(stderr,
-                             "WARNING: %s @ %d threads drifted %.2e from the serial "
-                             "baseline (budget 1e-10)\n",
-                             ctmc::method_name(r.method_used), threads, diff);
-            }
+    for (int threads : ladder) {
+        ctmc::SolveOptions options = base;
+        options.method = ctmc::SolveMethod::red_black_gauss_seidel;
+        options.num_threads = threads;
+        const ctmc::SolveResult r = engine.solve(qt, options);
+        const double diff = max_norm_distance(r.distribution, baseline.distribution);
+        std::printf("%-26s %7d %9lld %10.3f %11.2fx %12.2e\n",
+                    ctmc::method_name(r.method_used), r.threads_used,
+                    static_cast<long long>(r.iterations), r.seconds,
+                    baseline.seconds / r.seconds, diff);
+        json.add({.name = case_name,
+                  .states = static_cast<long long>(qt.size()),
+                  .method = ctmc::method_name(r.method_used),
+                  .threads = r.threads_used,
+                  .seconds = r.seconds,
+                  .iterations = static_cast<long long>(r.iterations),
+                  .residual = r.residual,
+                  .residual_evaluations = static_cast<long long>(r.residual_evaluations)});
+        if (diff > 1e-10) {
+            std::fprintf(stderr,
+                         "WARNING: %s @ %d threads drifted %.2e from the serial "
+                         "baseline (budget 1e-10)\n",
+                         ctmc::method_name(r.method_used), threads, diff);
         }
     }
 
@@ -262,11 +257,10 @@ int main(int argc, char** argv) try {
         }
     }
 
-    // Multi-variant campaign: the merged cross-variant task set (every
-    // variant's bisection waves interleaved, DES replications backfilling
-    // idle solver threads) against the sequential per-(backend, variant)
-    // dispatch of the same spec. Output is bitwise identical either way;
-    // the record tracks wall time and the wave counts.
+    // Campaign records: the merged cross-variant task set (every variant's
+    // bisection waves interleaved, DES replications backfilling idle
+    // solver threads) of a multi-variant ctmc + des campaign, and the
+    // network-scaling study; each tracks wall time and the wave count.
     if (!run_campaign) {
         json.write(args.json.empty() ? "BENCH_solver.json" : args.json);
         return 0;
@@ -286,46 +280,12 @@ int main(int argc, char** argv) try {
     spec.simulation.batch_count = 3;
     spec.simulation.batch_duration = 150.0;
 
-    campaign::CampaignRunner campaign_runner(engine);
-    campaign::CampaignOptions sequential;
-    sequential.num_threads = max_threads;
-    sequential.sequential_dispatch = true;
-    bench::WallTimer campaign_timer;
-    const campaign::CampaignResult seq = campaign_runner.run(spec, sequential);
-    const double seq_seconds = campaign_timer.seconds();
-    campaign::CampaignOptions batched;
-    batched.num_threads = max_threads;
-    campaign_timer.reset();
-    const campaign::CampaignResult bat = campaign_runner.run(spec, batched);
-    const double bat_seconds = campaign_timer.seconds();
-
-    std::printf("\ncampaign: 3 variants x 9 rates x (ctmc + des, 2 replications), "
-                "%d threads\n", bat.summary.threads);
-    std::printf("  sequential dispatch: %.3f s (%zu waves)\n", seq_seconds,
-                bat.summary.sequential_waves);
-    std::printf("  merged batch:        %.3f s (%zu waves, %zu tasks)  "
-                "speedup %.2fx\n",
-                bat_seconds, bat.summary.batch_waves, bat.summary.batch_tasks,
-                bat_seconds > 0.0 ? seq_seconds / bat_seconds : 0.0);
-    json.add({.name = "campaign_3var_ctmc_des",
-              .states = static_cast<long long>(bat.summary.points),
-              .dispatch = "sequential",
-              .threads = bat.summary.threads,
-              .seconds = seq_seconds,
-              .iterations = seq.summary.total_iterations});
-    json.add({.name = "campaign_3var_ctmc_des",
-              .states = static_cast<long long>(bat.summary.points),
-              .dispatch = "batched",
-              .threads = bat.summary.threads,
-              .seconds = bat_seconds,
-              .iterations = bat.summary.total_iterations});
-
     // Network scaling: the campaigns/network_scaling.json study rebuilt
     // programmatically (1 -> 16 cells x 3 mobility speeds through the
-    // analytic network fixed point, ctmc inner solves), timed at both
-    // dispatch widths. Every lattice's inner solves land on the shared
-    // pool as one flat wave-ordered task set, so this record tracks how
-    // the cross-cell merge scales as lattices grow.
+    // analytic network fixed point, ctmc inner solves). Every lattice's
+    // inner solves land on the shared pool as one flat wave-ordered task
+    // set, so this record tracks how the cross-cell merge scales as
+    // lattices grow.
     campaign::ScenarioSpec net_spec;
     net_spec.named("network_scaling")
         .with_methods({"network-fp"})
@@ -339,39 +299,33 @@ int main(int argc, char** argv) try {
     campaign::NetworkSpec net;
     net.cell_counts = {1, 2, 4, 8, 16};
     net.speeds_kmh = {3.0, 30.0, 120.0};
-    net.ra_block = 1;
-    net.outer_tolerance = 1e-12;
-    net.outer_max_iterations = 100;
+    net.knobs.ra_block = 1;
+    net.knobs.outer_tolerance = 1e-12;
+    net.knobs.outer_max_iterations = 100;
     net_spec.with_network(net);
 
-    campaign_timer.reset();
-    const campaign::CampaignResult net_seq = campaign_runner.run(net_spec, sequential);
-    const double net_seq_seconds = campaign_timer.seconds();
-    campaign_timer.reset();
-    const campaign::CampaignResult net_bat = campaign_runner.run(net_spec, batched);
-    const double net_bat_seconds = campaign_timer.seconds();
-
-    std::printf("\nnetwork scaling: 15 lattices (1-16 cells x 3 speeds) x 4 rates, "
-                "network-fp, %d threads\n", net_bat.summary.threads);
-    std::printf("  sequential dispatch: %.3f s (%zu waves)\n", net_seq_seconds,
-                net_bat.summary.sequential_waves);
-    std::printf("  merged batch:        %.3f s (%zu waves, %zu tasks)  "
-                "speedup %.2fx\n",
-                net_bat_seconds, net_bat.summary.batch_waves,
-                net_bat.summary.batch_tasks,
-                net_bat_seconds > 0.0 ? net_seq_seconds / net_bat_seconds : 0.0);
-    json.add({.name = "network_scaling_fp",
-              .states = static_cast<long long>(net_bat.summary.points),
-              .dispatch = "sequential",
-              .threads = net_bat.summary.threads,
-              .seconds = net_seq_seconds,
-              .iterations = net_seq.summary.total_iterations});
-    json.add({.name = "network_scaling_fp",
-              .states = static_cast<long long>(net_bat.summary.points),
-              .dispatch = "batched",
-              .threads = net_bat.summary.threads,
-              .seconds = net_bat_seconds,
-              .iterations = net_bat.summary.total_iterations});
+    campaign::CampaignRunner campaign_runner(engine);
+    campaign::CampaignOptions options;
+    options.num_threads = max_threads;
+    for (const auto& [record, run_spec] : {std::pair{"campaign_3var_ctmc_des", &spec},
+                                           std::pair{"network_scaling_fp", &net_spec}}) {
+        bench::WallTimer campaign_timer;
+        const campaign::CampaignResult result = campaign_runner.run(*run_spec, options);
+        const double seconds = campaign_timer.seconds();
+        long long iterations = 0;
+        for (const campaign::BackendTotals& totals : result.summary.backends) {
+            iterations += totals.iterations;
+        }
+        std::printf("\n%s: %zu points, %d threads: %.3f s (%zu waves, %zu tasks)\n", record,
+                    result.summary.points, result.summary.threads, seconds,
+                    result.summary.batch_waves, result.summary.batch_tasks);
+        json.add({.name = record,
+                  .states = static_cast<long long>(result.summary.points),
+                  .dispatch = "batched",
+                  .threads = result.summary.threads,
+                  .seconds = seconds,
+                  .iterations = iterations});
+    }
 
     json.write(args.json.empty() ? "BENCH_solver.json" : args.json);
     return 0;

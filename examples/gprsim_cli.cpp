@@ -51,19 +51,13 @@
 //   --max-plp=<p> --max-delay=<s> --max-voice-blocking=<p>
 // campaign:
 //   --threads=<n>         task-sharding width (output is identical at any)
-//   --cold                disable warm-start caching (baseline comparison)
-//   --sequential          dispatch one grid per (backend, variant) instead
-//                         of the merged batched task set (A/B baseline;
-//                         the point table / CSV is bitwise identical
-//                         either way — only the summary's wall clock and
-//                         batch-wave accounting differ)
 //   --replications=<n>    override the spec's replication count
 //   --solver-method=<m>   override the spec's chain-solve iteration scheme
-//                         (gauss_seidel, red_black_gauss_seidel, jacobi,
-//                         ..., or auto for the engine's cost model)
-//   --csv=<path>          write the per-point table as CSV
-//   --out=<path>          write points + summary as JSON
-//   --quiet               suppress per-solve progress on stderr
+//                         (gauss_seidel, red_black_gauss_seidel, or auto
+//                         for the engine's cost model)
+//   --csv=<path>          write one row per (point, backend) as CSV
+//   --out=<path>          write the rows + summary as JSON
+//   --quiet               suppress per-point progress on stderr
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -325,53 +319,46 @@ int cmd_campaign(int argc, char** argv) {
 
     campaign::CampaignOptions options;
     options.num_threads = static_cast<int>(flag(argc, argv, "threads", 1));
-    options.force_cold = has_flag(argc, argv, "cold");
-    options.sequential_dispatch = has_flag(argc, argv, "sequential");
     options.solver_method_override = string_flag(argc, argv, "solver-method");
     if (!has_flag(argc, argv, "quiet")) {
-        options.solve_progress = [](std::size_t flat, const campaign::CampaignPoint& p) {
-            std::fprintf(stderr, "  point %zu: rate %.3f, %lld sweeps%s\n", flat,
-                         p.call_arrival_rate, p.iterations,
-                         p.warm_parent >= 0 ? " (warm)" : "");
+        options.solve_progress = [](std::size_t flat, const eval::PointEvaluation& e) {
+            if (e.has_confidence) {
+                std::fprintf(stderr, "  point %zu [%s]: rate %.3f, %zu replications\n", flat,
+                             e.backend.c_str(), e.call_arrival_rate,
+                             e.sim.replications.size());
+                return;
+            }
+            std::fprintf(stderr, "  point %zu [%s]: rate %.3f, %lld iterations%s\n", flat,
+                         e.backend.c_str(), e.call_arrival_rate, e.iterations,
+                         e.warm_parent >= 0 ? " (warm)" : "");
         };
     }
 
     const campaign::CampaignResult result = campaign::run_campaign(spec, options);
 
-    // Compact per-point table; column set follows the method.
-    const bool model = result.points.empty() ? false : result.points.front().has_model;
-    const bool sim = result.points.empty() ? false : result.points.front().has_sim;
+    // Compact per-point table: CDT/PLP/QD/ATU of every backend (with the
+    // 95% half-width of CDT for simulating backends), then each later
+    // backend's CDT delta against the first.
     for (std::size_t v = 0; v < result.variants.size(); ++v) {
         std::printf("\n--- %s ---\n", result.variants[v].label.c_str());
-        std::printf("%8s", "calls/s");
-        if (model) {
-            std::printf(" | %9s %10s %8s %9s", "CDT", "PLP", "QD [s]", "ATU");
-        }
-        if (sim) {
-            std::printf(" | %9s %9s", "CDT sim", "+-");
-        }
-        if (model && sim) {
-            std::printf(" %9s", "delta");
-        }
-        std::printf("\n");
         for (std::size_t r = 0; r < result.rates.size(); ++r) {
             const campaign::CampaignPoint& point = result.at(v, r);
-            std::printf("%8.3f", point.call_arrival_rate);
-            if (model) {
-                std::printf(" | %9.4f %10.3e %8.3f %9.4f",
-                            point.model.carried_data_traffic,
-                            point.model.packet_loss_probability,
-                            point.model.queueing_delay,
-                            point.model.throughput_per_user_kbps);
+            for (std::size_t b = 0; b < point.evaluations.size(); ++b) {
+                const eval::PointEvaluation& e = point.evaluations[b];
+                const core::Measures& m = e.measures;
+                std::printf("%8.3f %-12s | CDT %9.4f", point.call_arrival_rate,
+                            e.backend.c_str(), m.carried_data_traffic);
+                if (e.has_confidence) {
+                    std::printf(" +- %7.4f", e.sim.carried_data_traffic.half_width);
+                }
+                std::printf(" | PLP %10.3e | QD %8.3f | ATU %9.4f",
+                            m.packet_loss_probability, m.queueing_delay,
+                            m.throughput_per_user_kbps);
+                if (b > 0) {
+                    std::printf(" | dCDT %+9.4f", point.deltas[b].cdt);
+                }
+                std::printf("\n");
             }
-            if (sim) {
-                std::printf(" | %9.4f %9.4f", point.sim.carried_data_traffic.mean,
-                            point.sim.carried_data_traffic.half_width);
-            }
-            if (model && sim) {
-                std::printf(" %+9.4f", point.delta_cdt);
-            }
-            std::printf("\n");
         }
     }
     campaign::print_campaign_summary(result, stdout);
@@ -379,7 +366,8 @@ int cmd_campaign(int argc, char** argv) {
     bool sinks_ok = true;
     if (const std::string csv = string_flag(argc, argv, "csv"); !csv.empty()) {
         if (campaign::write_campaign_csv(result, csv)) {
-            std::printf("wrote %zu points to %s\n", result.points.size(), csv.c_str());
+            std::printf("wrote %zu points x %zu backends to %s\n", result.points.size(),
+                        result.methods.size(), csv.c_str());
         } else {
             sinks_ok = false;
         }

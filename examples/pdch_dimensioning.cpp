@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/model.hpp"
-#include "core/sweep.hpp"
 #include "traffic/threegpp.hpp"
 
 int main(int argc, char** argv) {

@@ -36,7 +36,6 @@
 #include "core/measures.hpp"
 #include "core/model.hpp"
 #include "core/parameters.hpp"
-#include "core/sweep.hpp"
 
 #include "queueing/erlang.hpp"
 #include "queueing/handover.hpp"

@@ -1,39 +1,22 @@
 // CampaignRunner: executes a ScenarioSpec by batching every (backend,
 // variant, rate-grid) slice through the eval::BackendRegistry as ONE
-// merged task set.
+// merged task set: plan_grids -> execute_plans -> collect (eval/batch.hpp)
+// -> PointEvaluation -> pairwise deltas and per-backend totals -> sinks
+// (sink.hpp). Backends keep their batch internals (the ctmc bisection
+// warm-start schedule, des (point, replication) tasks); adding an analysis
+// route never touches this file — register a backend and name it in the
+// spec's "methods" list. Consumers: bench/fig*, gprsim_cli campaign, the
+// evaluation service, out-of-tree code via find_package(gprsim).
 //
-//   campaign layer   (this file + spec.hpp + sink.hpp)
-//        ^ expands variants x rate grid into one eval::CampaignRequest and
-//          calls the registry-level eval::evaluate_campaign (batch.hpp):
-//          every backend plans its grids (plan_grids) and the merged
-//          wave-ordered task set runs on the engine's shared pool, so one
-//          variant's narrow warm-start waves interleave with the other
-//          variants' wide waves and DES replications backfill idle solver
-//          threads; pairwise deltas and summaries are post-processed
-//          deterministically. CampaignOptions::sequential_dispatch keeps
-//          the old one-evaluate_grid-per-(backend, variant) loop as the
-//          A/B baseline — output is bitwise identical either way.
-//   eval layer       eval::Evaluator / BackendRegistry / evaluate_campaign
-//        ^ backends keep their batch internals: the ctmc backend plans the
-//          deterministic bisection warm-start transfer schedule (deviation
-//          from the product form, adopted only when it undercuts half the
-//          cold start's residual — see eval/backends.cpp), the des backend
-//          plans (point, replication) tasks on disjoint substream blocks
-//   model/sim layer  core::GprsModel, sim::NetworkSimulator/replication
-//   consumers        bench/fig*, examples/gprsim_cli ("campaign" command),
-//                    out-of-tree code via find_package(gprsim)
-//
-// Adding an analysis route no longer touches this file: register a backend
-// (eval::register_backend) and name it in the spec's "methods" list.
-//
-// Determinism. Backends inherit the engines' guarantees: per-point chain
-// solves run single-threaded (the points are the parallelism), DES
-// replication r of flat point p always draws from substream block p * R + r
-// of the experiment seed (GridOptions::grid_offset keeps variants on
-// disjoint blocks), and every reduction (replication pooling, deltas,
-// summary totals) runs serially in point order after the parallel phase —
-// so campaign output is bitwise invariant to CampaignOptions::num_threads
-// AND to the dispatch mode (merged batch vs sequential grids).
+// Determinism. Per-point chain solves run single-threaded (the points are
+// the parallelism), DES replication r of flat point p always draws from
+// substream block p * R + r of the experiment seed (GridOptions::
+// grid_offset keeps variants on disjoint blocks), and every reduction
+// (replication pooling, deltas, totals) runs serially in point order after
+// the parallel phase — so campaign output is bitwise invariant to
+// CampaignOptions::num_threads, and a per-(backend, variant) evaluate_grid
+// with the workload's grid offset (the service's slice path) yields the
+// same evaluations.
 #pragma once
 
 #include <cstdint>
@@ -42,17 +25,10 @@
 #include <vector>
 
 #include "campaign/spec.hpp"
-#include "core/measures.hpp"
 #include "ctmc/engine.hpp"
-#include "eval/backends.hpp"
-#include "sim/experiment.hpp"
+#include "eval/evaluator.hpp"
 
 namespace gprsim::campaign {
-
-// Grid-schedule vocabulary re-exported from the eval layer (the bisection
-// warm-start schedule moved into the ctmc backend with PR 4).
-using eval::bisection_schedule;
-using eval::SolveSchedule;
 
 /// Measures of the campaign's first backend (the delta reference) minus
 /// one other backend; all zero for the first backend itself.
@@ -64,101 +40,61 @@ struct MeasureDeltas {
 };
 
 /// One (variant, arrival rate) cell of the campaign.
-///
-/// `evaluations` / `deltas` carry the full per-backend results, parallel to
-/// CampaignResult::methods. The scalar fields below them are the legacy
-/// two-column view the sinks and benches render: model columns come from
-/// the first non-stochastic backend, sim columns from the first stochastic
-/// one, and delta_* is model minus pooled simulator mean — exactly the
-/// table layout the pre-registry "erlang|ctmc|des|both" campaigns produced.
 struct CampaignPoint {
     std::size_t variant = 0;  ///< index into CampaignResult::variants
     std::size_t rate_index = 0;
     double call_arrival_rate = 0.0;
 
+    /// One evaluation per backend, parallel to CampaignResult::methods.
     std::vector<eval::PointEvaluation> evaluations;
     std::vector<MeasureDeltas> deltas;  ///< vs methods.front(), pairwise
-
-    bool has_model = false;  ///< model columns valid
-    core::Measures model;    ///< closed-form only under the erlang backend
-    long long iterations = 0;
-    double residual = 0.0;
-    double solve_seconds = 0.0;
-    /// Grid index whose deviation vector was offered as a warm-start
-    /// candidate; -1 = root (product form only).
-    int warm_parent = -1;
-    /// Whether the transferred candidate beat the plain product form in
-    /// the engine's residual comparison (always false for roots).
-    bool warm_started = false;
-
-    bool has_sim = false;  ///< sim columns valid
-    sim::ExperimentResults sim;
-
-    /// Model minus pooled simulator mean; valid when has_model && has_sim.
-    double delta_cdt = 0.0;
-    double delta_plp = 0.0;
-    double delta_qd = 0.0;
-    double delta_atu = 0.0;
 };
 
 struct CampaignOptions {
     /// Execution width for sharding tasks across the engine's pool:
     /// 0 = all hardware threads, <= 1 = serial. Never changes any output.
     int num_threads = 1;
-    /// Overrides ScenarioSpec::SolverSpec::warm_start with false (the
-    /// cold-start baseline the summary is compared against).
-    bool force_cold = false;
-    /// Non-empty: overrides ScenarioSpec::SolverSpec::method for every
-    /// chain solve of the run (canonical ctmc::method_name spelling, or
-    /// "auto"). The A/B knob behind the CLI's --solver-method flag; an
-    /// unknown spelling surfaces as each point's invalid_query error.
+    /// Non-empty: overrides ScenarioSpec::solver.method for every chain
+    /// solve of the run (canonical ctmc::method_name spelling, or "auto").
+    /// The A/B knob behind the CLI's --solver-method flag; an unknown
+    /// spelling surfaces as each point's invalid_query error.
     std::string solver_method_override;
-    /// Dispatches one evaluate_grid per (backend, variant) instead of the
-    /// merged cross-variant task set — the pre-batch behavior, kept as the
-    /// A/B baseline (and for out-of-tree backends whose evaluate_grid has
-    /// batch internals but no plan). Output is bitwise identical either
-    /// way; only the wave count (CampaignSummary::batch_waves) and the
-    /// wall clock change.
-    bool sequential_dispatch = false;
-    /// Called after every finished chain solve (under a lock, NOT in point
-    /// order): flat point index and the solved point.
-    std::function<void(std::size_t, const CampaignPoint&)> solve_progress;
+    /// Called as backends finish points (under a lock, NOT in point order):
+    /// flat point index v * rates.size() + r and the finished evaluation.
+    std::function<void(std::size_t, const eval::PointEvaluation&)> solve_progress;
+};
+
+/// Totals of one backend over a finished campaign.
+struct BackendTotals {
+    std::string backend;
+    std::size_t points = 0;
+    /// Summed PointEvaluation::iterations: chain sweeps (ctmc),
+    /// decomposition iterations (fixed-point), ODE steps (fluid), outer
+    /// iterations (network-fp).
+    long long iterations = 0;
+    long long replications = 0;  ///< simulator replications (des, network-des)
+    std::uint64_t events = 0;    ///< simulator events executed
+    /// Grid points offered a transferred warm start (ctmc's bisection
+    /// schedule), and the subset where the transfer won the engine's
+    /// residual comparison.
+    std::size_t warm_offered = 0;
+    std::size_t warm_won = 0;
 };
 
 struct CampaignSummary {
     std::size_t variants = 0;
     std::size_t points = 0;
-    std::size_t model_solves = 0;
-    /// Solves that were offered a transferred deviation candidate, and the
-    /// subset where it won the residual comparison.
-    std::size_t warm_offered_solves = 0;
-    std::size_t warm_started_solves = 0;
-    bool warm_start = false;
-    /// Summed chain-solve iterations — the number to compare between a
-    /// warm-started run and a force_cold run of the same spec.
-    long long total_iterations = 0;
-    long long sim_replications = 0;
-    std::uint64_t sim_events = 0;
-    /// Merged-batch accounting (zero under sequential_dispatch): waves the
-    /// flat cross-(backend, variant) task set executed vs the waves the
-    /// same work needs dispatched one (backend, variant) grid at a time.
-    /// batch_waves < sequential_waves is the recovered cross-variant
-    /// interleaving the summary line reports.
-    std::size_t batch_waves = 0;
-    std::size_t sequential_waves = 0;
-    /// Tasks of the merged set (chain solves + simulator replications +
-    /// whole-grid closures of plain backends); zero under sequential
-    /// dispatch.
+    /// One entry per backend, parallel to CampaignResult::methods.
+    std::vector<BackendTotals> backends;
+    /// Merged task set: tasks executed and the waves they ran in.
     std::size_t batch_tasks = 0;
+    std::size_t batch_waves = 0;
     double wall_seconds = 0.0;
     int threads = 1;
 };
 
 struct CampaignResult {
     std::string name;
-    /// Whether the spec carried a network block; gates the network axis
-    /// columns in the sinks (single-cell campaigns keep the legacy layout).
-    bool network = false;
     /// Backend names in evaluation (and delta-reference) order.
     std::vector<std::string> methods;
     std::vector<double> rates;
@@ -193,15 +129,15 @@ struct CampaignWorkload {
     }
 };
 
-/// Applies force_cold / solver_method_override and expands the spec.
+/// Applies solver_method_override and expands the spec.
 /// Throws SpecError on an invalid spec (same contract as expand()).
 CampaignWorkload build_campaign_workload(const ScenarioSpec& spec,
                                          const CampaignOptions& options = {});
 
 /// Assembles per-(backend, variant) grid outcomes — outcomes[b][v] in
 /// workload.effective.methods x workload.variants order — into a finished
-/// CampaignResult: per-point evaluations, pairwise deltas, the legacy
-/// model/sim view, and the summary counters. The first failed outcome
+/// CampaignResult: per-point evaluations, pairwise deltas, and the
+/// per-backend summary totals. The first failed outcome
 /// (scanned backend-major, variant-minor) is returned as its typed error
 /// with the message prefixed "campaign backend \"<name>\": ".
 /// Execution-shape summary fields (threads, wall_seconds, batch_waves,

@@ -53,45 +53,22 @@ std::string json_string(const std::string& value) {
 
 const char* const kCsvColumns[] = {
     "scenario", "variant", "label", "traffic_model", "reserved_pdch", "gprs_fraction",
-    "coding_scheme", "max_gprs_sessions", "call_arrival_rate",
-    "model_cdt", "model_plp", "model_qd", "model_atu", "model_mql", "model_cvt",
-    "model_ags", "model_gsm_blocking", "model_gprs_blocking",
-    "iterations", "residual", "warm_parent", "warm_started",
-    "sim_cdt", "sim_cdt_hw", "sim_plp", "sim_plp_hw", "sim_qd", "sim_qd_hw",
-    "sim_atu", "sim_atu_hw", "sim_cvt", "sim_cvt_hw", "sim_gsm_blocking",
-    "sim_gsm_blocking_hw", "sim_gprs_blocking", "sim_gprs_blocking_hw",
-    "sim_replications", "sim_events",
+    "coding_scheme", "max_gprs_sessions", "call_arrival_rate", "backend",
+    "cdt", "plp", "qd", "atu", "mql", "offered_packet_rate", "data_throughput_kbps",
+    "cvt", "ags", "gsm_blocking", "gprs_blocking",
+    "iterations", "residual", "warm_parent",
+    "cdt_hw", "plp_hw", "qd_hw", "atu_hw", "mql_hw", "cvt_hw", "ags_hw",
+    "gsm_blocking_hw", "gprs_blocking_hw", "replications", "events", "rau_rate",
     "delta_cdt", "delta_plp", "delta_qd", "delta_atu",
+    "network_cells", "speed_kmh", "reuse_factor",
 };
 
-/// Column list of one result: the fixed legacy layout, plus — only for
-/// multi-method campaigns — four pairwise-delta columns per non-reference
-/// backend, "delta_<measure>:<method>" = methods.front() minus <method>,
-/// plus — only for network campaigns — the network axis columns and the
-/// aggregated routing-area-update rate. Single-cell single-method
-/// campaigns keep the exact 42-column legacy table.
-std::vector<std::string> csv_columns(const CampaignResult& result) {
-    std::vector<std::string> columns(std::begin(kCsvColumns), std::end(kCsvColumns));
-    if (result.methods.size() > 1) {
-        for (std::size_t b = 1; b < result.methods.size(); ++b) {
-            for (const char* prefix :
-                 {"delta_cdt:", "delta_plp:", "delta_qd:", "delta_atu:"}) {
-                columns.push_back(prefix + result.methods[b]);
-            }
-        }
-    }
-    if (result.network) {
-        for (const char* name :
-             {"network_cells", "speed_kmh", "reuse_factor", "rau_rate"}) {
-            columns.push_back(name);
-        }
-    }
-    return columns;
-}
-
-std::vector<std::string> point_cells(const CampaignResult& result,
-                                     const CampaignPoint& point) {
+/// Cells of backend b's row of one point, in kCsvColumns order.
+std::vector<std::string> row_cells(const CampaignResult& result, const CampaignPoint& point,
+                                   std::size_t b) {
     const Variant& variant = result.variants[point.variant];
+    const eval::PointEvaluation& evaluation = point.evaluations[b];
+    const core::Measures& m = evaluation.measures;
     std::vector<std::string> cells;
     cells.reserve(std::size(kCsvColumns));
     cells.push_back(result.name);
@@ -103,67 +80,44 @@ std::vector<std::string> point_cells(const CampaignResult& result,
     cells.push_back(core::coding_scheme_name(variant.coding_scheme));
     cells.push_back(std::to_string(variant.parameters.max_gprs_sessions));
     cells.push_back(number_cell(point.call_arrival_rate));
-    if (point.has_model) {
-        cells.push_back(number_cell(point.model.carried_data_traffic));
-        cells.push_back(number_cell(point.model.packet_loss_probability));
-        cells.push_back(number_cell(point.model.queueing_delay));
-        cells.push_back(number_cell(point.model.throughput_per_user_kbps));
-        cells.push_back(number_cell(point.model.mean_queue_length));
-        cells.push_back(number_cell(point.model.carried_voice_traffic));
-        cells.push_back(number_cell(point.model.average_gprs_sessions));
-        cells.push_back(number_cell(point.model.gsm_blocking));
-        cells.push_back(number_cell(point.model.gprs_blocking));
-        cells.push_back(std::to_string(point.iterations));
-        cells.push_back(number_cell(point.residual));
-        cells.push_back(std::to_string(point.warm_parent));
-        cells.push_back(point.warm_started ? "1" : "0");
-    } else {
-        cells.insert(cells.end(), 13, std::string());
+    cells.push_back(evaluation.backend);
+    for (const double value :
+         {m.carried_data_traffic, m.packet_loss_probability, m.queueing_delay,
+          m.throughput_per_user_kbps, m.mean_queue_length, m.offered_packet_rate,
+          m.data_throughput_kbps, m.carried_voice_traffic, m.average_gprs_sessions,
+          m.gsm_blocking, m.gprs_blocking}) {
+        cells.push_back(number_cell(value));
     }
-    if (point.has_sim) {
-        const auto estimate = [&](const sim::MetricEstimate& e) {
-            cells.push_back(number_cell(e.mean));
-            cells.push_back(number_cell(e.half_width));
-        };
-        estimate(point.sim.carried_data_traffic);
-        estimate(point.sim.packet_loss_probability);
-        estimate(point.sim.queueing_delay);
-        estimate(point.sim.throughput_per_user_kbps);
-        estimate(point.sim.carried_voice_traffic);
-        estimate(point.sim.gsm_blocking);
-        estimate(point.sim.gprs_blocking);
-        cells.push_back(std::to_string(point.sim.carried_data_traffic.batches));
-        cells.push_back(std::to_string(point.sim.events_executed));
-    } else {
-        cells.insert(cells.end(), 16, std::string());
-    }
-    if (point.has_model && point.has_sim) {
-        cells.push_back(number_cell(point.delta_cdt));
-        cells.push_back(number_cell(point.delta_plp));
-        cells.push_back(number_cell(point.delta_qd));
-        cells.push_back(number_cell(point.delta_atu));
-    } else {
-        cells.insert(cells.end(), 4, std::string());
-    }
-    for (std::size_t b = 1; b < result.methods.size(); ++b) {
-        if (b < point.deltas.size()) {
-            const MeasureDeltas& d = point.deltas[b];
-            cells.push_back(number_cell(d.cdt));
-            cells.push_back(number_cell(d.plp));
-            cells.push_back(number_cell(d.qd));
-            cells.push_back(number_cell(d.atu));
-        } else {
-            cells.insert(cells.end(), 4, std::string());
+    const bool iterative = evaluation.iterations > 0;
+    cells.push_back(iterative ? std::to_string(evaluation.iterations) : std::string());
+    cells.push_back(iterative ? number_cell(evaluation.residual) : std::string());
+    cells.push_back(evaluation.warm_parent >= 0 ? std::to_string(evaluation.warm_parent)
+                                                : std::string());
+    if (evaluation.has_confidence) {
+        const sim::ExperimentResults& s = evaluation.sim;
+        for (const sim::MetricEstimate* e :
+             {&s.carried_data_traffic, &s.packet_loss_probability, &s.queueing_delay,
+              &s.throughput_per_user_kbps, &s.mean_queue_length, &s.carried_voice_traffic,
+              &s.average_gprs_sessions, &s.gsm_blocking, &s.gprs_blocking}) {
+            cells.push_back(number_cell(e->half_width));
         }
+        cells.push_back(std::to_string(s.replications.size()));
+        cells.push_back(std::to_string(s.events_executed));
+    } else {
+        cells.insert(cells.end(), 11, std::string());
     }
-    if (result.network) {
+    cells.push_back(evaluation.cell_measures.empty() ? std::string()
+                                                     : number_cell(evaluation.rau_rate));
+    const MeasureDeltas& d = point.deltas[b];
+    for (const double value : {d.cdt, d.plp, d.qd, d.atu}) {
+        cells.push_back(number_cell(value));
+    }
+    if (variant.network_cells > 0) {
         cells.push_back(std::to_string(variant.network_cells));
         cells.push_back(number_cell(variant.speed_kmh));
         cells.push_back(std::to_string(variant.reuse_factor));
-        // The reference backend's aggregated routing-area-update rate.
-        cells.push_back(point.evaluations.empty()
-                            ? std::string()
-                            : number_cell(point.evaluations.front().rau_rate));
+    } else {
+        cells.insert(cells.end(), 3, std::string());
     }
     return cells;
 }
@@ -171,17 +125,18 @@ std::vector<std::string> point_cells(const CampaignResult& result,
 }  // namespace
 
 void write_campaign_csv(const CampaignResult& result, std::ostream& out) {
-    const std::vector<std::string> columns = csv_columns(result);
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-        out << (c > 0 ? "," : "") << columns[c];
+    for (std::size_t c = 0; c < std::size(kCsvColumns); ++c) {
+        out << (c > 0 ? "," : "") << kCsvColumns[c];
     }
     out << '\n';
     for (const CampaignPoint& point : result.points) {
-        const std::vector<std::string> cells = point_cells(result, point);
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            out << (c > 0 ? "," : "") << quoted_cell(cells[c]);
+        for (std::size_t b = 0; b < point.evaluations.size(); ++b) {
+            const std::vector<std::string> cells = row_cells(result, point, b);
+            for (std::size_t c = 0; c < cells.size(); ++c) {
+                out << (c > 0 ? "," : "") << quoted_cell(cells[c]);
+            }
+            out << '\n';
         }
-        out << '\n';
     }
 }
 
@@ -202,47 +157,46 @@ void write_campaign_json(const CampaignResult& result, std::ostream& out) {
         out << (m > 0 ? ", " : "") << json_string(result.methods[m]);
     }
     out << "],\n  \"summary\": {\"variants\": " << s.variants
-        << ", \"points\": " << s.points << ", \"model_solves\": " << s.model_solves
-        << ", \"warm_offered_solves\": " << s.warm_offered_solves
-        << ", \"warm_started_solves\": " << s.warm_started_solves
-        << ", \"warm_start\": " << (s.warm_start ? "true" : "false")
-        << ", \"total_iterations\": " << s.total_iterations
-        << ", \"sim_replications\": " << s.sim_replications
-        << ", \"sim_events\": " << s.sim_events
-        << ", \"batch_tasks\": " << s.batch_tasks
-        << ", \"batch_waves\": " << s.batch_waves
-        << ", \"sequential_waves\": " << s.sequential_waves << ", \"wall_seconds\": "
-        << number_cell(s.wall_seconds) << ", \"threads\": " << s.threads << "},\n"
-        << "  \"points\": [\n";
-    const std::vector<std::string> columns = csv_columns(result);
-    for (std::size_t i = 0; i < result.points.size(); ++i) {
-        const std::vector<std::string> cells = point_cells(result, result.points[i]);
-        out << "    {";
-        bool first = true;
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (cells[c].empty()) {
-                continue;  // omit columns the method did not produce
-            }
-            // Numeric columns are emitted bare; the three string columns
-            // (scenario, label, coding_scheme) are quoted.
-            const std::string& name = columns[c];
-            const bool is_string =
-                name == "scenario" || name == "label" || name == "coding_scheme";
-            out << (first ? "" : ", ") << '"' << name << "\": "
-                << (is_string ? json_string(cells[c]) : cells[c]);
-            first = false;
-        }
-        if (result.network) {
-            // Per-cell detail of the reference backend (the CSV keeps only
-            // the network aggregate): the four paper measures per cell.
-            for (const eval::PointEvaluation& evaluation :
-                 result.points[i].evaluations) {
-                if (evaluation.cell_measures.empty()) {
-                    continue;
+        << ", \"points\": " << s.points << ", \"backends\": [";
+    for (std::size_t b = 0; b < s.backends.size(); ++b) {
+        const BackendTotals& t = s.backends[b];
+        out << (b > 0 ? ", " : "") << "{\"backend\": " << json_string(t.backend)
+            << ", \"points\": " << t.points << ", \"iterations\": " << t.iterations
+            << ", \"replications\": " << t.replications << ", \"events\": " << t.events
+            << ", \"warm_offered\": " << t.warm_offered
+            << ", \"warm_won\": " << t.warm_won << "}";
+    }
+    out << "], \"batch_tasks\": " << s.batch_tasks << ", \"batch_waves\": " << s.batch_waves
+        << ", \"wall_seconds\": " << number_cell(s.wall_seconds)
+        << ", \"threads\": " << s.threads << "},\n"
+        << "  \"rows\": [";
+    bool first_row = true;
+    for (const CampaignPoint& point : result.points) {
+        for (std::size_t b = 0; b < point.evaluations.size(); ++b) {
+            const std::vector<std::string> cells = row_cells(result, point, b);
+            out << (first_row ? "\n" : ",\n") << "    {";
+            first_row = false;
+            bool first = true;
+            for (std::size_t c = 0; c < cells.size(); ++c) {
+                if (cells[c].empty()) {
+                    continue;  // omit cells the backend did not produce
                 }
-                out << (first ? "" : ", ") << "\"cells\": [";
-                for (std::size_t c = 0; c < evaluation.cell_measures.size(); ++c) {
-                    const core::Measures& m = evaluation.cell_measures[c];
+                // Numeric columns are emitted bare; the four string columns
+                // are quoted.
+                const std::string name = kCsvColumns[c];
+                const bool is_string = name == "scenario" || name == "label" ||
+                                       name == "coding_scheme" || name == "backend";
+                out << (first ? "" : ", ") << '"' << name << "\": "
+                    << (is_string ? json_string(cells[c]) : cells[c]);
+                first = false;
+            }
+            const std::vector<core::Measures>& per_cell = point.evaluations[b].cell_measures;
+            if (!per_cell.empty()) {
+                // Per-cell detail (the CSV keeps only the network
+                // aggregate): the four paper measures per cell.
+                out << ", \"cells\": [";
+                for (std::size_t c = 0; c < per_cell.size(); ++c) {
+                    const core::Measures& m = per_cell[c];
                     out << (c > 0 ? ", " : "") << "{\"cdt\": "
                         << number_cell(m.carried_data_traffic)
                         << ", \"plp\": " << number_cell(m.packet_loss_probability)
@@ -251,13 +205,11 @@ void write_campaign_json(const CampaignResult& result, std::ostream& out) {
                         << "}";
                 }
                 out << "]";
-                first = false;
-                break;
             }
+            out << "}";
         }
-        out << (i + 1 < result.points.size() ? "},\n" : "}\n");
     }
-    out << "  ]\n}\n";
+    out << "\n  ]\n}\n";
 }
 
 bool write_campaign_json(const CampaignResult& result, const std::string& path) {
@@ -341,25 +293,24 @@ void print_campaign_summary(const CampaignResult& result, std::FILE* out) {
     std::fprintf(out, "\ncampaign '%s' (%s): %zu variants x %zu rates = %zu points\n",
                  result.name.c_str(), methods.c_str(), s.variants, result.rates.size(),
                  s.points);
-    if (s.model_solves > 0) {
-        std::fprintf(out,
-                     "  chain solves: %zu (%zu of %zu offered transfers warm-started, "
-                     "warm start %s), total solver iterations: %lld\n",
-                     s.model_solves, s.warm_started_solves, s.warm_offered_solves,
-                     s.warm_start ? "on" : "off", s.total_iterations);
-    }
-    if (s.sim_replications > 0) {
-        std::fprintf(out, "  simulator replications: %lld (%.2e events)\n",
-                     s.sim_replications, static_cast<double>(s.sim_events));
+    for (const BackendTotals& t : s.backends) {
+        std::fprintf(out, "  %s: %zu points", t.backend.c_str(), t.points);
+        if (t.iterations > 0) {
+            std::fprintf(out, ", %lld iterations", t.iterations);
+        }
+        if (t.replications > 0) {
+            std::fprintf(out, ", %lld replications (%.2e events)", t.replications,
+                         static_cast<double>(t.events));
+        }
+        if (t.warm_offered > 0) {
+            std::fprintf(out, ", %zu of %zu offered warm-start transfers won", t.warm_won,
+                         t.warm_offered);
+        }
+        std::fprintf(out, "\n");
     }
     if (s.batch_waves > 0) {
-        // Cross-variant interleaving: the merged task set runs every
-        // (backend, variant) grid's wave w together, so fewer waves than
-        // the per-grid sequential dispatch means more tasks per dispatch.
-        std::fprintf(out,
-                     "  task set: %zu tasks in %zu merged waves "
-                     "(sequential dispatch: %zu waves)\n",
-                     s.batch_tasks, s.batch_waves, s.sequential_waves);
+        std::fprintf(out, "  task set: %zu tasks in %zu merged waves\n", s.batch_tasks,
+                     s.batch_waves);
     }
     std::fprintf(out, "  wall %.2f s on %d thread%s\n", s.wall_seconds, s.threads,
                  s.threads == 1 ? "" : "s");

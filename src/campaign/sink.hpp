@@ -15,36 +15,37 @@
 
 namespace gprsim::campaign {
 
-/// Column layout of write_campaign_csv, in order — the legacy two-column
-/// view of CampaignPoint: model columns come from the first non-stochastic
-/// backend (empty when every method is stochastic), sim and delta columns
-/// are empty when no "des"-style backend ran. Doubles are printed with
-/// max_digits10 precision, so reading a cell back with strtod reproduces
-/// the exact bits.
+/// Writes one row per (variant, rate, backend) — points in variant-major,
+/// rate-minor order, backends in CampaignResult::methods order — under one
+/// fixed header that depends on nothing in the result:
 ///
 ///   scenario, variant, label, traffic_model, reserved_pdch, gprs_fraction,
-///   coding_scheme, max_gprs_sessions, call_arrival_rate,
-///   model_cdt, model_plp, model_qd, model_atu, model_mql, model_cvt,
-///   model_ags, model_gsm_blocking, model_gprs_blocking,
-///   iterations, residual, warm_parent, warm_started,
-///   sim_cdt, sim_cdt_hw, sim_plp, sim_plp_hw, sim_qd, sim_qd_hw,
-///   sim_atu, sim_atu_hw, sim_cvt, sim_cvt_hw, sim_gsm_blocking,
-///   sim_gsm_blocking_hw, sim_gprs_blocking, sim_gprs_blocking_hw,
-///   sim_replications, sim_events,
-///   delta_cdt, delta_plp, delta_qd, delta_atu
+///   coding_scheme, max_gprs_sessions, call_arrival_rate, backend,
+///   cdt, plp, qd, atu, mql, offered_packet_rate, data_throughput_kbps,
+///   cvt, ags, gsm_blocking, gprs_blocking,                 (core::Measures)
+///   iterations, residual, warm_parent,
+///   cdt_hw, plp_hw, qd_hw, atu_hw, mql_hw, cvt_hw, ags_hw, gsm_blocking_hw,
+///   gprs_blocking_hw, replications, events, rau_rate,      (provenance)
+///   delta_cdt, delta_plp, delta_qd, delta_atu,    (methods.front() - row)
+///   network_cells, speed_kmh, reuse_factor        (network axes)
 ///
-/// Multi-method campaigns append four pairwise-delta columns per
-/// non-reference backend — delta_cdt:<method>, delta_plp:<method>,
-/// delta_qd:<method>, delta_atu:<method> — holding methods.front() minus
-/// that backend (CampaignPoint::deltas). Single-method campaigns keep the
-/// exact legacy column set above.
+/// Provenance cells are empty where the backend has none: iterations and
+/// residual without an iterative solve, warm_parent for a cold start, the
+/// 95% half-widths, replications and events without a simulator, rau_rate
+/// without a cell lattice; the network axes are empty for single-cell
+/// campaigns. No timing, thread-count or free-text column appears, so the
+/// bytes are a pure function of the spec. Doubles are printed with
+/// max_digits10 precision, so reading a cell back with strtod reproduces
+/// the exact bits.
 void write_campaign_csv(const CampaignResult& result, std::ostream& out);
 
 /// Writes to a file; returns false (with a message on stderr) on I/O error.
 bool write_campaign_csv(const CampaignResult& result, const std::string& path);
 
 /// JSON mirror of the CSV: {"name", "methods": [...], "summary": {...},
-/// "points": [...]} with the same per-point fields.
+/// "rows": [...]} with one object per CSV row (empty cells omitted, network
+/// rows adding their per-cell "cells" detail) and the summary's
+/// per-backend totals.
 void write_campaign_json(const CampaignResult& result, std::ostream& out);
 bool write_campaign_json(const CampaignResult& result, const std::string& path);
 
@@ -64,9 +65,9 @@ struct CsvTable {
 /// Throws std::runtime_error on ragged rows.
 CsvTable read_csv(std::istream& in);
 
-/// The campaign summary block: points, solves, warm-start share, total
-/// solver iterations (the warm-vs-cold comparison number), replications,
-/// events, wall clock, threads.
+/// The campaign summary block: one line of totals per backend (points,
+/// iterations, replications and events, ctmc's warm-start transfers won
+/// and offered), the merged task set, wall clock, threads.
 void print_campaign_summary(const CampaignResult& result, std::FILE* out);
 
 }  // namespace gprsim::campaign

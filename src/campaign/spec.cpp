@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "campaign/json.hpp"
-#include "core/sweep.hpp"
 #include "eval/registry.hpp"
 #include "traffic/threegpp.hpp"
 #include "traffic/trace.hpp"
@@ -96,22 +95,17 @@ core::CodingScheme parse_scheme(const JsonValue& value) {
                     value.line());
 }
 
-/// Expands legacy aliases: a plain backend name stays itself, "both" (the
-/// pre-registry spelling of "model and simulator side by side") becomes
-/// {"ctmc", "des"}. Registry membership is checked afterwards so the error
-/// carries the key's line.
-std::vector<std::string> expand_method_aliases(const std::string& name) {
-    if (name == "both") {
-        return {"ctmc", "des"};
-    }
-    return {name};
-}
-
 /// Throws the line-carrying SpecError for names missing from the registry
 /// or duplicated in the list.
 void check_method_names(const std::vector<std::string>& methods, int line) {
     for (std::size_t i = 0; i < methods.size(); ++i) {
         const std::string& name = methods[i];
+        if (name == "both") {
+            throw SpecError(
+                "the \"both\" alias was removed: list the backends, \"methods\": "
+                "[\"ctmc\", \"des\"]",
+                line);
+        }
         if (!eval::BackendRegistry::global().contains(name)) {
             std::string known;
             for (const eval::BackendInfo& info : eval::BackendRegistry::global().list()) {
@@ -119,7 +113,7 @@ void check_method_names(const std::vector<std::string>& methods, int line) {
                 known += "\"" + info.name + "\"";
             }
             throw SpecError("unknown method \"" + name + "\" (registered backends: " +
-                                known + "; \"both\" = ctmc + des)",
+                                known + ")",
                             line);
         }
         for (std::size_t j = 0; j < i; ++j) {
@@ -137,12 +131,10 @@ std::vector<std::string> parse_methods(const JsonValue& value) {
             throw SpecError("\"methods\" must not be an empty array", value.line());
         }
         for (const JsonValue& item : value.items()) {
-            for (std::string& name : expand_method_aliases(item.as_string())) {
-                methods.push_back(std::move(name));
-            }
+            methods.push_back(item.as_string());
         }
     } else {
-        methods = expand_method_aliases(value.as_string());
+        methods.push_back(value.as_string());
     }
     check_method_names(methods, value.line());
     return methods;
@@ -205,20 +197,23 @@ std::vector<double> parse_rates(const JsonValue& value) {
         }
     }
     try {
-        return core::arrival_rate_grid(first, last, count);
+        return arrival_rate_grid(first, last, count);
     } catch (const std::invalid_argument&) {
         throw SpecError("\"rates\" needs count >= 2 and last >= first", value.line());
     }
 }
 
-SolverSpec parse_solver(const JsonValue& value) {
-    SolverSpec solver;
+eval::SolverKnobs parse_solver(const JsonValue& value) {
+    eval::SolverKnobs solver;
     for (const JsonValue::Member& member : value.members()) {
         const auto& [key, v] = member;
         if (key == "tolerance") {
             solver.tolerance = v.as_number();
         } else if (key == "warm_start") {
-            solver.warm_start = v.as_bool();
+            throw SpecError(
+                "\"solver.warm_start\" was removed: ctmc grids always use the bisection "
+                "warm-start schedule; delete the key",
+                v.line());
         } else if (key == "method") {
             solver.method = v.as_string();
         } else {
@@ -228,8 +223,8 @@ SolverSpec parse_solver(const JsonValue& value) {
     return solver;
 }
 
-SimulationSpec parse_simulation(const JsonValue& value) {
-    SimulationSpec simulation;
+eval::SimulationKnobs parse_simulation(const JsonValue& value) {
+    eval::SimulationKnobs simulation;
     for (const JsonValue::Member& member : value.members()) {
         const auto& [key, v] = member;
         if (key == "replications") {
@@ -263,23 +258,23 @@ NetworkSpec parse_network(const JsonValue& value) {
         } else if (key == "reuse") {
             network.reuse_factors = int_axis(v, key);
         } else if (key == "topology") {
-            network.topology = v.as_string();
+            network.knobs.topology = v.as_string();
         } else if (key == "wrap") {
-            network.wrap = v.as_bool();
+            network.knobs.wrap = v.as_bool();
         } else if (key == "ra_block") {
-            network.ra_block = require_int(v, key);
+            network.knobs.ra_block = require_int(v, key);
         } else if (key == "reference_speed_kmh") {
-            network.reference_speed_kmh = v.as_number();
+            network.knobs.reference_speed_kmh = v.as_number();
         } else if (key == "drift") {
-            network.drift = v.as_number();
+            network.knobs.drift = v.as_number();
         } else if (key == "inner") {
-            network.inner_backend = v.as_string();
+            network.knobs.inner_backend = v.as_string();
         } else if (key == "tolerance") {
-            network.outer_tolerance = v.as_number();
+            network.knobs.outer_tolerance = v.as_number();
         } else if (key == "damping") {
-            network.outer_damping = v.as_number();
+            network.knobs.outer_damping = v.as_number();
         } else if (key == "max_outer_iterations") {
-            network.outer_max_iterations = require_int(v, key);
+            network.knobs.outer_max_iterations = require_int(v, key);
         } else {
             throw SpecError("unknown \"network\" key \"" + key + "\"", v.line());
         }
@@ -300,8 +295,8 @@ std::pair<int, int> lattice_shape(int cells) {
     return {width, cells / width};
 }
 
-ApproxSpec parse_approx(const JsonValue& value) {
-    ApproxSpec approx;
+eval::ApproxKnobs parse_approx(const JsonValue& value) {
+    eval::ApproxKnobs approx;
     for (const JsonValue::Member& member : value.members()) {
         const auto& [key, v] = member;
         if (key == "fp_tolerance") {
@@ -329,11 +324,6 @@ ApproxSpec parse_approx(const JsonValue& value) {
 
 ScenarioSpec& ScenarioSpec::named(std::string value) {
     name = std::move(value);
-    return *this;
-}
-
-ScenarioSpec& ScenarioSpec::with_method(const std::string& value) {
-    methods = expand_method_aliases(value);
     return *this;
 }
 
@@ -374,7 +364,7 @@ ScenarioSpec& ScenarioSpec::over_session_limits(std::vector<int> values) {
 
 ScenarioSpec& ScenarioSpec::with_rate_grid(double first, double last, int count) {
     try {
-        rates = core::arrival_rate_grid(first, last, count);
+        rates = arrival_rate_grid(first, last, count);
     } catch (const std::invalid_argument&) {
         throw SpecError("with_rate_grid: need count >= 2 and last >= first", 0);
     }
@@ -388,31 +378,6 @@ ScenarioSpec& ScenarioSpec::with_rates(std::vector<double> values) {
 
 ScenarioSpec& ScenarioSpec::with_tolerance(double value) {
     solver.tolerance = value;
-    return *this;
-}
-
-ScenarioSpec& ScenarioSpec::with_warm_start(bool value) {
-    solver.warm_start = value;
-    return *this;
-}
-
-ScenarioSpec& ScenarioSpec::with_solver_method(std::string value) {
-    solver.method = std::move(value);
-    return *this;
-}
-
-ScenarioSpec& ScenarioSpec::with_replications(int value) {
-    simulation.replications = value;
-    return *this;
-}
-
-ScenarioSpec& ScenarioSpec::with_seed(std::uint64_t value) {
-    simulation.seed = value;
-    return *this;
-}
-
-ScenarioSpec& ScenarioSpec::with_approx(ApproxSpec value) {
-    approx = value;
     return *this;
 }
 
@@ -491,23 +456,8 @@ void ScenarioSpec::validate() const {
     if (solver.tolerance <= 0.0) {
         throw SpecError("solver tolerance must be positive", 0);
     }
-    if (approx.fp_tolerance <= 0.0) {
-        throw SpecError("approx fp_tolerance must be positive", 0);
-    }
-    if (approx.fp_damping <= 0.0 || approx.fp_damping > 1.0) {
-        throw SpecError("approx fp_damping must be in (0, 1]", 0);
-    }
-    if (approx.fp_max_iterations < 1) {
-        throw SpecError("approx fp_max_iterations must be at least 1", 0);
-    }
-    if (approx.ode_rel_tol <= 0.0 || approx.ode_abs_tol <= 0.0) {
-        throw SpecError("approx ode_rel_tol/ode_abs_tol must be positive", 0);
-    }
-    if (approx.ode_max_steps < 1) {
-        throw SpecError("approx ode_max_steps must be at least 1", 0);
-    }
-    if (approx.ode_stationary_rate <= 0.0) {
-        throw SpecError("approx ode_stationary_rate must be positive", 0);
+    if (const std::string reason = approx.invalid_reason(); !reason.empty()) {
+        throw SpecError(reason, 0);
     }
     if (network.enabled) {
         if (network.cell_counts.empty() || network.speeds_kmh.empty() ||
@@ -529,43 +479,14 @@ void ScenarioSpec::validate() const {
                 throw SpecError("network reuse factors must be at least 1", 0);
             }
         }
-        if (network.topology != "grid4" && network.topology != "grid8" &&
-            network.topology != "hex" && network.topology != "clique") {
-            throw SpecError("unknown network topology \"" + network.topology + "\"", 0);
+        if (const std::string reason = network.knobs.invalid_reason(); !reason.empty()) {
+            throw SpecError(reason, 0);
         }
-        if (network.ra_block < 0) {
-            throw SpecError("network ra_block must be non-negative", 0);
-        }
-        if (network.reference_speed_kmh <= 0.0) {
-            throw SpecError("network reference_speed_kmh must be positive", 0);
-        }
-        if (network.drift < 0.0 || network.drift >= 1.0) {
-            throw SpecError("network drift must lie in [0, 1)", 0);
-        }
-        if (network.inner_backend.empty() ||
-            network.inner_backend.rfind("network", 0) == 0) {
-            throw SpecError("network inner backend must name a single-cell backend", 0);
-        }
-        check_method_names({network.inner_backend}, 0);
-        if (network.outer_tolerance <= 0.0) {
-            throw SpecError("network tolerance must be positive", 0);
-        }
-        if (network.outer_damping <= 0.0 || network.outer_damping > 1.0) {
-            throw SpecError("network damping must be in (0, 1]", 0);
-        }
-        if (network.outer_max_iterations < 1) {
-            throw SpecError("network max_outer_iterations must be at least 1", 0);
-        }
+        check_method_names({network.knobs.inner_backend}, 0);
     }
     if (uses_backend("des")) {
-        if (simulation.replications < 1) {
-            throw SpecError("simulation needs at least one replication", 0);
-        }
-        if (simulation.batch_count < 2) {
-            throw SpecError("simulation needs at least two batches", 0);
-        }
-        if (simulation.warmup_time < 0.0 || simulation.batch_duration <= 0.0) {
-            throw SpecError("simulation warmup/batch_duration out of range", 0);
+        if (const std::string reason = simulation.invalid_reason(); !reason.empty()) {
+            throw SpecError(reason, 0);
         }
     }
 }
@@ -687,8 +608,13 @@ ScenarioSpec interpret_spec(const JsonValue& root) {
         const auto& [key, value] = member;
         if (key == "name") {
             spec.name = value.as_string();
-        } else if (key == "method" || key == "methods") {
+        } else if (key == "methods") {
             spec.methods = parse_methods(value);
+        } else if (key == "method") {
+            throw SpecError(
+                "\"method\" was replaced by \"methods\", a list of backend names, "
+                "e.g. \"methods\": [\"ctmc\", \"des\"]",
+                value.line());
         } else if (key == "traffic_model") {
             parse_traffic_axis(value, spec);
         } else if (key == "reserved_pdch") {
@@ -741,6 +667,18 @@ ScenarioSpec interpret_spec(const JsonValue& root) {
 }
 
 }  // namespace
+
+std::vector<double> arrival_rate_grid(double first, double last, int count) {
+    if (count < 2 || last < first) {
+        throw std::invalid_argument("arrival_rate_grid: need count >= 2 and last >= first");
+    }
+    std::vector<double> grid(static_cast<std::size_t>(count));
+    for (int i = 0; i < count; ++i) {
+        grid[static_cast<std::size_t>(i)] =
+            first + (last - first) * static_cast<double>(i) / static_cast<double>(count - 1);
+    }
+    return grid;
+}
 
 ScenarioSpec parse_spec(const std::string& text) {
     // Both parse failures and typed-accessor mismatches during

@@ -16,6 +16,7 @@
 
 #include "core/coding_scheme.hpp"
 #include "core/parameters.hpp"
+#include "eval/evaluator.hpp"
 
 namespace gprsim::campaign {
 
@@ -37,50 +38,12 @@ private:
     int line_ = 0;
 };
 
-/// Chain-solve settings shared by every model point of the campaign.
-struct SolverSpec {
-    double tolerance = 1e-9;
-    /// Warm-start each point from its already-solved nearest grid neighbor
-    /// (runner.hpp describes the deterministic schedule). false = every
-    /// point starts cold from the product-form guess.
-    bool warm_start = true;
-    /// Iteration scheme for the chain solves, by canonical
-    /// ctmc::method_name spelling; "auto" (the default) lets the engine's
-    /// cost model decide per point. NOTE this selects the iteration scheme
-    /// of each solve — dispatch modes (sequential vs merged batch) are a
-    /// runner concern (CampaignOptions::sequential_dispatch), not a solver
-    /// method.
-    std::string method = "auto";
-};
-
-/// Replication-experiment settings shared by every DES point.
-struct SimulationSpec {
-    int replications = 4;
-    std::uint64_t seed = 1;
-    double warmup_time = 1500.0;
-    int batch_count = 10;
-    double batch_duration = 1500.0;  ///< [s]
-    bool tcp = true;                 ///< TCP Reno vs open-loop sources
-};
-
-/// Approximation-backend knobs (the "fixed-point" and "fluid" evaluators)
-/// shared by every point; mirrors eval::ApproxKnobs. Backends that do not
-/// approximate ignore the block.
-struct ApproxSpec {
-    double fp_tolerance = 1e-10;    ///< fixed-point residual target
-    double fp_damping = 1.0;        ///< iterate step fraction in (0, 1]
-    int fp_max_iterations = 5000;
-    double ode_rel_tol = 1e-8;      ///< fluid RK4(5) relative tolerance
-    double ode_abs_tol = 1e-10;
-    long long ode_max_steps = 200000;
-    double ode_stationary_rate = 1e-9;  ///< drift-norm stationarity bound [1/s]
-};
-
 /// Multi-cell network block (the "network-fp" / "network-des" evaluators).
 /// `enabled` gates everything: a spec without a "network" block expands to
 /// the classic single-cell campaign. The three vectors are variant axes
 /// crossed into the cartesian product (innermost, after max_gprs_sessions);
-/// the scalars are shared by every variant. Mirrors eval::NetworkKnobs.
+/// `knobs` holds the settings shared by every variant — its lattice shape,
+/// speed and reuse fields are filled per variant from the axes.
 struct NetworkSpec {
     bool enabled = false;
     /// Cell-count axis; each count n becomes the most-square w x h lattice
@@ -88,15 +51,7 @@ struct NetworkSpec {
     std::vector<int> cell_counts{4};
     std::vector<double> speeds_kmh{3.0};  ///< mobility axis [km/h]
     std::vector<int> reuse_factors{1};    ///< frequency-reuse pattern axis
-    std::string topology = "grid4";       ///< grid4 | grid8 | hex | clique
-    bool wrap = true;                     ///< torus vs hard lattice edge
-    int ra_block = 0;                     ///< routing-area tile, 0 = one RA
-    double reference_speed_kmh = 3.0;     ///< speed at which dwell = preset
-    double drift = 0.0;                   ///< eastward bias in [0, 1)
-    std::string inner_backend = "ctmc";   ///< network-fp per-cell solver
-    double outer_tolerance = 1e-12;       ///< inflow residual target
-    double outer_damping = 1.0;           ///< inflow step fraction (0, 1]
-    int outer_max_iterations = 50;
+    eval::NetworkKnobs knobs;
 };
 
 /// One resolved cell configuration of the cartesian product. `parameters`
@@ -126,8 +81,7 @@ struct ScenarioSpec {
     std::string name = "campaign";
     /// Registered backend names each point is evaluated with, in order.
     /// The first backend is the delta reference (runner.hpp); duplicates
-    /// are rejected. Legacy single-method strings parse as one-element
-    /// lists and "both" expands to {"ctmc", "des"}.
+    /// are rejected.
     std::vector<std::string> methods{"ctmc"};
 
     // --- variant axes (cartesian product, outermost first) ---------------
@@ -152,15 +106,15 @@ struct ScenarioSpec {
     /// Arrival-rate grid (the x-axis); required, ascending.
     std::vector<double> rates;
 
-    SolverSpec solver;
-    SimulationSpec simulation;
-    ApproxSpec approx;
+    /// Knob blocks shared by every point; each becomes the matching block
+    /// of every variant's eval::ScenarioQuery.
+    eval::SolverKnobs solver;
+    eval::SimulationKnobs simulation;
+    eval::ApproxKnobs approx;
     NetworkSpec network;
 
     // --- chainable builders ----------------------------------------------
     ScenarioSpec& named(std::string value);
-    /// Single backend ("ctmc") or legacy alias ("both" -> ctmc + des).
-    ScenarioSpec& with_method(const std::string& value);
     ScenarioSpec& with_methods(std::vector<std::string> values);
     ScenarioSpec& over_traffic_models(std::vector<int> values);
     /// Trace-workload axis: arrival-trace file paths (fitted in expand()).
@@ -173,13 +127,6 @@ struct ScenarioSpec {
     ScenarioSpec& with_rate_grid(double first, double last, int count);
     ScenarioSpec& with_rates(std::vector<double> values);
     ScenarioSpec& with_tolerance(double value);
-    ScenarioSpec& with_warm_start(bool value);
-    /// Iteration scheme (SolverSpec::method); "auto" = engine cost model.
-    ScenarioSpec& with_solver_method(std::string value);
-    ScenarioSpec& with_replications(int value);
-    ScenarioSpec& with_seed(std::uint64_t value);
-    /// Approximation-backend knob block (fixed-point / fluid).
-    ScenarioSpec& with_approx(ApproxSpec value);
     /// Multi-cell network block; sets enabled = true.
     ScenarioSpec& with_network(NetworkSpec value);
 
@@ -209,10 +156,8 @@ struct ScenarioSpec {
 
 /// Parses the JSON-ish spec format. Top-level keys:
 ///   "name"               string
-///   "methods"            array of registered backend names, e.g.
-///                        ["ctmc", "des", "mm1k-approx"]
-///   "method"             legacy single-string form: any backend name, or
-///                        the alias "both" (= ["ctmc", "des"])
+///   "methods"            registered backend name or array of names,
+///                        e.g. ["ctmc", "des", "mm1k-approx"]
 ///   "traffic_model"      1|2|3 or "trace:<file>" (an arrival trace fitted
 ///                        to an IPP/3GPP model), or an array mixing both;
 ///                        presets expand before traces regardless of the
@@ -224,7 +169,7 @@ struct ScenarioSpec {
 ///   "channels"           int        "buffer"   int
 ///   "eta"                number     "bler"     number
 ///   "rates"              array of numbers, or {"first","last","count"}
-///   "solver"             {"tolerance", "warm_start", "method"}
+///   "solver"             {"tolerance", "method"}
 ///   "simulation"         {"replications","seed","warmup","batch_count",
 ///                         "batch_duration","tcp"}
 ///   "approx"             {"fp_tolerance","fp_damping","fp_max_iterations",
@@ -236,9 +181,16 @@ struct ScenarioSpec {
 ///                         "inner","tolerance","damping",
 ///                         "max_outer_iterations"}; presence of the block
 ///                         enables multi-cell expansion
-/// Unknown keys are rejected. All errors — syntax and semantic alike — are
-/// thrown as SpecError carrying the offending 1-based line.
+/// Unknown keys are rejected; the removed spellings "method",
+/// "solver.warm_start" and the "both" alias name their replacement. All
+/// errors — syntax and semantic alike — are thrown as SpecError carrying
+/// the offending 1-based line.
 ScenarioSpec parse_spec(const std::string& text);
+
+/// Evenly spaced arrival-rate grid [first, last] with `count` points (the
+/// "rates": {"first", "last", "count"} form). Throws std::invalid_argument
+/// unless count >= 2 and last >= first.
+std::vector<double> arrival_rate_grid(double first, double last, int count);
 
 /// Reads and parses a spec file; throws SpecError when unreadable.
 /// Relative "trace:<file>" paths are resolved against the spec file's

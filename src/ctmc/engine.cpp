@@ -14,8 +14,6 @@ AutoSelection auto_select_method(index_type n, int threads) {
     constexpr double kCostSerialSweep = 0.55;    // wavefront-pipelined kernel
     constexpr double kCostRedBlackSweep = 2.1;   // two colored phases + commit
     constexpr double kIterRatioRedBlack = 1.85;  // 1830 / 990 sweeps
-    constexpr double kCostJacobiSweep = 1.9;     // two-vector sweep
-    constexpr double kIterRatioJacobi = 5.0;     // 4990 / 990 sweeps
     constexpr double kParallelEfficiency = 0.8;  // pool dispatch + memory bw
     constexpr index_type kSmallChain = 50000;
 
@@ -38,19 +36,13 @@ AutoSelection auto_select_method(index_type n, int threads) {
     const double width = static_cast<double>(threads) * kParallelEfficiency;
     const double serial_cost = kCostSerialSweep;
     const double red_black_cost = kCostRedBlackSweep * kIterRatioRedBlack / width;
-    const double jacobi_cost = kCostJacobiSweep * kIterRatioJacobi / width;
-    if (serial_cost <= red_black_cost && serial_cost <= jacobi_cost) {
+    if (serial_cost <= red_black_cost) {
         pick.method = SolveMethod::gauss_seidel;
         why << "serial cost " << serial_cost << " beats red-black " << red_black_cost
-            << " and Jacobi " << jacobi_cost << " at this width";
-    } else if (red_black_cost <= jacobi_cost) {
-        pick.method = SolveMethod::red_black_gauss_seidel;
-        why << "red-black cost " << red_black_cost << " beats serial " << serial_cost
-            << " and Jacobi " << jacobi_cost;
+            << " at this width";
     } else {
-        pick.method = SolveMethod::jacobi;
-        why << "Jacobi cost " << jacobi_cost << " beats serial " << serial_cost
-            << " and red-black " << red_black_cost;
+        pick.method = SolveMethod::red_black_gauss_seidel;
+        why << "red-black cost " << red_black_cost << " beats serial " << serial_cost;
     }
     pick.reason = why.str();
     return pick;

@@ -2,26 +2,26 @@
 //
 //   engine layer   (this file + kernels.hpp + thread_pool.hpp)
 //        ^ owns a shared common::ThreadPool, dispatches per-method kernels
-//   model layer    (core/model.hpp, core/sweep.hpp)
-//        ^ routes GprsModel::solve() and sweeps through an engine
+//   model layer    (core/model.hpp)
+//        ^ routes GprsModel::solve() through an engine
 //   consumers      (bench/, examples/)
 //
 // One engine should live as long as the workload: its pool is spawned once
-// and reused across every solve, sweep point, and residual evaluation; a
+// and reused across every solve and residual evaluation; a
 // pool wider than a given solve's width never over-parallelizes it (the
 // dispatch caps participating threads at num_threads).
 // Thread-count semantics (SolveOptions::num_threads):
-//   1  -> serial. For the Gauss-Seidel family this is the exact seed
-//         arithmetic (bit-compatible); the parallel methods use
-//         block-ordered reductions, whose rounding differs from the seed's
+//   1  -> serial. For gauss_seidel this is the exact seed arithmetic
+//         (bit-compatible); red_black_gauss_seidel uses block-ordered
+//         reductions, whose rounding differs from the seed's
 //         left-to-right sums in the last ulps.
 //   0  -> all hardware threads,
-//   N  -> N-wide execution. The parallel methods (jacobi, power,
-//         red_black_gauss_seidel) produce bitwise identical distributions
-//         for every thread count; plain gauss_seidel upgrades to
-//         red_black_gauss_seidel when more than one thread is requested
-//         (unless auto_select picked it — the cost model's serial choice
-//         is deliberate and runs serially whatever the width).
+//   N  -> N-wide execution. red_black_gauss_seidel produces bitwise
+//         identical distributions for every thread count; plain
+//         gauss_seidel upgrades to red_black_gauss_seidel when more than
+//         one thread is requested (unless auto_select picked it — the cost
+//         model's serial choice is deliberate and runs serially whatever
+//         the width).
 //
 // The solve loop runs sweeps in batches of check_interval. Serial
 // Gauss-Seidel on an explicit QtMatrix takes the raw-CSR wavefront kernel
@@ -150,9 +150,7 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
             "gauss_seidel is strictly serial; upgraded to red_black_gauss_seidel "
             "for the parallel run";
     }
-    const bool parallel_family = method == SolveMethod::jacobi ||
-                                 method == SolveMethod::power ||
-                                 method == SolveMethod::red_black_gauss_seidel;
+    const bool parallel_family = method == SolveMethod::red_black_gauss_seidel;
     detail::Executor exec;
     if (threads > 1 && parallel_family) {
         exec = {&this->pool(threads), threads};
@@ -207,19 +205,9 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
         }
     }
     std::vector<double>& x = result.distribution;
-    const bool needs_old = method == SolveMethod::jacobi || method == SolveMethod::power;
-    std::vector<double> old;
-    if (needs_old) {
-        old.resize(static_cast<std::size_t>(n));
-    }
     std::vector<double> scratch;
-    if (method == SolveMethod::red_black_gauss_seidel) {
+    if (parallel_family) {
         scratch.resize(static_cast<std::size_t>(n));
-    }
-
-    const double omega = method == SolveMethod::sor ? options.relaxation : 1.0;
-    if (omega <= 0.0 || omega >= 2.0) {
-        throw std::invalid_argument("solve_steady_state: relaxation must be in (0, 2)");
     }
 
     // Serial Gauss-Seidel on an explicit matrix takes the raw-CSR wavefront
@@ -244,28 +232,10 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
         }
         (void)want_sum;
         for (index_type s = 0; s < count; ++s) {
-            switch (method) {
-                case SolveMethod::gauss_seidel:
-                case SolveMethod::sor:
-                    detail::gauss_seidel_forward(op, x, omega);
-                    break;
-                case SolveMethod::symmetric_gauss_seidel:
-                    detail::gauss_seidel_forward(op, x, omega);
-                    detail::gauss_seidel_backward(op, x, omega);
-                    break;
-                case SolveMethod::jacobi:
-                    old.swap(x);
-                    detail::jacobi_sweep(op, old, x, exec);
-                    break;
-                case SolveMethod::power:
-                    old.swap(x);
-                    detail::power_sweep(op, old, x, lambda, exec);
-                    break;
-                case SolveMethod::red_black_gauss_seidel:
-                    detail::red_black_sweep(op, x, scratch, exec);
-                    break;
-                case SolveMethod::auto_select:
-                    break;  // resolved above; unreachable
+            if (parallel_family) {
+                detail::red_black_sweep(op, x, scratch, exec);
+            } else {
+                detail::gauss_seidel_forward(op, x);
             }
         }
         return 0.0;

@@ -1,6 +1,5 @@
 // Per-method solver kernels: serial Gauss-Seidel sweeps plus block-sharded
-// parallel kernels (Jacobi, power, red-black Gauss-Seidel, normalize,
-// residual). All sharded kernels partition the state range into a FIXED
+// parallel kernels (red-black Gauss-Seidel, normalize, residual). All sharded kernels partition the state range into a FIXED
 // number of contiguous blocks (kReductionBlocks, independent of the thread
 // count) and combine per-block partials in block order, so every result is
 // a pure function of the operator and the input vector — bitwise identical
@@ -179,10 +178,9 @@ double max_exit_rate(const Op& op, const Executor& exec = {}) {
 
 // --- sweep kernels ------------------------------------------------------
 
-/// One in-place Gauss-Seidel/SOR update of state i (the seed arithmetic).
+/// One in-place Gauss-Seidel update of state i (the seed arithmetic).
 template <QtOperatorConcept Op>
-inline void gauss_seidel_update(const Op& op, std::span<double> x, double omega,
-                                index_type i) {
+inline void gauss_seidel_update(const Op& op, std::span<double> x, index_type i) {
     const double d = op.diagonal(i);
     if (d == 0.0) {
         return;  // isolated state keeps its (zero) mass
@@ -191,64 +189,15 @@ inline void gauss_seidel_update(const Op& op, std::span<double> x, double omega,
     op.for_each_incoming(i, [&](index_type j, double rate) {
         acc += rate * x[static_cast<std::size_t>(j)];
     });
-    const double gs = acc / -d;
-    double& xi = x[static_cast<std::size_t>(i)];
-    xi = (1.0 - omega) * xi + omega * gs;
-    if (xi < 0.0) {
-        xi = 0.0;  // SOR overshoot guard; harmless for GS
-    }
+    x[static_cast<std::size_t>(i)] = acc / -d;
 }
 
 template <QtOperatorConcept Op>
-void gauss_seidel_forward(const Op& op, std::span<double> x, double omega) {
+void gauss_seidel_forward(const Op& op, std::span<double> x) {
     const index_type n = op.size();
     for (index_type i = 0; i < n; ++i) {
-        gauss_seidel_update(op, x, omega, i);
+        gauss_seidel_update(op, x, i);
     }
-}
-
-template <QtOperatorConcept Op>
-void gauss_seidel_backward(const Op& op, std::span<double> x, double omega) {
-    for (index_type i = op.size(); i-- > 0;) {
-        gauss_seidel_update(op, x, omega, i);
-    }
-}
-
-/// One Jacobi sweep: x <- D^{-1} R old, sharded over row blocks. Each x[i]
-/// depends only on `old`, so any partition gives identical results.
-template <QtOperatorConcept Op>
-void jacobi_sweep(const Op& op, std::span<const double> old, std::span<double> x,
-                  const Executor& exec) {
-    const index_type n = op.size();
-    exec.for_each_block([&](int b) {
-        const BlockRange r = reduction_block(n, b);
-        for (index_type i = r.begin; i < r.end; ++i) {
-            const double d = op.diagonal(i);
-            double acc = 0.0;
-            op.for_each_incoming(i, [&](index_type j, double rate) {
-                acc += rate * old[static_cast<std::size_t>(j)];
-            });
-            x[static_cast<std::size_t>(i)] = d == 0.0 ? 0.0 : acc / -d;
-        }
-    });
-}
-
-/// One uniformized power step: x <- old + (old Q)/Lambda, sharded.
-template <QtOperatorConcept Op>
-void power_sweep(const Op& op, std::span<const double> old, std::span<double> x,
-                 double lambda, const Executor& exec) {
-    const index_type n = op.size();
-    exec.for_each_block([&](int b) {
-        const BlockRange r = reduction_block(n, b);
-        for (index_type i = r.begin; i < r.end; ++i) {
-            double acc = op.diagonal(i) * old[static_cast<std::size_t>(i)];
-            op.for_each_incoming(i, [&](index_type j, double rate) {
-                acc += rate * old[static_cast<std::size_t>(j)];
-            });
-            x[static_cast<std::size_t>(i)] =
-                old[static_cast<std::size_t>(i)] + acc / lambda;
-        }
-    });
 }
 
 /// One red-black Gauss-Seidel sweep. States are colored by index parity;
@@ -310,10 +259,8 @@ inline QtCsrView csr_view(const QtMatrix& qt) {
             off.value_data(), qt.diagonal_data(), off.bandwidth()};
 }
 
-/// One Gauss-Seidel update of row i on the raw view. Bitwise equal to
-/// gauss_seidel_update at omega == 1: there `xi = (1-1)*xi + 1*gs` is
-/// `+0.0 + gs` (xi is never negative), which is exactly `gs`, and the SOR
-/// overshoot clamp can never fire because acc >= 0 and -d > 0.
+/// One Gauss-Seidel update of row i on the raw view; the same arithmetic as
+/// gauss_seidel_update over plain arrays.
 inline void gs_row_update(const QtCsrView& m, double* x, index_type i) {
     const double d = m.diag[i];
     if (d == 0.0) {
@@ -381,7 +328,7 @@ void gs_wavefront_pass(const QtCsrView& m, double* x, index_type D, double* fina
     }
 }
 
-/// Runs `count` forward Gauss-Seidel sweeps (omega == 1) on the raw view,
+/// Runs `count` forward Gauss-Seidel sweeps on the raw view,
 /// pipelined in wavefront groups of up to 4 sweeps. Bitwise identical to
 /// `count` sequential gauss_seidel_forward passes. When
 /// `accumulate_final_sum` is set, returns the left-to-right sum of x after

@@ -99,35 +99,27 @@ QtMatrix build_qt_matrix(index_type num_states, Outgoing&& outgoing) {
 }
 
 /// Iteration scheme used by SolverEngine::solve() / solve_steady_state().
+/// The values are the ones these methods had before sor, jacobi, power and
+/// symmetric Gauss-Seidel were removed, so a printed value keeps its meaning.
 enum class SolveMethod {
-    /// In-place forward sweeps; the default. With the product-form warm
-    /// start of the GPRS model this needs roughly half the wall time of the
-    /// symmetric variant per unit of residual reduction. Strictly serial;
-    /// with num_threads > 1 the engine substitutes the red-black variant.
-    gauss_seidel,
-    /// Forward + backward pass per sweep (2x cost per sweep); converges in
-    /// fewer sweeps on level-structured chains but rarely wins overall.
-    symmetric_gauss_seidel,
-    /// Gauss-Seidel with over-relaxation. NOTE: on this non-symmetric
-    /// generator large omega oscillates; kept for experimentation.
-    sor,
-    jacobi,  ///< two-vector sweeps (parallel across row shards)
-    power,   ///< uniformized power iteration pi <- pi (I + Q/Lambda)
+    /// In-place forward sweeps; the default. Strictly serial; with
+    /// num_threads > 1 the engine substitutes the red-black variant.
+    gauss_seidel = 0,
     /// Two-color Gauss-Seidel: states are split by index parity; each color
     /// phase updates all of its states from a consistent snapshot (writes go
     /// to a scratch half-vector, then commit), so the phase parallelizes
     /// over row shards and the result is bitwise independent of the thread
-    /// count. Converges between Jacobi and serial Gauss-Seidel.
-    red_black_gauss_seidel,
-    /// Let the engine pick between serial Gauss-Seidel, red-black and
-    /// Jacobi from the state count and thread budget via the measured cost
-    /// model in engine.cpp (auto_select_method). The decision and its
-    /// reasoning land in SolveResult::method_used / SolveResult::reason.
-    /// Note an auto-selected gauss_seidel runs SERIALLY even when
-    /// num_threads > 1 — choosing the serial pipelined kernel over the
-    /// parallel methods is precisely the decision the cost model makes for
-    /// small chains and narrow thread budgets.
-    auto_select,
+    /// count.
+    red_black_gauss_seidel = 5,
+    /// Let the engine pick between serial and red-black Gauss-Seidel from
+    /// the state count and thread budget via the measured cost model in
+    /// engine.cpp (auto_select_method). The decision and its reasoning land
+    /// in SolveResult::method_used / SolveResult::reason. Note an
+    /// auto-selected gauss_seidel runs SERIALLY even when num_threads > 1 —
+    /// choosing the serial pipelined kernel over the parallel method is
+    /// precisely the decision the cost model makes for small chains and
+    /// narrow thread budgets.
+    auto_select = 6,
 };
 
 /// Canonical spelling of a method, as used by the eval/campaign layers and
@@ -136,14 +128,6 @@ inline const char* method_name(SolveMethod method) {
     switch (method) {
         case SolveMethod::gauss_seidel:
             return "gauss_seidel";
-        case SolveMethod::symmetric_gauss_seidel:
-            return "symmetric_gauss_seidel";
-        case SolveMethod::sor:
-            return "sor";
-        case SolveMethod::jacobi:
-            return "jacobi";
-        case SolveMethod::power:
-            return "power";
         case SolveMethod::red_black_gauss_seidel:
             return "red_black_gauss_seidel";
         case SolveMethod::auto_select:
@@ -156,10 +140,6 @@ inline const char* method_name(SolveMethod method) {
 /// that into their own typed error).
 inline std::optional<SolveMethod> method_from_name(std::string_view name) {
     if (name == "gauss_seidel") return SolveMethod::gauss_seidel;
-    if (name == "symmetric_gauss_seidel") return SolveMethod::symmetric_gauss_seidel;
-    if (name == "sor") return SolveMethod::sor;
-    if (name == "jacobi") return SolveMethod::jacobi;
-    if (name == "power") return SolveMethod::power;
     if (name == "red_black_gauss_seidel") return SolveMethod::red_black_gauss_seidel;
     if (name == "auto") return SolveMethod::auto_select;
     return std::nullopt;
@@ -171,8 +151,6 @@ struct SolveOptions {
     /// Lambda = max_i |Q_ii| (a dimensionless residual).
     double tolerance = 1e-12;
     index_type max_iterations = 200000;
-    /// Relaxation factor for SolveMethod::sor (1 < omega < 2 accelerates).
-    double relaxation = 1.2;
     /// Normalization interval in sweeps. The iterate is renormalized at
     /// every multiple of `check_interval` (a fixed schedule — the division
     /// changes the iterate, so it must not depend on anything adaptive for
@@ -201,12 +179,10 @@ struct SolveOptions {
     /// outermost).
     std::vector<index_type> permutation;
     /// Execution width. 1 (default) runs serially; 0 means "all hardware
-    /// threads". For the parallel methods (jacobi, power,
-    /// red_black_gauss_seidel) results are bitwise identical for every
-    /// thread count. The Gauss-Seidel family is inherently sequential:
-    /// sor and symmetric_gauss_seidel run serially whatever the width,
-    /// while plain gauss_seidel upgrades to red_black_gauss_seidel when
-    /// more than one thread is requested.
+    /// threads". red_black_gauss_seidel results are bitwise identical for
+    /// every thread count; plain gauss_seidel is inherently sequential and
+    /// upgrades to red_black_gauss_seidel when more than one thread is
+    /// requested.
     int num_threads = 1;
     /// Warm start; empty means the uniform distribution. Non-negative,
     /// renormalized internally.

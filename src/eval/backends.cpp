@@ -2,35 +2,26 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <climits>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <utility>
 
 #include "core/handover.hpp"
 #include "core/initial_guess.hpp"
 #include "core/model.hpp"
 #include "eval/backend_util.hpp"
-#include "eval/batch.hpp"
 #include "queueing/mm1k.hpp"
 #include "sim/experiment.hpp"
 
 namespace gprsim::eval {
 
-SolveSchedule bisection_schedule(std::size_t count, bool warm_start) {
+SolveSchedule bisection_schedule(std::size_t count) {
     SolveSchedule schedule;
     schedule.parent.assign(count, -1);
     if (count == 0) {
-        return schedule;
-    }
-    if (!warm_start) {
-        // Cold start: no dependencies, every point in one maximal wave.
-        std::vector<int> all(count);
-        std::iota(all.begin(), all.end(), 0);
-        schedule.levels.push_back(std::move(all));
         return schedule;
     }
     schedule.levels.push_back({0});
@@ -72,7 +63,6 @@ using common::EvalErrorCode;
 // (eval/backend_util.hpp); only the warm-start cache stays local.
 using detail::WallClock;
 using detail::check_grid;
-using detail::execute_single_plan;
 using detail::failed_plan;
 using detail::first_error;
 using detail::guarded;
@@ -182,47 +172,7 @@ public:
     }
 
     common::Result<PointEvaluation> evaluate(const ScenarioQuery& query) override {
-        return guarded(query, [&]() -> common::Result<PointEvaluation> {
-            const core::Parameters p = query.resolved_parameters();
-            core::GprsModel model(p);
-            ctmc::SolveOptions solve;
-            solve.tolerance = query.solver.tolerance;
-            solve.max_iterations = query.solver.max_iterations;
-            // validated() (via guarded) already vetted the spelling.
-            solve.method = *ctmc::method_from_name(query.solver.method);
-            auto solved = model.try_solve(solve, ctmc::default_engine());
-            if (!solved.ok()) {
-                return solved.error();
-            }
-            const ctmc::SolveResult& result = solved.value().get();
-            PointEvaluation point;
-            point.backend = name();
-            point.call_arrival_rate = query.call_arrival_rate;
-            point.measures = core::compute_measures(p, model.balanced(), model.space(),
-                                                    result.distribution);
-            point.iterations = static_cast<long long>(result.iterations);
-            point.residual = result.residual;
-            point.solver_method = ctmc::method_name(result.method_used);
-            point.solver_reason = result.reason;
-            point.wall_seconds = result.seconds;
-            return point;
-        });
-    }
-
-    /// Single-grid evaluation is the one-query batch: same schedule, same
-    /// candidates, same first-error-in-grid-order result.
-    common::Result<std::vector<PointEvaluation>> evaluate_grid(
-        const ScenarioQuery& base, std::span<const double> rates,
-        const GridOptions& options) override {
-        std::vector<GridOutcome> outcomes =
-            evaluate_grids(std::span<const ScenarioQuery>(&base, 1), rates, options);
-        return std::move(outcomes.front());
-    }
-
-    std::vector<GridOutcome> evaluate_grids(std::span<const ScenarioQuery> queries,
-                                            std::span<const double> rates,
-                                            const GridOptions& options) override {
-        return execute_single_plan(plan_grids(queries, rates, options), options);
+        return guarded(query, [&] { return solve_point(query, -1, {}, nullptr); });
     }
 
     /// Grid planning with the deterministic bisection warm-start transfer:
@@ -260,7 +210,7 @@ public:
         state->points.assign(nq, std::vector<PointEvaluation>(n));
         state->errors.resize(nq);
         state->rates.assign(rates.begin(), rates.end());
-        state->schedule = bisection_schedule(n, options.warm_start);
+        state->schedule = bisection_schedule(n);
         std::vector<std::atomic<long long>> poisoned(nq);
         state->poisoned = std::move(poisoned);
         for (std::size_t q = 0; q < nq; ++q) {
@@ -277,91 +227,35 @@ public:
             }
         }
 
-        const auto solve_point = [this, state, progress = options.progress](
-                                     std::size_t q, int index, std::size_t wave) {
+        const auto solve_task = [this, state, progress = options.progress](
+                                    std::size_t q, std::size_t index, std::size_t wave) {
             if (state->poisoned[q].load(std::memory_order_acquire) <
                 static_cast<long long>(wave)) {
                 return;  // a parent wave of this query already failed
             }
-            const ScenarioQuery& base = state->base[q];
+            ScenarioQuery query = state->base[q];
+            query.call_arrival_rate = state->rates[index];
             WarmStartCache& cache = *state->caches[q];
-            try {
-                core::Parameters p = base.parameters;
-                p.call_arrival_rate = state->rates[static_cast<std::size_t>(index)];
-                core::GprsModel model(p);
-                const std::vector<double> product =
-                    core::product_form_initial(p, model.balanced(), model.space());
-                ctmc::SolveOptions solve;
-                solve.tolerance = base.solver.tolerance;
-                solve.max_iterations = base.solver.max_iterations;
-                // Probed by validated(); "auto" resolves per point, and at
-                // width 1 the decision depends only on the state count, so
-                // provenance is identical at every executor thread count.
-                solve.method = *ctmc::method_from_name(base.solver.method);
-                solve.num_threads = 1;  // the points are the parallelism
-                const int parent =
-                    state->schedule.parent[static_cast<std::size_t>(index)];
-                if (parent >= 0) {
-                    // Candidate 0 (preferred): the plain product form;
-                    // candidate 1: the target's product form carrying the
-                    // parent's deviation.
-                    std::vector<double> transferred =
-                        cache.claim(static_cast<std::size_t>(parent));
-                    for (std::size_t s = 0; s < transferred.size(); ++s) {
-                        transferred[s] *= product[s];
-                    }
-                    solve.initial_candidates.push_back(product);
-                    solve.initial_candidates.push_back(std::move(transferred));
-                    solve.candidate_margin = 0.5;
-                }
-                auto solved = model.try_solve(solve, ctmc::default_engine());
-                if (!solved.ok()) {
-                    state->errors[q][static_cast<std::size_t>(index)] =
-                        std::make_unique<EvalError>(solved.error());
-                    poison(state->poisoned[q], static_cast<long long>(wave));
-                    return;
-                }
-                const ctmc::SolveResult& result = solved.value().get();
-                if (cache.has_dependents(static_cast<std::size_t>(index))) {
-                    std::vector<double> deviation(result.distribution.size());
-                    for (std::size_t s = 0; s < deviation.size(); ++s) {
-                        deviation[s] = product[s] > 0.0
-                                           ? result.distribution[s] / product[s]
-                                           : 0.0;
-                    }
-                    cache.store(static_cast<std::size_t>(index), std::move(deviation));
-                }
-                PointEvaluation& point =
-                    state->points[q][static_cast<std::size_t>(index)];
-                point.backend = name();
-                point.call_arrival_rate =
-                    state->rates[static_cast<std::size_t>(index)];
-                point.measures = core::compute_measures(p, model.balanced(),
-                                                        model.space(),
-                                                        result.distribution);
-                point.iterations = static_cast<long long>(result.iterations);
-                point.residual = result.residual;
-                point.solver_method = ctmc::method_name(result.method_used);
-                point.solver_reason = result.reason;
-                point.warm_parent = parent;
-                point.warm_started = result.initial_selected == 1;
-                point.wall_seconds = result.seconds;
-                if (progress) {
-                    std::lock_guard<std::mutex> lock(state->progress_mutex);
-                    progress(q * state->rates.size() +
-                                 static_cast<std::size_t>(index),
-                             point);
-                }
-            } catch (const std::exception& e) {
-                state->errors[q][static_cast<std::size_t>(index)] =
-                    std::make_unique<EvalError>(EvalError{
-                        EvalErrorCode::internal,
-                        std::string(e.what()) + " [" +
-                            scenario_context(
-                                base.parameters,
-                                state->rates[static_cast<std::size_t>(index)]) +
-                            "]"});
+            const int parent = state->schedule.parent[index];
+            const bool has_dependents = cache.has_dependents(index);
+            std::vector<double> deviation;
+            common::Result<PointEvaluation> point = guarded(query, [&] {
+                return solve_point(
+                    query, parent,
+                    parent >= 0 ? cache.claim(static_cast<std::size_t>(parent))
+                                : std::vector<double>(),
+                    has_dependents ? &deviation : nullptr);
+            });
+            if (!point.ok()) {
+                state->errors[q][index] = std::make_unique<EvalError>(point.error());
                 poison(state->poisoned[q], static_cast<long long>(wave));
+                return;
+            }
+            cache.store(index, std::move(deviation));
+            state->points[q][index] = point.take();
+            if (progress) {
+                std::lock_guard<std::mutex> lock(state->progress_mutex);
+                progress(q * state->rates.size() + index, state->points[q][index]);
             }
         };
 
@@ -372,10 +266,10 @@ public:
                     continue;
                 }
                 for (const int index : state->schedule.levels[level]) {
-                    plan.tasks.push_back(
-                        {level, [solve_point, q, index, level] {
-                             solve_point(q, index, level);
-                         }});
+                    plan.tasks.push_back({level, [solve_task, q, index, level] {
+                                              solve_task(q, static_cast<std::size_t>(index),
+                                                         level);
+                                          }});
                 }
             }
         }
@@ -392,10 +286,73 @@ public:
             return outcomes;
         };
         plan.waves = plan.tasks.empty() ? 0 : state->schedule.levels.size();
-        plan.sequential_waves = state->schedule.levels.size() *
-                                static_cast<std::size_t>(
-                                    std::count(planned.begin(), planned.end(), true));
         return plan;
+    }
+
+private:
+    /// The one chain-point computation behind evaluate() and every task of
+    /// the grid plan: builds the model and its product-form guess, solves
+    /// single-threaded (the points of a grid are the parallelism), and fills
+    /// the evaluation. A root point (parent < 0) starts from the product
+    /// form. A dependent point is offered `transferred` — its parent's
+    /// deviation from the parent's own product form — grafted onto this
+    /// point's product form as a second candidate, which the engine keeps
+    /// only when it undercuts half the product form's initial residual.
+    /// When `deviation` is non-null it receives the solved distribution
+    /// divided by the product form, for this point's own dependents.
+    common::Result<PointEvaluation> solve_point(const ScenarioQuery& query, int parent,
+                                                std::vector<double> transferred,
+                                                std::vector<double>* deviation) const {
+        const core::Parameters p = query.resolved_parameters();
+        core::GprsModel model(p);
+        std::vector<double> product =
+            core::product_form_initial(p, model.balanced(), model.space());
+        ctmc::SolveOptions solve;
+        solve.tolerance = query.solver.tolerance;
+        solve.max_iterations = query.solver.max_iterations;
+        // validated() (via guarded) already vetted the spelling. "auto"
+        // resolves per point, and at width 1 the decision depends only on
+        // the state count, so provenance is identical at every executor
+        // thread count.
+        solve.method = *ctmc::method_from_name(query.solver.method);
+        solve.num_threads = 1;
+        if (parent >= 0) {
+            for (std::size_t s = 0; s < transferred.size(); ++s) {
+                transferred[s] *= product[s];
+            }
+            // Candidate 0 (preferred): the plain product form.
+            solve.initial_candidates.push_back(deviation != nullptr ? product
+                                                                    : std::move(product));
+            solve.initial_candidates.push_back(std::move(transferred));
+            solve.candidate_margin = 0.5;
+        } else {
+            solve.initial = deviation != nullptr ? product : std::move(product);
+        }
+        auto solved = model.try_solve(solve, ctmc::default_engine());
+        if (!solved.ok()) {
+            return solved.error();
+        }
+        const ctmc::SolveResult& result = solved.value().get();
+        if (deviation != nullptr) {
+            deviation->resize(result.distribution.size());
+            for (std::size_t s = 0; s < deviation->size(); ++s) {
+                (*deviation)[s] =
+                    product[s] > 0.0 ? result.distribution[s] / product[s] : 0.0;
+            }
+        }
+        PointEvaluation point;
+        point.backend = name();
+        point.call_arrival_rate = query.call_arrival_rate;
+        point.measures = core::compute_measures(p, model.balanced(), model.space(),
+                                                result.distribution);
+        point.iterations = static_cast<long long>(result.iterations);
+        point.residual = result.residual;
+        point.solver_method = ctmc::method_name(result.method_used);
+        point.solver_reason = result.reason;
+        point.warm_parent = parent;
+        point.warm_started = result.initial_selected == 1;
+        point.wall_seconds = result.seconds;
+        return point;
     }
 };
 
@@ -434,179 +391,15 @@ public:
     }
 
     common::Result<PointEvaluation> evaluate(const ScenarioQuery& query) override {
-        return guarded(query, [&]() -> common::Result<PointEvaluation> {
-            const WallClock clock;
-            const sim::ExperimentConfig experiment = experiment_config(query);
-            const int replications = experiment.replications;
-            std::vector<sim::SimulationResults> runs(
-                static_cast<std::size_t>(replications));
-            for (int rep = 0; rep < replications; ++rep) {
-                const sim::SimulationConfig config = sim::replication_config(
-                    experiment, static_cast<std::uint64_t>(rep));
-                runs[static_cast<std::size_t>(rep)] = sim::NetworkSimulator(config).run();
-            }
-            PointEvaluation point =
-                pooled_point(query, std::move(runs), /*threads_used=*/1);
-            point.sim.wall_seconds = clock.seconds();
-            point.wall_seconds = clock.seconds();
-            return point;
-        });
+        return detail::replicated_point(query, experiment_config,
+                                        std::bind_front(&DesEvaluator::pooled_point, this));
     }
 
-    /// Single-grid evaluation is the one-query batch.
-    common::Result<std::vector<PointEvaluation>> evaluate_grid(
-        const ScenarioQuery& base, std::span<const double> rates,
-        const GridOptions& options) override {
-        std::vector<GridOutcome> outcomes =
-            evaluate_grids(std::span<const ScenarioQuery>(&base, 1), rates, options);
-        return std::move(outcomes.front());
-    }
-
-    std::vector<GridOutcome> evaluate_grids(std::span<const ScenarioQuery> queries,
-                                            std::span<const double> rates,
-                                            const GridOptions& options) override {
-        return execute_single_plan(plan_grids(queries, rates, options), options);
-    }
-
-    /// Grid planning with the experiment engine's substream discipline:
-    /// replication r of query q's grid point i always draws from substream
-    /// block (grid_offset + q * rates.size() + i) * stride + r of that
-    /// query's experiment seed, where stride is the LARGEST replication
-    /// count in the batch — so streams stay disjoint even when queries
-    /// sharing one seed ask for different replication budgets (with a
-    /// uniform budget the stride equals R and blocks match the historic
-    /// single-grid formula exactly). Every (query, point, replication) is
-    /// its own wave-0 task — replications have no dependencies, so under a
-    /// merged campaign they backfill whatever solver threads the iterative
-    /// backends' narrow waves leave idle. Pooling runs serially in (query,
-    /// point, replication) order inside collect, so output is bitwise
-    /// invariant to num_threads and to merging.
     GridPlan plan_grids(std::span<const ScenarioQuery> queries,
                         std::span<const double> rates,
                         const GridOptions& options) override {
-        if (common::Status g = check_grid(rates); !g.ok()) {
-            return failed_plan(queries.size(), g.error());
-        }
-
-        struct State {
-            std::vector<ScenarioQuery> base;  ///< per query
-            /// runs[q][i][rep], written by disjoint tasks.
-            std::vector<std::vector<std::vector<sim::SimulationResults>>> runs;
-            /// First error of each (q, i); several replications of one
-            /// point can fail concurrently, so the slot is mutex-guarded.
-            std::vector<std::vector<std::unique_ptr<EvalError>>> errors;
-            std::mutex error_mutex;
-            std::vector<double> rates;
-        };
-        const std::size_t nq = queries.size();
-        const std::size_t n = rates.size();
-        auto state = std::make_shared<State>();
-        state->base.assign(queries.begin(), queries.end());
-        state->runs.resize(nq);
-        state->errors.resize(nq);
-        state->rates.assign(rates.begin(), rates.end());
-
-        // One plan task: replication `rep` of query q's point `index` on
-        // substream block `block`. Never throws.
-        const auto run_replication = [this, state](std::size_t q, std::size_t index,
-                                                   int rep, std::uint64_t block) {
-            try {
-                ScenarioQuery query = state->base[q];
-                query.call_arrival_rate = state->rates[index];
-                const sim::ExperimentConfig experiment = experiment_config(query);
-                const sim::SimulationConfig config =
-                    sim::replication_config(experiment, block);
-                state->runs[q][index][static_cast<std::size_t>(rep)] =
-                    sim::NetworkSimulator(config).run();
-            } catch (const std::exception& e) {
-                std::lock_guard<std::mutex> lock(state->error_mutex);
-                if (!state->errors[q][index]) {
-                    state->errors[q][index] = std::make_unique<EvalError>(EvalError{
-                        EvalErrorCode::internal,
-                        std::string(e.what()) + " [" +
-                            scenario_context(state->base[q].parameters,
-                                             state->rates[index]) +
-                            "]"});
-                }
-            }
-        };
-
-        GridPlan plan;
-        const std::vector<bool> planned = probe_queries(queries, rates, state->errors);
-        // Substream stride: the batch's largest replication budget, so
-        // blocks of different queries never collide even with unequal
-        // budgets (uniform budgets reproduce the historic R stride).
-        // Computed over EVERY query — valid or not, clamped at 1 for
-        // nonsense budgets — so a query's random draws never depend on
-        // whether an unrelated sibling passed validation.
-        std::uint64_t stride = 1;
-        for (const ScenarioQuery& query : queries) {
-            stride = std::max(stride, static_cast<std::uint64_t>(std::max(
-                                          1, query.simulation.replications)));
-        }
-        for (std::size_t q = 0; q < nq; ++q) {
-            if (!planned[q]) {
-                continue;
-            }
-            const int replications = queries[q].simulation.replications;
-            state->runs[q].assign(n, std::vector<sim::SimulationResults>(
-                                         static_cast<std::size_t>(replications)));
-            for (std::size_t index = 0; index < n; ++index) {
-                for (int rep = 0; rep < replications; ++rep) {
-                    const std::uint64_t block =
-                        (options.grid_offset +
-                         static_cast<std::uint64_t>(q * n + index)) *
-                            stride +
-                        static_cast<std::uint64_t>(rep);
-                    plan.tasks.push_back({0, [run_replication, q, index, rep, block] {
-                                              run_replication(q, index, rep, block);
-                                          }});
-                }
-            }
-        }
-
-        // threads_used provenance follows the single-grid formula (capped
-        // at that query's own task count), so a merged run reports
-        // bit-identical points to a sequential per-grid one.
-        const int resolved = common::ThreadPool::resolve_thread_count(options.num_threads);
-        plan.collect = [this, state, nq, n, resolved] {
-            std::vector<GridOutcome> outcomes;
-            outcomes.reserve(nq);
-            for (std::size_t q = 0; q < nq; ++q) {
-                if (const EvalError* failed = first_error(state->errors[q])) {
-                    outcomes.push_back(*failed);
-                    continue;
-                }
-                const int width = std::min<int>(
-                    resolved,
-                    static_cast<int>(n) * state->base[q].simulation.replications);
-                // This query's own simulation cost (a merged batch has no
-                // meaningful per-backend wall clock), spread evenly over
-                // its points like the historic grid/N attribution.
-                double query_wall = 0.0;
-                for (const auto& point_runs : state->runs[q]) {
-                    for (const sim::SimulationResults& run : point_runs) {
-                        query_wall += run.wall_seconds;
-                    }
-                }
-                std::vector<PointEvaluation> points;
-                points.reserve(n);
-                for (std::size_t index = 0; index < n; ++index) {
-                    ScenarioQuery query = state->base[q];
-                    query.call_arrival_rate = state->rates[index];
-                    points.push_back(
-                        pooled_point(query, std::move(state->runs[q][index]), width));
-                    points.back().wall_seconds =
-                        query_wall / static_cast<double>(std::max<std::size_t>(1, n));
-                }
-                outcomes.push_back(std::move(points));
-            }
-            return outcomes;
-        };
-        plan.waves = plan.tasks.empty() ? 0 : 1;
-        plan.sequential_waves =
-            static_cast<std::size_t>(std::count(planned.begin(), planned.end(), true));
-        return plan;
+        return detail::replication_plan(queries, rates, options, experiment_config,
+                                        std::bind_front(&DesEvaluator::pooled_point, this));
     }
 
 private:
@@ -623,9 +416,9 @@ private:
     }
 
     /// Pools per-replication results (replication order) into the point.
-    PointEvaluation pooled_point(const ScenarioQuery& query,
+    PointEvaluation pooled_point(const ScenarioQuery& query, const sim::ExperimentConfig&,
                                  std::vector<sim::SimulationResults> runs,
-                                 int threads_used) {
+                                 int threads_used) const {
         PointEvaluation point;
         point.backend = name();
         point.call_arrival_rate = query.call_arrival_rate;

@@ -4,14 +4,13 @@
 //   erlang       closed-form Erlang populations and blocking (Eq. 2-7);
 //                microseconds per point, no chain state
 //   ctmc         stationary solve of the full Markov chain (Table 1);
-//                plan_grids/evaluate_grid(s) keep the deterministic
-//                bisection warm-start transfer schedule that used to live
-//                in the campaign runner, with every variant of a batch
-//                sharing one wave structure so level-L points of ALL
-//                variants solve concurrently
+//                plan_grids keeps the deterministic bisection warm-start
+//                transfer schedule, with every variant of a batch sharing
+//                one wave structure so level-L points of ALL variants
+//                solve concurrently
 //   des          replications of the detailed network simulator, pooled
-//                into 95% CIs; plan_grids/evaluate_grid(s) emit one task
-//                per (variant, point, replication) with the same
+//                into 95% CIs; plan_grids emits one task per (variant,
+//                point, replication) with the same
 //                substream-block discipline as sim::ExperimentEngine, all
 //                dependency-free so they backfill idle solver threads in a
 //                merged campaign
@@ -36,8 +35,8 @@
 //                (per-cell parameters, weighted handover targets, routing
 //                areas), pooled like des (src/network/backends.cpp)
 //
-// All eight return Results; no exception crosses evaluate() /
-// evaluate_grid() / evaluate_grids() / a plan's tasks.
+// All eight return Results; no exception crosses evaluate() or a plan's
+// tasks.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +50,6 @@ namespace gprsim::eval {
 /// (exposed for tests): parent[i] is the grid index point i transfers
 /// information from (-1 = cold), and levels groups the indices into
 /// dependency waves — every parent of a level-k point sits in a level < k.
-/// warm_start = false yields a single all-cold level.
 struct SolveSchedule {
     std::vector<int> parent;
     std::vector<std::vector<int>> levels;
@@ -63,7 +61,7 @@ struct SolveSchedule {
 /// depth, so up to n/2 points of one grid solve concurrently; candidate
 /// sets are a pure function of the grid size, which keeps grid output
 /// bitwise invariant to the thread count.
-SolveSchedule bisection_schedule(std::size_t count, bool warm_start);
+SolveSchedule bisection_schedule(std::size_t count);
 
 namespace detail {
 

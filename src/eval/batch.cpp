@@ -22,7 +22,6 @@ BatchStats execute_plans(std::span<GridPlan> plans, const GridOptions& options) 
             depth = std::max(depth, task.wave + 1);
         }
         stats.waves = std::max(stats.waves, depth);
-        stats.sequential_waves += plan.sequential_waves;
     }
 
     // Bucket by wave, keeping (plan, insertion) order inside each bucket so
@@ -91,11 +90,6 @@ common::Result<CampaignEvaluation> evaluate_campaign(BackendRegistry& registry,
         evaluation.outcomes.push_back(plan.collect());
     }
     return evaluation;
-}
-
-common::Result<CampaignEvaluation> evaluate_campaign(const CampaignRequest& request,
-                                                     const GridOptions& options) {
-    return evaluate_campaign(BackendRegistry::global(), request, options);
 }
 
 }  // namespace gprsim::eval

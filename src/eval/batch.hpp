@@ -1,25 +1,22 @@
-// Merged multi-grid batches: the cross-(backend, variant) parallelism the
-// registry dispatch gave up, recovered without giving up per-backend
-// encapsulation.
+// The one executor every grid evaluation runs on: plan_grids ->
+// execute_plans -> collect.
 //
 // A campaign is backends x variants x rates (x replications for stochastic
-// backends). Dispatching one evaluate_grid per (backend, variant) runs the
-// grids one after another, so the narrow early waves of each variant's
-// warm-start schedule (1 task, then 1, then 2, ...) cannot overlap with
-// the other variants' wide waves, and DES replications cannot backfill the
-// solver threads those narrow waves leave idle. execute_plans() merges the
-// wave-tagged task sets of several GridPlans (one per backend, each
-// covering every variant — Evaluator::plan_grids) into ONE flat task set
-// per wave on ONE pool: global wave w runs every backend's wave-w tasks
-// together, so the merged depth is the MAXIMUM plan depth instead of the
-// sum of per-(backend, variant) depths. evaluate_campaign() is the
+// backends). execute_plans() merges the wave-tagged task sets of several
+// GridPlans (one per backend, each covering every variant —
+// Evaluator::plan_grids) into ONE flat task set per wave on ONE pool:
+// global wave w runs every backend's wave-w tasks together, so the narrow
+// early waves of one variant's warm-start schedule overlap with the other
+// variants' wide waves and DES replications backfill idle solver threads;
+// the merged depth is the MAXIMUM plan depth. evaluate_campaign() is the
 // registry-level wrapper: resolve backend names, plan, execute merged,
-// collect per (backend, query).
+// collect per (backend, query). Evaluator::evaluate_grid(s) run a single
+// plan through the same executor.
 //
 // Determinism: tasks of one wave write disjoint plan-private state and
 // every order-sensitive reduction happens in the plans' serial collect
-// step, so merged results are bitwise identical to looping evaluate_grid
-// per (backend, variant) and invariant to the thread count.
+// step, so merged results are bitwise identical to executing each
+// (backend, variant) plan on its own and invariant to the thread count.
 #pragma once
 
 #include <span>
@@ -33,17 +30,13 @@
 namespace gprsim::eval {
 
 /// Execution accounting of a merged batch — the numbers the campaign
-/// summary prints to show cross-variant interleaving (waves <
-/// sequential_waves whenever merging bought concurrency).
+/// summary prints.
 struct BatchStats {
     /// Total tasks executed across every merged plan.
     std::size_t tasks = 0;
     /// Pool dispatches actually executed: the DEEPEST merged plan's wave
     /// count, because global wave w runs every plan's wave-w tasks at once.
     std::size_t waves = 0;
-    /// Waves the same work needs when each (backend, query) grid runs on
-    /// its own (the sum of the plans' sequential_waves).
-    std::size_t sequential_waves = 0;
     /// Largest single-wave task count — the peak concurrency the merged
     /// set offers the pool.
     std::size_t max_wave_width = 0;
@@ -88,13 +81,9 @@ struct CampaignEvaluation {
 /// (execute_plans), and collects per-plan. Fails wholesale only when a
 /// backend name is unknown (unknown_backend); every evaluation failure
 /// stays inside its (backend, query) slot. GridOptions::grid_offset /
-/// progress follow the flat-batch-index convention of evaluate_grids.
+/// progress follow the flat-batch-index convention of plan_grids.
 common::Result<CampaignEvaluation> evaluate_campaign(
     BackendRegistry& registry, const CampaignRequest& request,
     const GridOptions& options = {});
-
-/// evaluate_campaign on BackendRegistry::global().
-common::Result<CampaignEvaluation> evaluate_campaign(
-    const CampaignRequest& request, const GridOptions& options = {});
 
 }  // namespace gprsim::eval

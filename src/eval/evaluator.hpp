@@ -3,8 +3,9 @@
 //
 //   eval layer      (this file + registry.hpp + backends.hpp + batch.hpp)
 //        ^ ScenarioQuery -> Evaluator::evaluate -> Result<PointEvaluation>
-//          multi-grid batches: Evaluator::evaluate_grids / plan_grids,
-//          merged across backends by eval::evaluate_campaign (batch.hpp);
+//          grids: Evaluator::plan_grids -> execute_plans (batch.hpp) ->
+//          GridPlan::collect, merged across backends by
+//          eval::evaluate_campaign; evaluate_grid(s) wrap one plan;
 //          string-keyed BackendRegistry; built-ins erlang / ctmc / des /
 //          mm1k-approx / fixed-point / fluid / network-fp / network-des,
 //          out-of-tree backends register alongside them
@@ -17,9 +18,9 @@
 // simulator); this layer makes "a way to evaluate a scenario" a first-class
 // object so new routes (queueing approximations, fluid or transient
 // backends) plug in without touching the campaign runner, spec parser, or
-// CLI. Contract: no exception crosses evaluate() / evaluate_grid() /
-// evaluate_grids() / the tasks of a plan_grids() plan — every failure
-// surfaces as a typed common::EvalError inside a common::Result.
+// CLI. Contract: no exception crosses evaluate() or the tasks of a
+// plan_grids() plan — every failure surfaces as a typed common::EvalError
+// inside a common::Result.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,7 @@ struct SolverKnobs {
     double tolerance = 1e-9;
     long long max_iterations = 200000;
     /// Iteration scheme, by canonical ctmc::method_name spelling
-    /// ("gauss_seidel", "red_black_gauss_seidel", "jacobi", ...). "auto"
+    /// ("gauss_seidel", "red_black_gauss_seidel"). "auto"
     /// (the default) lets the engine's cost model pick per point; the
     /// decision and its reasoning land in PointEvaluation::solver_method /
     /// solver_reason. Unknown spellings fail validated() with
@@ -50,6 +51,9 @@ struct SolverKnobs {
     /// Gauss-Seidel — so the default produces bitwise the same measures as
     /// explicit "gauss_seidel".
     std::string method = "auto";
+
+    /// What is out of range, or empty when every knob is valid.
+    std::string invalid_reason() const;
 };
 
 /// Knobs consumed by stochastic (simulating) backends.
@@ -60,6 +64,9 @@ struct SimulationKnobs {
     int batch_count = 10;
     double batch_duration = 1500.0;  ///< [s]
     bool tcp = true;                 ///< TCP Reno vs open-loop sources
+
+    /// What is out of range, or empty when every knob is valid.
+    std::string invalid_reason() const;
 };
 
 /// Knobs consumed by the large-population approximation backends
@@ -77,6 +84,9 @@ struct ApproxKnobs {
     long long ode_max_steps = 200000;
     /// Stationarity threshold on the scaled drift norm [1/s].
     double ode_stationary_rate = 1e-9;
+
+    /// What is out of range, or empty when every knob is valid.
+    std::string invalid_reason() const;
 };
 
 /// Knobs consumed by the multi-cell network backends (network-fp,
@@ -102,6 +112,11 @@ struct NetworkKnobs {
     double outer_tolerance = 1e-12;
     double outer_damping = 1.0;    ///< inflow step fraction in (0, 1]
     int outer_max_iterations = 50;
+
+    /// What is out of range, or empty when every knob is valid (the lattice
+    /// topology by name; the inner backend's registry membership is the
+    /// caller's check).
+    std::string invalid_reason() const;
 };
 
 /// One evaluable scenario point: a complete cell configuration, the load to
@@ -178,18 +193,15 @@ struct PointEvaluation {
     double wall_seconds = 0.0;
 };
 
-/// Batch-evaluation settings for Evaluator::evaluate_grid. Sharding never
-/// changes any output (the eval layer inherits the engines' bitwise
-/// thread-count invariance).
+/// Grid-evaluation settings for Evaluator::plan_grids and the
+/// evaluate_grid(s) wrappers. Sharding never changes any output (the eval
+/// layer inherits the engines' bitwise thread-count invariance).
 struct GridOptions {
     /// Execution width: 0 = all hardware threads, <= 1 = serial.
     int num_threads = 1;
     /// Pool to shard on; nullptr (or width <= 1) evaluates serially.
     /// Not owned; must be at least num_threads wide.
     common::ThreadPool* pool = nullptr;
-    /// Whether iterative backends may transfer information between grid
-    /// points (the ctmc backend's bisection warm-start schedule).
-    bool warm_start = true;
     /// Offset added to each point's grid index when stochastic backends
     /// derive per-task random substream blocks: the des backend uses block
     /// (grid_offset + i) * stride + r, where the stride is the batch's
@@ -202,10 +214,9 @@ struct GridOptions {
     /// themselves, so query q's point i sits on block
     /// (grid_offset + q * rates.size() + i) * stride + r.
     std::uint64_t grid_offset = 0;
-    /// Invoked by iterative backends after each finished point (under a
-    /// lock, NOT in grid order): grid index and the finished evaluation.
-    /// Multi-grid entry points report the flat batch index
-    /// q * rates.size() + i for point i of query q.
+    /// Invoked after each finished point (under the plan's lock, NOT in
+    /// grid order) with the flat batch index q * rates.size() + i of point
+    /// i of query q and the finished evaluation.
     std::function<void(std::size_t, const PointEvaluation&)> progress;
 };
 
@@ -241,10 +252,6 @@ struct GridPlan {
     /// Dependency depth of this plan: 1 + the largest task wave (0 when
     /// the plan has no tasks).
     std::size_t waves = 0;
-    /// Waves the same work would occupy dispatched one query at a time —
-    /// the number merged execution is measured against (batch.hpp's
-    /// BatchStats reports both).
-    std::size_t sequential_waves = 0;
 };
 
 /// "rate=0.5 calls/s, N=20 channels (1 PDCH reserved), M=50, K=100, ..." —
@@ -268,49 +275,36 @@ public:
     /// Evaluates a single scenario point.
     virtual common::Result<PointEvaluation> evaluate(const ScenarioQuery& query) = 0;
 
-    /// Evaluates the query at every arrival rate of an ascending grid.
-    /// Returns one PointEvaluation per rate, in grid order. The default
-    /// implementation loops over evaluate(); backends override it to keep
-    /// their batch internals (the ctmc backend's warm-start transfer
-    /// schedule, the des backend's replication sharding) without widening
-    /// the single-point API.
-    virtual common::Result<std::vector<PointEvaluation>> evaluate_grid(
-        const ScenarioQuery& base, std::span<const double> rates,
-        const GridOptions& options = {});
-
-    /// Evaluates SEVERAL scenario variants over one shared rate grid in a
-    /// single batch, returning one GridOutcome per query (query order).
-    /// The default implementation loops over evaluate_grid, isolating each
-    /// query's error in its own slot; the ctmc and des backends override
-    /// it to execute their plan_grids task set, so one variant's narrow
-    /// warm-start waves overlap with the other variants' wide waves (and
-    /// DES replications backfill idle solver threads) instead of running
-    /// grid after grid. Results are invariant to the thread count, and —
-    /// for batches whose queries share one replication budget (a
-    /// campaign's always do) — bitwise identical to the looped path; with
-    /// unequal budgets the des backend widens its substream stride to the
-    /// batch maximum to keep streams disjoint, which legitimately changes
-    /// the draws versus separate evaluate_grid calls.
-    virtual std::vector<GridOutcome> evaluate_grids(
-        std::span<const ScenarioQuery> queries, std::span<const double> rates,
-        const GridOptions& options = {});
-
-    /// Plans the same work as evaluate_grids without executing it, as
-    /// wave-tagged tasks for a merged multi-backend task set (the
-    /// registry-level eval::evaluate_campaign in batch.hpp). The default
-    /// implementation emits one wave-0 task per query that runs that
-    /// query's whole evaluate_grid serially — correct for any backend, and
-    /// already cross-query parallel; backends with internal dependency
-    /// structure (ctmc) or finer task grain (des) override it to expose
-    /// per-point / per-replication tasks. Implementations copy queries
-    /// and rates into the plan's shared state, so the caller's buffers
-    /// only need to outlive this call, not the plan's execution.
-    /// GridOptions::pool is ignored at
-    /// planning time: tasks run wherever the executor schedules them and
-    /// must therefore never touch a pool themselves.
+    /// Plans every query's ascending rate grid as wave-tagged tasks without
+    /// executing them; execute_plans (batch.hpp) runs the tasks, possibly
+    /// merged with other backends' plans, and GridPlan::collect returns one
+    /// GridOutcome per query (query order). The default is the pointwise
+    /// plan: one dependency-free wave-0 task per (query, point) calling
+    /// evaluate(), the first failing point in grid order reported per
+    /// query. Backends with internal dependency structure (ctmc's
+    /// warm-start schedule, network-fp's outer waves) or finer task grain
+    /// (des replications) override it. Implementations copy queries and
+    /// rates into the plan's shared state, so the caller's buffers only
+    /// need to outlive this call. GridOptions::pool is ignored at planning
+    /// time: tasks run wherever the executor schedules them and must never
+    /// touch a pool themselves.
     virtual GridPlan plan_grids(std::span<const ScenarioQuery> queries,
                                 std::span<const double> rates,
                                 const GridOptions& options = {});
+
+    /// Runs this backend's plan for several scenario variants over one
+    /// shared rate grid on options.pool and collects it: one GridOutcome
+    /// per query, one query's failure never poisoning another's slot.
+    /// Results are invariant to the thread count.
+    std::vector<GridOutcome> evaluate_grids(std::span<const ScenarioQuery> queries,
+                                            std::span<const double> rates,
+                                            const GridOptions& options = {});
+
+    /// The one-query evaluate_grids: one PointEvaluation per rate, in grid
+    /// order, or the first failing point's typed error.
+    common::Result<std::vector<PointEvaluation>> evaluate_grid(
+        const ScenarioQuery& base, std::span<const double> rates,
+        const GridOptions& options = {});
 };
 
 }  // namespace gprsim::eval

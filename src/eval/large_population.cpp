@@ -1,16 +1,14 @@
 // The large-population approximation backends: `fixed-point` (damped
 // decomposition over the voice/session/queue dimensions,
 // queueing/fixed_point.hpp) and `fluid` (mean-field ODE limit,
-// queueing/fluid.hpp). Both are analytic and cheap per point, so their
-// batch plans are pointwise: one dependency-free wave-0 task per (query,
-// point) that a merged campaign freely interleaves with other backends'
-// waves. Every task computes pure serial double arithmetic with no shared
-// mutable state, so grid output is bitwise invariant to thread count,
-// dispatch mode, and repetition by construction.
-#include <algorithm>
+// queueing/fluid.hpp). Both are analytic and cheap per point, so they
+// keep the Evaluator's default pointwise plan: one dependency-free wave-0
+// task per (query, point) that a merged campaign freely interleaves with
+// other backends' waves. Every task computes pure serial double arithmetic
+// with no shared mutable state, so grid output is bitwise invariant to
+// thread count and repetition by construction.
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "eval/backend_util.hpp"
@@ -25,102 +23,9 @@ namespace {
 using common::EvalError;
 using common::EvalErrorCode;
 
-/// Pointwise plan shared by both backends: per-(query, point) wave-0 tasks
-/// calling self.evaluate (which never throws), first-error-in-grid-order
-/// collection, progress reported under the batch-wide lock at the flat
-/// index q * rates.size() + i.
-GridPlan pointwise_plan(Evaluator& self, std::span<const ScenarioQuery> queries,
-                        std::span<const double> rates, const GridOptions& options) {
-    if (common::Status g = detail::check_grid(rates); !g.ok()) {
-        return detail::failed_plan(queries.size(), g.error());
-    }
-
-    struct State {
-        std::vector<ScenarioQuery> base;
-        std::vector<std::vector<PointEvaluation>> points;  ///< [q][i]
-        std::vector<std::vector<std::unique_ptr<EvalError>>> errors;
-        std::vector<double> rates;
-        std::mutex progress_mutex;
-    };
-    const std::size_t nq = queries.size();
-    const std::size_t n = rates.size();
-    auto state = std::make_shared<State>();
-    state->base.assign(queries.begin(), queries.end());
-    state->points.assign(nq, std::vector<PointEvaluation>(n));
-    state->errors.resize(nq);
-    state->rates.assign(rates.begin(), rates.end());
-    const std::vector<bool> planned = detail::probe_queries(queries, rates, state->errors);
-
-    GridPlan plan;
-    for (std::size_t q = 0; q < nq; ++q) {
-        if (!planned[q]) {
-            continue;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            plan.tasks.push_back(
-                {0, [&self, state, q, i, progress = options.progress] {
-                     ScenarioQuery query = state->base[q];
-                     query.call_arrival_rate = state->rates[i];
-                     common::Result<PointEvaluation> point = self.evaluate(query);
-                     if (!point.ok()) {
-                         state->errors[q][i] =
-                             std::make_unique<EvalError>(point.error());
-                         return;
-                     }
-                     state->points[q][i] = point.take();
-                     if (progress) {
-                         std::lock_guard<std::mutex> lock(state->progress_mutex);
-                         progress(q * state->rates.size() + i, state->points[q][i]);
-                     }
-                 }});
-        }
-    }
-    plan.collect = [state, nq] {
-        std::vector<GridOutcome> outcomes;
-        outcomes.reserve(nq);
-        for (std::size_t q = 0; q < nq; ++q) {
-            if (const EvalError* failed = detail::first_error(state->errors[q])) {
-                outcomes.push_back(*failed);
-            } else {
-                outcomes.push_back(std::move(state->points[q]));
-            }
-        }
-        return outcomes;
-    };
-    plan.waves = plan.tasks.empty() ? 0 : 1;
-    plan.sequential_waves =
-        static_cast<std::size_t>(std::count(planned.begin(), planned.end(), true));
-    return plan;
-}
-
-/// Grid entry points shared by both backends (the single-grid call is the
-/// one-query batch; the batch executes the pointwise plan).
-class LargePopulationEvaluator : public Evaluator {
-public:
-    common::Result<std::vector<PointEvaluation>> evaluate_grid(
-        const ScenarioQuery& base, std::span<const double> rates,
-        const GridOptions& options) override {
-        std::vector<GridOutcome> outcomes =
-            evaluate_grids(std::span<const ScenarioQuery>(&base, 1), rates, options);
-        return std::move(outcomes.front());
-    }
-
-    std::vector<GridOutcome> evaluate_grids(std::span<const ScenarioQuery> queries,
-                                            std::span<const double> rates,
-                                            const GridOptions& options) override {
-        return detail::execute_single_plan(plan_grids(queries, rates, options), options);
-    }
-
-    GridPlan plan_grids(std::span<const ScenarioQuery> queries,
-                        std::span<const double> rates,
-                        const GridOptions& options) override {
-        return pointwise_plan(*this, queries, rates, options);
-    }
-};
-
 // --- fixed-point ----------------------------------------------------------
 
-class FixedPointEvaluator final : public LargePopulationEvaluator {
+class FixedPointEvaluator final : public Evaluator {
 public:
     const std::string& name() const override {
         static const std::string n = "fixed-point";
@@ -176,7 +81,7 @@ public:
 
 // --- fluid ----------------------------------------------------------------
 
-class FluidEvaluator final : public LargePopulationEvaluator {
+class FluidEvaluator final : public Evaluator {
 public:
     const std::string& name() const override {
         static const std::string n = "fluid";

@@ -7,7 +7,7 @@
 //                with the serial damped inflow update folded exactly once
 //                per (point, wave) — so a merged campaign solves all cells
 //                of all points of one iteration concurrently, and output
-//                stays bitwise invariant to thread count and dispatch mode.
+//                stays bitwise invariant to thread count and to merging.
 //   network-des  replications of the detailed simulator in network mode
 //                (per-cell parameters, weighted handover targets, routing
 //                areas, per-cell measurement), pooled like the des backend
@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -39,7 +40,6 @@ using common::EvalError;
 using common::EvalErrorCode;
 using detail::WallClock;
 using detail::check_grid;
-using detail::execute_single_plan;
 using detail::failed_plan;
 using detail::first_error;
 using detail::guarded;
@@ -109,21 +109,6 @@ public:
             point.wall_seconds = clock.seconds();
             return point;
         });
-    }
-
-    /// Single-grid evaluation is the one-query batch.
-    common::Result<std::vector<PointEvaluation>> evaluate_grid(
-        const ScenarioQuery& base, std::span<const double> rates,
-        const GridOptions& options) override {
-        std::vector<GridOutcome> outcomes =
-            evaluate_grids(std::span<const ScenarioQuery>(&base, 1), rates, options);
-        return std::move(outcomes.front());
-    }
-
-    std::vector<GridOutcome> evaluate_grids(std::span<const ScenarioQuery> queries,
-                                            std::span<const double> rates,
-                                            const GridOptions& options) override {
-        return execute_single_plan(plan_grids(queries, rates, options), options);
     }
 
     /// Grid planning as a flat wave-ordered task set: outer iteration w of
@@ -285,9 +270,6 @@ public:
             return outcomes;
         };
         plan.waves = plan.tasks.empty() ? 0 : max_waves;
-        plan.sequential_waves =
-            max_waves * static_cast<std::size_t>(
-                            std::count(planned.begin(), planned.end(), true));
         return plan;
     }
 
@@ -331,171 +313,19 @@ public:
     }
 
     common::Result<PointEvaluation> evaluate(const ScenarioQuery& query) override {
-        return guarded(query, [&]() -> common::Result<PointEvaluation> {
-            const WallClock clock;
-            const sim::ExperimentConfig experiment = experiment_config(query);
-            const int replications = experiment.replications;
-            std::vector<sim::SimulationResults> runs(
-                static_cast<std::size_t>(replications));
-            for (int rep = 0; rep < replications; ++rep) {
-                const sim::SimulationConfig config = sim::replication_config(
-                    experiment, static_cast<std::uint64_t>(rep));
-                runs[static_cast<std::size_t>(rep)] = sim::NetworkSimulator(config).run();
-            }
-            PointEvaluation point = pooled_point(query, experiment.base,
-                                                 std::move(runs), /*threads_used=*/1);
-            point.sim.wall_seconds = clock.seconds();
-            point.wall_seconds = clock.seconds();
-            return point;
-        });
+        return detail::replicated_point(
+            query, experiment_config, std::bind_front(&NetworkDesEvaluator::pooled_point, this));
     }
 
-    /// Single-grid evaluation is the one-query batch.
-    common::Result<std::vector<PointEvaluation>> evaluate_grid(
-        const ScenarioQuery& base, std::span<const double> rates,
-        const GridOptions& options) override {
-        std::vector<GridOutcome> outcomes =
-            evaluate_grids(std::span<const ScenarioQuery>(&base, 1), rates, options);
-        return std::move(outcomes.front());
-    }
-
-    std::vector<GridOutcome> evaluate_grids(std::span<const ScenarioQuery> queries,
-                                            std::span<const double> rates,
-                                            const GridOptions& options) override {
-        return execute_single_plan(plan_grids(queries, rates, options), options);
-    }
-
-    /// Same plan shape and substream-block discipline as the des backend:
-    /// one dependency-free wave-0 task per (query, point, replication) on
-    /// block (grid_offset + q*n + i) * stride + rep, pooling serial in
-    /// collect — bitwise invariant to thread count and to merging.
+    /// The des backend's plan shape and substream-block discipline
+    /// (detail::replication_plan), over the lattice's simulator
+    /// configuration.
     GridPlan plan_grids(std::span<const ScenarioQuery> queries,
                         std::span<const double> rates,
                         const GridOptions& options) override {
-        if (common::Status g = check_grid(rates); !g.ok()) {
-            return failed_plan(queries.size(), g.error());
-        }
-
-        struct State {
-            std::vector<ScenarioQuery> base;
-            /// runs[q][i][rep], written by disjoint tasks.
-            std::vector<std::vector<std::vector<sim::SimulationResults>>> runs;
-            std::vector<std::vector<std::unique_ptr<EvalError>>> errors;
-            std::mutex error_mutex;
-            std::vector<double> rates;
-        };
-        const std::size_t nq = queries.size();
-        const std::size_t n = rates.size();
-        auto state = std::make_shared<State>();
-        state->base.assign(queries.begin(), queries.end());
-        state->runs.resize(nq);
-        state->errors.resize(nq);
-        state->rates.assign(rates.begin(), rates.end());
-
-        const auto run_replication = [this, state](std::size_t q, std::size_t index,
-                                                   int rep, std::uint64_t block) {
-            try {
-                ScenarioQuery query = state->base[q];
-                query.call_arrival_rate = state->rates[index];
-                const sim::ExperimentConfig experiment = experiment_config(query);
-                const sim::SimulationConfig config =
-                    sim::replication_config(experiment, block);
-                state->runs[q][index][static_cast<std::size_t>(rep)] =
-                    sim::NetworkSimulator(config).run();
-            } catch (const std::exception& e) {
-                std::lock_guard<std::mutex> lock(state->error_mutex);
-                if (!state->errors[q][index]) {
-                    state->errors[q][index] = std::make_unique<EvalError>(EvalError{
-                        EvalErrorCode::internal,
-                        std::string(e.what()) + " [" +
-                            scenario_context(state->base[q].parameters,
-                                             state->rates[index]) +
-                            "]"});
-                }
-            }
-        };
-
-        GridPlan plan;
-        const std::vector<bool> planned = probe_queries(queries, rates, state->errors);
-        std::uint64_t stride = 1;
-        for (const ScenarioQuery& query : queries) {
-            stride = std::max(stride, static_cast<std::uint64_t>(std::max(
-                                          1, query.simulation.replications)));
-        }
-        for (std::size_t q = 0; q < nq; ++q) {
-            if (!planned[q]) {
-                continue;
-            }
-            const int replications = queries[q].simulation.replications;
-            state->runs[q].assign(n, std::vector<sim::SimulationResults>(
-                                         static_cast<std::size_t>(replications)));
-            for (std::size_t index = 0; index < n; ++index) {
-                for (int rep = 0; rep < replications; ++rep) {
-                    const std::uint64_t block =
-                        (options.grid_offset +
-                         static_cast<std::uint64_t>(q * n + index)) *
-                            stride +
-                        static_cast<std::uint64_t>(rep);
-                    plan.tasks.push_back({0, [run_replication, q, index, rep, block] {
-                                              run_replication(q, index, rep, block);
-                                          }});
-                }
-            }
-        }
-
-        const int resolved = common::ThreadPool::resolve_thread_count(options.num_threads);
-        plan.collect = [this, state, nq, n, resolved] {
-            std::vector<GridOutcome> outcomes;
-            outcomes.reserve(nq);
-            for (std::size_t q = 0; q < nq; ++q) {
-                if (const EvalError* failed = first_error(state->errors[q])) {
-                    outcomes.push_back(*failed);
-                    continue;
-                }
-                const int width = std::min<int>(
-                    resolved,
-                    static_cast<int>(n) * state->base[q].simulation.replications);
-                double query_wall = 0.0;
-                for (const auto& point_runs : state->runs[q]) {
-                    for (const sim::SimulationResults& run : point_runs) {
-                        query_wall += run.wall_seconds;
-                    }
-                }
-                std::vector<PointEvaluation> points;
-                points.reserve(n);
-                bool failed_late = false;
-                for (std::size_t index = 0; index < n; ++index) {
-                    ScenarioQuery query = state->base[q];
-                    query.call_arrival_rate = state->rates[index];
-                    try {
-                        const sim::ExperimentConfig experiment =
-                            experiment_config(query);
-                        points.push_back(pooled_point(
-                            query, experiment.base,
-                            std::move(state->runs[q][index]), width));
-                    } catch (const std::exception& e) {
-                        outcomes.push_back(EvalError{
-                            EvalErrorCode::internal,
-                            std::string(e.what()) + " [" +
-                                scenario_context(query.parameters,
-                                                 query.call_arrival_rate) +
-                                "]"});
-                        failed_late = true;
-                        break;
-                    }
-                    points.back().wall_seconds =
-                        query_wall / static_cast<double>(std::max<std::size_t>(1, n));
-                }
-                if (!failed_late) {
-                    outcomes.push_back(std::move(points));
-                }
-            }
-            return outcomes;
-        };
-        plan.waves = plan.tasks.empty() ? 0 : 1;
-        plan.sequential_waves =
-            static_cast<std::size_t>(std::count(planned.begin(), planned.end(), true));
-        return plan;
+        return detail::replication_plan(
+            queries, rates, options, experiment_config,
+            std::bind_front(&NetworkDesEvaluator::pooled_point, this));
     }
 
 private:
@@ -548,9 +378,10 @@ private:
     /// the replication batch-means estimates, aggregated network-wide; the
     /// mid-cell CI detail lands in point.sim as usual.
     PointEvaluation pooled_point(const ScenarioQuery& query,
-                                 const sim::SimulationConfig& config,
+                                 const sim::ExperimentConfig& experiment,
                                  std::vector<sim::SimulationResults> runs,
-                                 int threads_used) {
+                                 int threads_used) const {
+        const sim::SimulationConfig& config = experiment.base;
         PointEvaluation point;
         point.backend = name();
         point.call_arrival_rate = query.call_arrival_rate;

@@ -44,21 +44,10 @@ common::Result<RequestStreamPtr> CampaignService::submit(std::uint64_t id,
         return common::EvalError{common::EvalErrorCode::invalid_query, buffer};
     }
     // Parse at admission: a malformed spec must reject synchronously, not
-    // burn a worker slot. The parsed spec is thrown away — the worker
-    // re-parses so queued requests stay a plain byte payload.
+    // burn a worker slot. The parsed spec is what the worker evaluates.
+    campaign::ScenarioSpec spec;
     try {
-        const campaign::ScenarioSpec spec = campaign::parse_spec(spec_text);
-        auto& registry = eval::BackendRegistry::global();
-        for (const std::string& method : spec.methods) {
-            if (!registry.contains(method)) {
-                stats_.record_rejected();
-                auto found = registry.find(method);  // canonical known-backends message
-                return found.ok()
-                           ? common::EvalError{common::EvalErrorCode::unknown_backend,
-                                               "unknown method \"" + method + "\""}
-                           : found.error();
-            }
-        }
+        spec = campaign::parse_spec(spec_text);  // validates methods vs the registry
     } catch (const campaign::SpecError& error) {
         stats_.record_rejected();
         const std::string message = error.what();
@@ -86,7 +75,7 @@ common::Result<RequestStreamPtr> CampaignService::submit(std::uint64_t id,
                           queue_.size(), options_.queue_capacity);
             return common::EvalError{common::EvalErrorCode::saturated, buffer};
         }
-        queue_.push_back(Pending{stream, spec_text});
+        queue_.push_back(Pending{stream, std::move(spec)});
     }
     stream->ring_.push(Frame{"accepted", id, ""});
     queue_cv_.notify_one();
@@ -163,7 +152,7 @@ void CampaignService::process(const Pending& pending) {
     try {
         // Expansion can still fail here (e.g. a traffic trace that reads
         // fine at admission time but rejects during fitting).
-        workload = campaign::build_campaign_workload(campaign::parse_spec(pending.spec_text));
+        workload = campaign::build_campaign_workload(pending.spec);
     } catch (const campaign::SpecError& error) {
         fail(stream, common::EvalError{common::EvalErrorCode::invalid_query,
                                        std::string("campaign spec: ") + error.what()});
@@ -173,12 +162,11 @@ void CampaignService::process(const Pending& pending) {
     auto& registry = eval::BackendRegistry::global();
     const std::vector<std::string>& methods = workload.effective.methods;
     const std::vector<double>& rates = workload.effective.rates;
-    const bool warm_start = workload.effective.solver.warm_start;
 
-    // Evaluate every (backend, variant) slice through the shared store.
-    // This is EXACTLY the sequential-dispatch path of CampaignRunner::run —
-    // same queries, same grid offsets, same GridOptions — so the assembled
-    // CSV is byte-identical to a one-shot CLI run of the same spec.
+    // Evaluate every (backend, variant) slice through the shared store:
+    // the same queries and grid offsets as CampaignRunner::run's merged
+    // batch, on the same executor, so the assembled CSV is byte-identical
+    // to a one-shot CLI run of the same spec.
     std::vector<std::vector<eval::GridOutcome>> outcomes;
     outcomes.reserve(methods.size());
     for (const std::string& method : methods) {
@@ -199,7 +187,7 @@ void CampaignService::process(const Pending& pending) {
             const eval::ScenarioQuery& query = workload.queries[v];
             const std::uint64_t offset = workload.grid_offset(v);
             const std::string signature =
-                slice_signature(method, query, rates, warm_start, offset);
+                slice_signature(method, query, rates, offset);
 
             bool hit = false;
             WarmStore::Ticket ticket = store_.acquire(signature, hit);
@@ -212,7 +200,6 @@ void CampaignService::process(const Pending& pending) {
                 eval::GridOptions grid;
                 grid.num_threads = options_.num_threads;
                 grid.pool = options_.num_threads > 1 ? &pool_ : nullptr;
-                grid.warm_start = warm_start;
                 grid.grid_offset = offset;
                 eval::GridOutcome computed = evaluator.value()->evaluate_grid(
                     query, std::span<const double>(rates), grid);

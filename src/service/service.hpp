@@ -8,7 +8,9 @@
 //   campaign layer  build_campaign_workload / assemble_campaign /
 //                   write_campaign_csv — the same front and back halves a
 //                   one-shot `gprsim_cli campaign` run uses
-//   eval layer      BackendRegistry::global(), Evaluator::evaluate_grid
+//   eval layer      BackendRegistry::global(), Evaluator::evaluate_grid (the
+//                   backend's plan_grids run through execute_plans, the
+//                   executor the CLI's merged batch uses)
 //
 // Admission and backpressure: submit() rejects synchronously with a typed
 // EvalError — invalid_query (oversized or malformed spec), unknown_backend
@@ -21,10 +23,10 @@
 // Determinism contract: a request's concatenated csv payloads are byte-for-
 // byte what write_campaign_csv produces for the same spec in-process —
 // regardless of service concurrency, queue order, or whether slices came
-// out of the shared WarmStore. This holds because (a) every slice is
-// evaluated through the exact sequential-dispatch path (per-(backend,
-// variant) evaluate_grid with the workload's grid_offset) and (b) the
-// store memoizes finished GridOutcomes keyed by the exhaustive slice
+// out of the shared WarmStore. This holds because (a) every slice is one
+// (backend, variant) plan with the workload's grid_offset, and plans
+// produce the same evaluations whether executed alone or merged, and (b)
+// the store memoizes finished GridOutcomes keyed by the exhaustive slice
 // signature — it never transfers warm-start state ACROSS requests, which
 // would change the iterations/warm_parent CSV columns.
 #pragma once
@@ -41,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/spec.hpp"
 #include "common/result.hpp"
 #include "common/thread_pool.hpp"
 #include "service/ring.hpp"
@@ -136,7 +139,7 @@ public:
 private:
     struct Pending {
         RequestStreamPtr stream;
-        std::string spec_text;
+        campaign::ScenarioSpec spec;  ///< parsed and validated at admission
     };
 
     void worker_loop();

@@ -167,8 +167,7 @@ void append_string(std::string& out, const std::string& value) {
 }  // namespace
 
 std::string slice_signature(const std::string& backend, const eval::ScenarioQuery& query,
-                            const std::vector<double>& rates, bool warm_start,
-                            std::uint64_t grid_offset) {
+                            const std::vector<double>& rates, std::uint64_t grid_offset) {
     std::string sig;
     sig.reserve(768);
     append_string(sig, backend);
@@ -234,7 +233,6 @@ std::string slice_signature(const std::string& backend, const eval::ScenarioQuer
     for (const double rate : rates) {
         append_double(sig, rate);
     }
-    append_int(sig, warm_start ? 1 : 0);
     append_int(sig, static_cast<long long>(grid_offset));
     return sig;
 }

@@ -128,11 +128,10 @@ private:
 
 /// The exhaustive slice signature: backend name, every core::Parameters
 /// field (doubles in hexfloat so distinct bit patterns never collide), the
-/// full knob blocks, the rate grid, the warm-start flag, and the substream
-/// grid offset. Two slices with equal signatures are guaranteed to produce
-/// bit-identical GridOutcomes under the determinism contract.
+/// full knob blocks, the rate grid, and the substream grid offset. Two
+/// slices with equal signatures are guaranteed to produce bit-identical
+/// GridOutcomes under the determinism contract.
 std::string slice_signature(const std::string& backend, const eval::ScenarioQuery& query,
-                            const std::vector<double>& rates, bool warm_start,
-                            std::uint64_t grid_offset);
+                            const std::vector<double>& rates, std::uint64_t grid_offset);
 
 }  // namespace gprsim::service

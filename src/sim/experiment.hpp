@@ -5,8 +5,8 @@
 //        ^ shards N independent replications across a common::ThreadPool
 //   simulator layer   (sim/simulator.hpp) — one NetworkSimulator per
 //        ^ replication, seeded from a dedicated substream block
-//   consumers         (bench/fig06_validation, bench/micro_simulator,
-//                      core::ScenarioSweep validation sweeps, examples)
+//   consumers         (bench/micro_simulator, the des/network-des eval
+//                      backends, examples)
 //
 // Replication r runs on RandomStream substreams
 // [r * kStreamsPerRun + 1, (r + 1) * kStreamsPerRun] of the experiment
@@ -104,7 +104,7 @@ private:
 /// The SimulationConfig replication `block` of an experiment runs with:
 /// the shared experiment seed and the disjoint substream block
 /// [block * kStreamsPerRun, ...). Exposed so drivers that co-schedule
-/// replications with other work on one pool (core::ScenarioSweep) derive
+/// replications with other work on one pool (the des eval backend) derive
 /// the exact same per-replication trajectories as ExperimentEngine::run.
 SimulationConfig replication_config(const ExperimentConfig& config, std::uint64_t block);
 

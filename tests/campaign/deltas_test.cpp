@@ -1,13 +1,14 @@
 // Pairwise-delta machinery, isolated from any real model: two synthetic
 // backends whose measures are exactly representable doubles with a known
 // constant offset are registered, run as a two-method campaign, and the
-// CampaignPoint::deltas vector plus the dynamic delta_*:<method> CSV
-// columns are pinned — signs, magnitudes, and bit-exact round-trip through
-// read_csv. This is the contract the cross-validation campaigns
-// (smoke_large, large_population) lean on when they read approximation
-// error out of the delta columns.
+// CampaignPoint::deltas vector plus the delta_* CSV columns are pinned —
+// signs, magnitudes, and bit-exact round-trip through read_csv — along with
+// the CSV header, which is the same whatever the method list. This is the
+// contract the cross-validation campaigns (smoke_large, large_population)
+// lean on when they read approximation error out of the delta columns.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -94,6 +95,13 @@ TEST(CampaignDeltas, PairwiseDeltasCarryExactSignedOffsets) {
     }
 }
 
+CsvTable csv_of(const CampaignResult& result) {
+    std::ostringstream out;
+    write_campaign_csv(result, out);
+    std::istringstream in(out.str());
+    return read_csv(in);
+}
+
 TEST(CampaignDeltas, DeltaColumnsRoundTripThroughCsv) {
     register_offset_backends();
     ScenarioSpec spec;
@@ -101,35 +109,52 @@ TEST(CampaignDeltas, DeltaColumnsRoundTripThroughCsv) {
         .with_methods({"offset-a", "offset-b"})
         .with_rates({0.25, 0.5});
     const CampaignResult result = run_campaign(spec);
+    const CsvTable table = csv_of(result);
 
-    std::ostringstream out;
-    write_campaign_csv(result, out);
-    std::istringstream in(out.str());
-    const CsvTable table = read_csv(in);
-
-    // 42 legacy columns + one delta block for the one non-reference method.
-    ASSERT_EQ(table.columns.size(), 46u);
-    ASSERT_EQ(table.rows.size(), result.points.size());
+    // One row per (point, backend); each row's delta_* cells hold the first
+    // backend's measure minus the row's own, read back bit for bit.
+    ASSERT_EQ(table.rows.size(), 2 * result.points.size());
     for (std::size_t row = 0; row < table.rows.size(); ++row) {
-        EXPECT_EQ(table.cell(row, "delta_cdt:offset-b"), "-0.25");
-        EXPECT_EQ(table.cell(row, "delta_plp:offset-b"), "-0.25");
-        EXPECT_EQ(table.cell(row, "delta_qd:offset-b"), "-0.25");
-        EXPECT_EQ(table.cell(row, "delta_atu:offset-b"), "0.25");
+        const std::size_t reference = row - row % 2;  // offset-a row of this point
+        for (const auto& [delta, measure] :
+             {std::pair{"delta_cdt", "cdt"}, std::pair{"delta_plp", "plp"},
+              std::pair{"delta_qd", "qd"}, std::pair{"delta_atu", "atu"}}) {
+            EXPECT_EQ(std::strtod(table.cell(row, delta).c_str(), nullptr),
+                      std::strtod(table.cell(reference, measure).c_str(), nullptr) -
+                          std::strtod(table.cell(row, measure).c_str(), nullptr))
+                << "row " << row << " " << delta;
+        }
     }
+    EXPECT_EQ(table.cell(0, "backend"), "offset-a");
+    EXPECT_EQ(table.cell(0, "delta_cdt"), "0");
+    EXPECT_EQ(table.cell(1, "backend"), "offset-b");
+    EXPECT_EQ(table.cell(1, "delta_cdt"), "-0.25");
+    EXPECT_EQ(table.cell(1, "delta_plp"), "-0.25");
+    EXPECT_EQ(table.cell(1, "delta_qd"), "-0.25");
+    EXPECT_EQ(table.cell(1, "delta_atu"), "0.25");
 }
 
-TEST(CampaignDeltas, SingleMethodCampaignKeepsLegacyColumnLayout) {
+TEST(CampaignDeltas, HeaderIsFixedWhateverTheMethodList) {
     register_offset_backends();
-    ScenarioSpec spec;
-    spec.named("deltas single").with_method("offset-a").with_rates({0.25});
-    const CampaignResult result = run_campaign(spec);
+    ScenarioSpec single;
+    single.named("deltas single").with_methods({"offset-a"}).with_rates({0.25});
+    ScenarioSpec pair = single;
+    pair.with_methods({"offset-b", "offset-a"});
+    ScenarioSpec erlang = single;
+    erlang.with_methods({"erlang", "mm1k-approx"});
+    ScenarioSpec network = single;
+    NetworkSpec lattice;
+    lattice.cell_counts = {1};
+    network.with_methods({"network-fp"}).with_network(lattice);
+    network.total_channels = 6;
+    network.buffer_capacity = 10;
+    network.max_gprs_sessions = {6};
 
-    std::ostringstream out;
-    write_campaign_csv(result, out);
-    std::istringstream in(out.str());
-    const CsvTable table = read_csv(in);
-    EXPECT_EQ(table.columns.size(), 42u);
-    EXPECT_THROW(table.column("delta_cdt:offset-a"), std::out_of_range);
+    const std::vector<std::string> header = csv_of(run_campaign(single)).columns;
+    EXPECT_EQ(header.size(), 43u);
+    for (const ScenarioSpec* other : {&pair, &erlang, &network}) {
+        EXPECT_EQ(csv_of(run_campaign(*other)).columns, header) << other->methods.front();
+    }
 }
 
 }  // namespace

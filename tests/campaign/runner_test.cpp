@@ -1,9 +1,10 @@
-// CampaignRunner: the bisection warm-start schedule, warm-vs-cold solve
-// agreement (within solver tolerance) with strictly fewer total iterations,
-// bitwise thread-count invariance of full campaign output, and model-vs-sim
-// deltas under the legacy "both" (= ctmc + des) method list. Cells are kept
-// tiny (N = 5..6 channels, small M and buffer) so a full campaign solves in
-// well under a second.
+// CampaignRunner: the bisection warm-start schedule, warm-started grids
+// against pointwise cold evaluations (agreement within solver tolerance,
+// strictly fewer total iterations), bitwise thread-count invariance of full
+// campaign output, bitwise agreement between the merged batch and
+// per-(backend, variant) grids, and model-vs-sim deltas of a ctmc + des
+// campaign. Cells are kept tiny (N = 5..8 channels, small M and buffer) so
+// a full campaign solves in well under a second.
 #include "campaign/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
+
+#include "eval/backends.hpp"
+#include "eval/registry.hpp"
 
 namespace gprsim::campaign {
 namespace {
@@ -24,7 +29,7 @@ namespace {
 ScenarioSpec tiny_ctmc_spec() {
     ScenarioSpec spec;
     spec.named("tiny")
-        .with_method("ctmc")
+        .with_methods({"ctmc"})
         .over_reserved_pdch({1, 2})
         .over_gprs_fractions({0.3})
         .with_rate_grid(0.6, 1.0, 9)
@@ -35,17 +40,13 @@ ScenarioSpec tiny_ctmc_spec() {
     return spec;
 }
 
-TEST(BisectionSchedule, ColdStartIsOneMaximalLevel) {
-    const SolveSchedule schedule = bisection_schedule(7, /*warm_start=*/false);
-    ASSERT_EQ(schedule.levels.size(), 1u);
-    EXPECT_EQ(schedule.levels[0].size(), 7u);
-    EXPECT_TRUE(std::all_of(schedule.parent.begin(), schedule.parent.end(),
-                            [](int p) { return p == -1; }));
+eval::Evaluator& ctmc_backend() {
+    return *eval::BackendRegistry::global().find("ctmc").value();
 }
 
 TEST(BisectionSchedule, WarmStartCoversEveryPointExactlyOnce) {
     for (const std::size_t count : {1u, 2u, 3u, 8u, 9u, 64u}) {
-        const SolveSchedule schedule = bisection_schedule(count, /*warm_start=*/true);
+        const eval::SolveSchedule schedule = eval::bisection_schedule(count);
         std::vector<int> seen(count, 0);
         for (const auto& level : schedule.levels) {
             for (const int index : level) {
@@ -63,7 +64,7 @@ TEST(BisectionSchedule, WarmStartCoversEveryPointExactlyOnce) {
 }
 
 TEST(BisectionSchedule, ParentsAreSolvedInEarlierLevels) {
-    const SolveSchedule schedule = bisection_schedule(16, /*warm_start=*/true);
+    const eval::SolveSchedule schedule = eval::bisection_schedule(16);
     std::vector<int> level_of(16, -1);
     for (std::size_t level = 0; level < schedule.levels.size(); ++level) {
         for (const int index : schedule.levels[level]) {
@@ -81,58 +82,87 @@ TEST(BisectionSchedule, ParentsAreSolvedInEarlierLevels) {
 }
 
 TEST(CampaignRunner, WarmStartAgreesWithColdAndSavesIterations) {
+    // A warm-started campaign grid against pointwise evaluate() of the same
+    // queries — each point solved on its own from its product form.
     ctmc::SolverEngine engine;
     CampaignRunner runner(engine);
     const ScenarioSpec spec = tiny_ctmc_spec();
-
     const CampaignResult warm = runner.run(spec);
-    CampaignOptions cold_options;
-    cold_options.force_cold = true;
-    const CampaignResult cold = runner.run(spec, cold_options);
-
     ASSERT_EQ(warm.points.size(), 18u);
-    ASSERT_EQ(cold.points.size(), 18u);
-    EXPECT_TRUE(warm.summary.warm_start);
-    EXPECT_FALSE(cold.summary.warm_start);
-    EXPECT_EQ(warm.summary.model_solves, 18u);
+
+    const CampaignWorkload workload = build_campaign_workload(spec);
+    eval::Evaluator& ctmc = ctmc_backend();
+    long long cold_iterations = 0;
+    // The residual tolerance bounds pi Q, not the measures: sensitive
+    // ratio measures (QD) inherit a ~1e4 amplification of the 1e-10
+    // residual, so "agree" here means within 1e-4, observed ~5e-6.
+    for (const CampaignPoint& point : warm.points) {
+        eval::ScenarioQuery query = workload.queries[point.variant];
+        query.call_arrival_rate = point.call_arrival_rate;
+        const auto cold = ctmc.evaluate(query);
+        ASSERT_TRUE(cold.ok());
+        cold_iterations += cold.value().iterations;
+        const eval::PointEvaluation& grid = point.evaluations.front();
+        EXPECT_NEAR(grid.measures.carried_data_traffic,
+                    cold.value().measures.carried_data_traffic, 1e-4);
+        EXPECT_NEAR(grid.measures.queueing_delay, cold.value().measures.queueing_delay,
+                    1e-4);
+        EXPECT_LE(grid.residual, spec.solver.tolerance);
+    }
+
     // Every point except each variant's root is offered a transfer, and on
     // this strongly coupled cell the transfers win their residual
     // comparisons (at least somewhere).
-    EXPECT_EQ(warm.summary.warm_offered_solves, 16u);
-    EXPECT_GT(warm.summary.warm_started_solves, 0u);
-    EXPECT_LE(warm.summary.warm_started_solves, warm.summary.warm_offered_solves);
-    EXPECT_EQ(cold.summary.warm_offered_solves, 0u);
-    EXPECT_EQ(cold.summary.warm_started_solves, 0u);
-
-    // Both runs converged to the same stationary solution. The residual
-    // tolerance bounds pi Q, not the measures: sensitive ratio measures
-    // (QD) inherit a ~1e4 amplification of the 1e-10 residual, so "agree"
-    // here means within 1e-4, observed ~5e-6.
-    for (std::size_t i = 0; i < warm.points.size(); ++i) {
-        EXPECT_NEAR(warm.points[i].model.carried_data_traffic,
-                    cold.points[i].model.carried_data_traffic, 1e-4);
-        EXPECT_NEAR(warm.points[i].model.queueing_delay,
-                    cold.points[i].model.queueing_delay, 1e-4);
-        EXPECT_LE(warm.points[i].residual, spec.solver.tolerance);
-    }
-
-    // The headline acceptance: the warm-started campaign reports fewer
-    // total solver iterations than the cold-start baseline.
-    EXPECT_LT(warm.summary.total_iterations, cold.summary.total_iterations)
-        << "warm " << warm.summary.total_iterations << " vs cold "
-        << cold.summary.total_iterations;
+    const BackendTotals& totals = warm.summary.backends.front();
+    EXPECT_EQ(totals.points, 18u);
+    EXPECT_EQ(totals.warm_offered, 16u);
+    EXPECT_GT(totals.warm_won, 0u);
+    EXPECT_LE(totals.warm_won, totals.warm_offered);
+    // The warm-started grid needs fewer total sweeps than cold solves.
+    EXPECT_LT(totals.iterations, cold_iterations)
+        << "warm " << totals.iterations << " vs cold " << cold_iterations;
 }
 
-TEST(CampaignRunner, OutputBitwiseInvariantToThreadCount) {
-    ctmc::SolverEngine engine;
-    CampaignRunner runner(engine);
+/// Field-by-field bitwise comparison of two campaign points (memcmp on the
+/// doubles, not EXPECT_DOUBLE_EQ).
+void expect_points_bitwise_equal(const CampaignPoint& pa, const CampaignPoint& pb,
+                                 std::size_t i) {
+    ASSERT_EQ(pa.evaluations.size(), pb.evaluations.size()) << i;
+    for (std::size_t b = 0; b < pa.evaluations.size(); ++b) {
+        const eval::PointEvaluation& ea = pa.evaluations[b];
+        const eval::PointEvaluation& eb = pb.evaluations[b];
+        EXPECT_EQ(std::memcmp(&ea.measures, &eb.measures, sizeof(core::Measures)), 0)
+            << i << " " << ea.backend;
+        EXPECT_EQ(ea.iterations, eb.iterations) << i;
+        EXPECT_EQ(ea.warm_parent, eb.warm_parent) << i;
+        EXPECT_EQ(ea.warm_started, eb.warm_started) << i;
+        EXPECT_EQ(ea.has_confidence, eb.has_confidence) << i;
+        EXPECT_EQ(std::memcmp(&ea.sim.queueing_delay.half_width,
+                              &eb.sim.queueing_delay.half_width, sizeof(double)), 0)
+            << i;
+        EXPECT_EQ(ea.sim.events_executed, eb.sim.events_executed) << i;
+        EXPECT_EQ(std::memcmp(&pa.deltas[b], &pb.deltas[b], sizeof(MeasureDeltas)), 0)
+            << i;
+    }
+}
+
+/// The small ctmc + des campaign shared by the determinism tests.
+ScenarioSpec tiny_ctmc_des_spec() {
     ScenarioSpec spec = tiny_ctmc_spec();
-    spec.with_method("both").over_reserved_pdch({1});
+    spec.with_methods({"ctmc", "des"});
     spec.simulation.replications = 2;
     spec.simulation.warmup_time = 100.0;
     spec.simulation.batch_count = 3;
     spec.simulation.batch_duration = 150.0;
     spec.simulation.seed = 7;
+    return spec;
+}
+
+TEST(CampaignRunner, OutputBitwiseInvariantToThreadCount) {
+    ctmc::SolverEngine engine;
+    CampaignRunner runner(engine);
+    ScenarioSpec spec = tiny_ctmc_des_spec();
+    spec.over_reserved_pdch({1});
 
     CampaignOptions serial;
     serial.num_threads = 1;
@@ -143,31 +173,19 @@ TEST(CampaignRunner, OutputBitwiseInvariantToThreadCount) {
 
     ASSERT_EQ(a.points.size(), b.points.size());
     for (std::size_t i = 0; i < a.points.size(); ++i) {
-        const CampaignPoint& pa = a.points[i];
-        const CampaignPoint& pb = b.points[i];
-        // Bitwise: memcmp on the doubles, not EXPECT_DOUBLE_EQ.
-        EXPECT_EQ(std::memcmp(&pa.model.carried_data_traffic,
-                              &pb.model.carried_data_traffic, sizeof(double)), 0) << i;
-        EXPECT_EQ(std::memcmp(&pa.model.packet_loss_probability,
-                              &pb.model.packet_loss_probability, sizeof(double)), 0) << i;
-        EXPECT_EQ(pa.iterations, pb.iterations) << i;
-        EXPECT_EQ(pa.warm_parent, pb.warm_parent) << i;
-        EXPECT_EQ(std::memcmp(&pa.sim.carried_data_traffic.mean,
-                              &pb.sim.carried_data_traffic.mean, sizeof(double)), 0) << i;
-        EXPECT_EQ(std::memcmp(&pa.sim.queueing_delay.half_width,
-                              &pb.sim.queueing_delay.half_width, sizeof(double)), 0) << i;
-        EXPECT_EQ(pa.sim.events_executed, pb.sim.events_executed) << i;
-        EXPECT_EQ(std::memcmp(&pa.delta_cdt, &pb.delta_cdt, sizeof(double)), 0) << i;
+        expect_points_bitwise_equal(a.points[i], b.points[i], i);
     }
-    EXPECT_EQ(a.summary.total_iterations, b.summary.total_iterations);
-    EXPECT_EQ(a.summary.sim_events, b.summary.sim_events);
+    for (std::size_t m = 0; m < a.methods.size(); ++m) {
+        EXPECT_EQ(a.summary.backends[m].iterations, b.summary.backends[m].iterations);
+        EXPECT_EQ(a.summary.backends[m].events, b.summary.backends[m].events);
+    }
 }
 
 TEST(CampaignRunner, BothMethodFillsDeltasAndCis) {
     ctmc::SolverEngine engine;
     CampaignRunner runner(engine);
     ScenarioSpec spec = tiny_ctmc_spec();
-    spec.with_method("both").over_reserved_pdch({1}).with_rate_grid(0.2, 0.4, 2);
+    spec.with_methods({"ctmc", "des"}).over_reserved_pdch({1}).with_rate_grid(0.2, 0.4, 2);
     spec.simulation.replications = 3;
     spec.simulation.warmup_time = 100.0;
     spec.simulation.batch_count = 3;
@@ -176,17 +194,20 @@ TEST(CampaignRunner, BothMethodFillsDeltasAndCis) {
     const CampaignResult result = runner.run(spec);
     ASSERT_EQ(result.points.size(), 2u);
     for (const CampaignPoint& point : result.points) {
-        EXPECT_TRUE(point.has_model);
-        EXPECT_TRUE(point.has_sim);
-        EXPECT_EQ(point.sim.carried_data_traffic.batches, 3);
-        EXPECT_GT(point.sim.events_executed, 0u);
+        const eval::PointEvaluation& model = point.evaluations[0];
+        const eval::PointEvaluation& simulated = point.evaluations[1];
+        EXPECT_FALSE(model.has_confidence);
+        ASSERT_TRUE(simulated.has_confidence);
+        EXPECT_EQ(simulated.sim.carried_data_traffic.batches, 3);
+        EXPECT_GT(simulated.sim.events_executed, 0u);
         // delta is exactly model - pooled sim mean.
-        EXPECT_DOUBLE_EQ(point.delta_cdt, point.model.carried_data_traffic -
-                                              point.sim.carried_data_traffic.mean);
-        EXPECT_DOUBLE_EQ(point.delta_qd,
-                         point.model.queueing_delay - point.sim.queueing_delay.mean);
+        EXPECT_DOUBLE_EQ(point.deltas[1].cdt, model.measures.carried_data_traffic -
+                                                  simulated.sim.carried_data_traffic.mean);
+        EXPECT_DOUBLE_EQ(point.deltas[1].qd, model.measures.queueing_delay -
+                                                 simulated.sim.queueing_delay.mean);
     }
-    EXPECT_EQ(result.summary.sim_replications, 6);
+    EXPECT_EQ(result.summary.backends[1].replications, 6);
+    EXPECT_EQ(result.summary.backends[0].replications, 0);
 }
 
 TEST(CampaignRunner, MultiBackendListFillsEvaluationsAndPairwiseDeltas) {
@@ -216,17 +237,14 @@ TEST(CampaignRunner, MultiBackendListFillsEvaluationsAndPairwiseDeltas) {
         EXPECT_DOUBLE_EQ(point.deltas[2].qd,
                          point.evaluations[0].measures.queueing_delay -
                              point.evaluations[2].measures.queueing_delay);
-        // Legacy view: the model columns come from the first non-stochastic
-        // backend (ctmc here); no stochastic backend ran.
-        EXPECT_TRUE(point.has_model);
-        EXPECT_FALSE(point.has_sim);
-        EXPECT_DOUBLE_EQ(point.model.carried_data_traffic,
-                         point.evaluations[0].measures.carried_data_traffic);
         // All three backends agree on the closed-form populations.
         EXPECT_NEAR(point.evaluations[1].measures.carried_voice_traffic,
                     point.evaluations[2].measures.carried_voice_traffic, 1e-12);
     }
-    EXPECT_EQ(result.summary.model_solves, 3u);  // ctmc only
+    ASSERT_EQ(result.summary.backends.size(), 3u);
+    EXPECT_GT(result.summary.backends[0].iterations, 0);  // ctmc only
+    EXPECT_EQ(result.summary.backends[1].iterations, 0);
+    EXPECT_EQ(result.summary.backends[2].iterations, 0);
 }
 
 TEST(CampaignRunner, DesVariantsDrawFromDisjointSubstreams) {
@@ -237,7 +255,7 @@ TEST(CampaignRunner, DesVariantsDrawFromDisjointSubstreams) {
     ctmc::SolverEngine engine;
     CampaignRunner runner(engine);
     ScenarioSpec spec = tiny_ctmc_spec();
-    spec.with_method("des").over_reserved_pdch({1}).over_gprs_fractions({0.3, 0.3});
+    spec.with_methods({"des"}).over_reserved_pdch({1}).over_gprs_fractions({0.3, 0.3});
     spec.with_rates({0.6});
     spec.simulation.replications = 2;
     spec.simulation.warmup_time = 50.0;
@@ -247,84 +265,73 @@ TEST(CampaignRunner, DesVariantsDrawFromDisjointSubstreams) {
 
     const CampaignResult result = runner.run(spec);
     ASSERT_EQ(result.points.size(), 2u);
-    const CampaignPoint& a = result.points[0];
-    const CampaignPoint& b = result.points[1];
-    ASSERT_TRUE(a.has_sim);
-    ASSERT_TRUE(b.has_sim);
-    EXPECT_NE(a.sim.carried_data_traffic.mean, b.sim.carried_data_traffic.mean);
-    EXPECT_NE(a.sim.replications[0].events_executed,
-              b.sim.replications[0].events_executed);
+    const sim::ExperimentResults& a = result.points[0].evaluations[0].sim;
+    const sim::ExperimentResults& b = result.points[1].evaluations[0].sim;
+    ASSERT_EQ(a.replications.size(), 2u);
+    ASSERT_EQ(b.replications.size(), 2u);
+    EXPECT_NE(a.carried_data_traffic.mean, b.carried_data_traffic.mean);
+    EXPECT_NE(a.replications[0].events_executed, b.replications[0].events_executed);
 }
 
 TEST(CampaignRunner, ErlangMethodNeedsNoSolves) {
     ScenarioSpec spec;
     spec.named("erlang")
-        .with_method("erlang")
+        .with_methods({"erlang"})
         .over_gprs_fractions({0.02, 0.10})
         .with_rate_grid(0.1, 1.0, 4);
     const CampaignResult result = run_campaign(spec);
     ASSERT_EQ(result.points.size(), 8u);
-    EXPECT_EQ(result.summary.model_solves, 0u);
-    EXPECT_EQ(result.summary.total_iterations, 0);
+    EXPECT_EQ(result.summary.backends.front().points, 8u);
+    EXPECT_EQ(result.summary.backends.front().iterations, 0);
     for (const CampaignPoint& point : result.points) {
-        EXPECT_TRUE(point.has_model);
-        EXPECT_FALSE(point.has_sim);
-        EXPECT_GT(point.model.carried_voice_traffic, 0.0);
+        const eval::PointEvaluation& evaluation = point.evaluations.front();
+        EXPECT_FALSE(evaluation.has_confidence);
+        EXPECT_GT(evaluation.measures.carried_voice_traffic, 0.0);
         // Chain-only measures stay zero under the closed-form method.
-        EXPECT_EQ(point.model.carried_data_traffic, 0.0);
+        EXPECT_EQ(evaluation.measures.carried_data_traffic, 0.0);
     }
     // More load, more blocking: sanity on the closed forms via at().
-    EXPECT_GT(result.at(1, 3).model.gprs_blocking, result.at(1, 0).model.gprs_blocking);
-}
-
-/// Field-by-field bitwise comparison of two campaign points (memcmp on the
-/// doubles, not EXPECT_DOUBLE_EQ) shared by the dispatch-mode tests.
-void expect_points_bitwise_equal(const CampaignPoint& pa, const CampaignPoint& pb,
-                                 std::size_t i) {
-    EXPECT_EQ(std::memcmp(&pa.model.carried_data_traffic,
-                          &pb.model.carried_data_traffic, sizeof(double)), 0) << i;
-    EXPECT_EQ(std::memcmp(&pa.model.packet_loss_probability,
-                          &pb.model.packet_loss_probability, sizeof(double)), 0) << i;
-    EXPECT_EQ(std::memcmp(&pa.model.queueing_delay, &pb.model.queueing_delay,
-                          sizeof(double)), 0) << i;
-    EXPECT_EQ(pa.iterations, pb.iterations) << i;
-    EXPECT_EQ(pa.warm_parent, pb.warm_parent) << i;
-    EXPECT_EQ(pa.warm_started, pb.warm_started) << i;
-    EXPECT_EQ(pa.has_sim, pb.has_sim) << i;
-    if (pa.has_sim && pb.has_sim) {
-        EXPECT_EQ(std::memcmp(&pa.sim.carried_data_traffic.mean,
-                              &pb.sim.carried_data_traffic.mean, sizeof(double)), 0)
-            << i;
-        EXPECT_EQ(std::memcmp(&pa.sim.queueing_delay.half_width,
-                              &pb.sim.queueing_delay.half_width, sizeof(double)), 0)
-            << i;
-        EXPECT_EQ(pa.sim.events_executed, pb.sim.events_executed) << i;
-        EXPECT_EQ(std::memcmp(&pa.delta_cdt, &pb.delta_cdt, sizeof(double)), 0) << i;
-    }
+    EXPECT_GT(result.at(1, 3).evaluations.front().measures.gprs_blocking,
+              result.at(1, 0).evaluations.front().measures.gprs_blocking);
 }
 
 TEST(CampaignRunner, BatchedDispatchMatchesSequentialBitwiseAtEveryWidth) {
-    // The headline acceptance of the batched path: a 3-variant,
-    // 2-backend campaign produces bitwise-identical output through the
-    // merged task set at 1 and 4 threads AND through the per-(backend,
-    // variant) sequential dispatch — while the merged task set needs
-    // fewer waves than the grids dispatched one at a time.
+    // A 3-variant, 2-backend campaign produces bitwise-identical output
+    // through the merged task set at 1 and 4 threads AND through one
+    // evaluate_grid per (backend, variant) — the evaluation service's slice
+    // path, assembled with the same assemble_campaign — while the merged
+    // task set needs fewer waves than the grids dispatched one at a time.
     ctmc::SolverEngine engine;
     CampaignRunner runner(engine);
-    ScenarioSpec spec = tiny_ctmc_spec();
-    spec.with_methods({"ctmc", "des"}).over_reserved_pdch({1, 2, 3});
-    spec.simulation.replications = 2;
-    spec.simulation.warmup_time = 100.0;
-    spec.simulation.batch_count = 3;
-    spec.simulation.batch_duration = 150.0;
-    spec.simulation.seed = 7;
+    ScenarioSpec spec = tiny_ctmc_des_spec();
+    spec.over_reserved_pdch({1, 2, 3});
 
-    CampaignOptions sequential;
-    sequential.sequential_dispatch = true;
+    const CampaignWorkload workload = build_campaign_workload(spec);
+    std::vector<std::vector<eval::GridOutcome>> outcomes;
+    std::size_t sequential_waves = 0;
+    for (const std::string& method : workload.effective.methods) {
+        eval::Evaluator& backend = *eval::BackendRegistry::global().find(method).value();
+        std::vector<eval::GridOutcome> per_variant;
+        for (std::size_t v = 0; v < workload.queries.size(); ++v) {
+            eval::GridOptions grid;
+            grid.grid_offset = workload.grid_offset(v);
+            per_variant.push_back(
+                backend.evaluate_grid(workload.queries[v], workload.effective.rates, grid));
+            sequential_waves +=
+                backend
+                    .plan_grids(std::span<const eval::ScenarioQuery>(&workload.queries[v], 1),
+                                workload.effective.rates, grid)
+                    .waves;
+        }
+        outcomes.push_back(std::move(per_variant));
+    }
+    auto assembled = assemble_campaign(workload, std::move(outcomes));
+    ASSERT_TRUE(assembled.ok());
+    const CampaignResult& reference = assembled.value();
+
     CampaignOptions batched1;
     CampaignOptions batched4;
     batched4.num_threads = 4;
-    const CampaignResult reference = runner.run(spec, sequential);
     const CampaignResult serial = runner.run(spec, batched1);
     const CampaignResult wide = runner.run(spec, batched4);
 
@@ -334,21 +341,23 @@ TEST(CampaignRunner, BatchedDispatchMatchesSequentialBitwiseAtEveryWidth) {
         for (std::size_t i = 0; i < reference.points.size(); ++i) {
             expect_points_bitwise_equal(reference.points[i], other->points[i], i);
         }
-        EXPECT_EQ(other->summary.total_iterations, reference.summary.total_iterations);
-        EXPECT_EQ(other->summary.sim_events, reference.summary.sim_events);
-        EXPECT_EQ(other->summary.warm_started_solves,
-                  reference.summary.warm_started_solves);
+        for (std::size_t m = 0; m < reference.methods.size(); ++m) {
+            EXPECT_EQ(other->summary.backends[m].iterations,
+                      reference.summary.backends[m].iterations);
+            EXPECT_EQ(other->summary.backends[m].events,
+                      reference.summary.backends[m].events);
+            EXPECT_EQ(other->summary.backends[m].warm_won,
+                      reference.summary.backends[m].warm_won);
+        }
     }
 
     // Cross-variant interleaving: the merged task set's wave count is the
     // DEEPEST plan (ctmc's bisection schedule), far below the sum over
     // every (backend, variant) grid run on its own.
-    EXPECT_EQ(reference.summary.batch_waves, 0u);  // sequential: not batched
-    EXPECT_GT(wide.summary.batch_waves, 0u);
-    EXPECT_LT(wide.summary.batch_waves, wide.summary.sequential_waves);
-    const std::size_t ctmc_depth = bisection_schedule(9, true).levels.size();
+    const std::size_t ctmc_depth = eval::bisection_schedule(9).levels.size();
     EXPECT_EQ(wide.summary.batch_waves, ctmc_depth);
-    EXPECT_EQ(wide.summary.sequential_waves, 3 * ctmc_depth + 3);  // + 3 des grids
+    EXPECT_EQ(sequential_waves, 3 * ctmc_depth + 3);  // + 3 des grids
+    EXPECT_LT(wide.summary.batch_waves, sequential_waves);
     // 27 solves + 27 points x 2 replications of simulator tasks.
     EXPECT_EQ(wide.summary.batch_tasks, 27u + 54u);
 }
@@ -360,10 +369,11 @@ TEST(CampaignRunner, ProgressCallbackSeesEverySolve) {
     CampaignOptions options;
     options.num_threads = 2;
     std::vector<int> seen(spec.point_count(), 0);
-    options.solve_progress = [&](std::size_t flat, const CampaignPoint& point) {
+    options.solve_progress = [&](std::size_t flat, const eval::PointEvaluation& point) {
         ASSERT_LT(flat, seen.size());
         ++seen[flat];
-        EXPECT_TRUE(point.has_model);
+        EXPECT_EQ(point.backend, "ctmc");
+        EXPECT_GT(point.iterations, 0);
     };
     runner.run(spec, options);
     EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](int n) { return n == 1; }));

@@ -18,7 +18,7 @@ TEST(ParseSpec, FullDocumentRoundTrips) {
     const std::string text = R"({
       // comments and trailing commas are part of the spec format
       "name": "fig06",
-      "method": "both",
+      "methods": ["ctmc", "des"],
       "traffic_model": 3,
       "reserved_pdch": [1, 2],
       "gprs_fraction": [0.02, 0.05, 0.10],
@@ -29,7 +29,7 @@ TEST(ParseSpec, FullDocumentRoundTrips) {
       "eta": 0.7,
       "bler": 0.0,
       "rates": {"first": 0.1, "last": 1.0, "count": 10},
-      "solver": {"tolerance": 1e-9, "warm_start": true},
+      "solver": {"tolerance": 1e-9},
       "simulation": {"replications": 4, "seed": 600, "warmup": 1500,
                      "batch_count": 10, "batch_duration": 1500, "tcp": true},
     })";
@@ -52,14 +52,14 @@ TEST(ParseSpec, FullDocumentRoundTrips) {
 TEST(ParseSpec, BuilderMatchesParsedSpec) {
     const ScenarioSpec parsed = parse_spec(R"({
       "name": "grid",
-      "method": "ctmc",
+      "methods": ["ctmc"],
       "traffic_model": [1, 2],
       "reserved_pdch": [1, 4],
       "rates": [0.2, 0.5, 0.8],
     })");
     ScenarioSpec built;
     built.named("grid")
-        .with_method("ctmc")
+        .with_methods({"ctmc"})
         .over_traffic_models({1, 2})
         .over_reserved_pdch({1, 4})
         .with_rates({0.2, 0.5, 0.8});
@@ -101,19 +101,6 @@ TEST(ParseSpec, MethodsListAcceptsAnyRegisteredBackends) {
       "rates": [0.5],
     })");
     EXPECT_EQ(spec.methods, (std::vector<std::string>{"ctmc", "des", "mm1k-approx"}));
-}
-
-TEST(ParseSpec, LegacyMethodAliasesStillParse) {
-    EXPECT_EQ(parse_spec(R"({"method": "erlang", "rates": [0.5]})").methods,
-              std::vector<std::string>{"erlang"});
-    EXPECT_EQ(parse_spec(R"({"method": "ctmc", "rates": [0.5]})").methods,
-              std::vector<std::string>{"ctmc"});
-    // "both" is the pre-registry spelling of "model and simulator".
-    EXPECT_EQ(parse_spec(R"({"method": "both", "rates": [0.5]})").methods,
-              (std::vector<std::string>{"ctmc", "des"}));
-    // The alias also expands inside a list.
-    EXPECT_EQ(parse_spec(R"({"methods": ["erlang", "both"], "rates": [0.5]})").methods,
-              (std::vector<std::string>{"erlang", "ctmc", "des"}));
 }
 
 TEST(ParseSpec, CustomRegisteredBackendAcceptedInMethods) {
@@ -197,9 +184,25 @@ TEST(ParseSpecErrors, DuplicateMethodRejected) {
       "methods": ["ctmc", "ctmc"]
     })",
                             3, "listed twice");
-    // The alias expansion is checked too: "both" already contains "des".
-    EXPECT_THROW(parse_spec(R"({"methods": ["des", "both"], "rates": [0.5]})"),
-                 SpecError);
+}
+
+TEST(ParseSpecErrors, RemovedSpellingsNameTheirReplacement) {
+    expect_rejected_at_line(R"({
+      "rates": [0.5],
+      "method": "ctmc"
+    })",
+                            3, "replaced by \"methods\"");
+    expect_rejected_at_line(R"({
+      "rates": [0.5],
+      "methods": ["erlang", "both"]
+    })",
+                            3, "\"methods\": [\"ctmc\", \"des\"]");
+    expect_rejected_at_line(R"({
+      "rates": [0.5],
+      "solver": {"tolerance": 1e-9,
+                 "warm_start": true}
+    })",
+                            4, "always use the bisection warm-start schedule");
 }
 
 TEST(ParseSpecErrors, UnknownKeyCarriesItsLine) {
@@ -224,7 +227,7 @@ TEST(ParseSpecErrors, UnknownNestedKeyCarriesItsLine) {
 TEST(ParseSpecErrors, WrongTypeCarriesItsLine) {
     expect_rejected_at_line(R"({
       "rates": [0.5],
-      "method": 3
+      "methods": 3
     })",
                             3, "expected string");
 }
@@ -289,7 +292,7 @@ TEST(ParseSpecErrors, NegativeOrHugeSeedRejected) {
 
 TEST(ParseSpecErrors, DesMethodValidatesSimulationBlock) {
     EXPECT_THROW(parse_spec(R"({
-      "method": "des",
+      "methods": ["des"],
       "rates": [0.5],
       "simulation": {"replications": 0}
     })"),
@@ -314,6 +317,19 @@ TEST(SpecValidate, NameWithControlCharactersRejected) {
 
 TEST(ParseSpecFile, MissingFileThrows) {
     EXPECT_THROW(parse_spec_file("/nonexistent/campaign.json"), SpecError);
+}
+
+TEST(ArrivalRateGrid, EvenSpacing) {
+    const std::vector<double> grid = arrival_rate_grid(0.1, 1.0, 10);
+    ASSERT_EQ(grid.size(), 10u);
+    EXPECT_DOUBLE_EQ(grid.front(), 0.1);
+    EXPECT_DOUBLE_EQ(grid.back(), 1.0);
+    EXPECT_NEAR(grid[1] - grid[0], 0.1, 1e-12);
+}
+
+TEST(ArrivalRateGrid, RejectsDegenerateInputs) {
+    EXPECT_THROW(arrival_rate_grid(1.0, 0.5, 5), std::invalid_argument);
+    EXPECT_THROW(arrival_rate_grid(0.1, 1.0, 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ const std::string kFixture =
 ScenarioSpec trace_vs_preset_spec() {
     ScenarioSpec spec;
     spec.named("trace_axis")
-        .with_method("ctmc")
+        .with_methods({"ctmc"})
         .over_traffic_models({1})
         .over_traffic_traces({kFixture})
         .over_session_limits({6})
@@ -62,26 +62,24 @@ TEST(TraceAxis, TraceVariantTracksItsSourcePresetThroughACampaign) {
     ASSERT_EQ(result.rates.size(), 2u);
 
     for (std::size_t r = 0; r < result.rates.size(); ++r) {
-        const CampaignPoint& preset = result.at(0, r);
-        const CampaignPoint& traced = result.at(1, r);
-        ASSERT_TRUE(preset.has_model);
-        ASSERT_TRUE(traced.has_model);
+        const core::Measures& preset = result.at(0, r).evaluations.front().measures;
+        const core::Measures& traced = result.at(1, r).evaluations.front().measures;
         // The fixture's fit recovers tm1's rate within ~5% and its burst
         // structure within the windowed-IDC bias, so the queueing measures
         // must agree to well within 25% (relative) — the trace variant is
         // the SAME workload, estimated instead of specified.
-        EXPECT_NEAR(traced.model.carried_data_traffic,
-                    preset.model.carried_data_traffic,
-                    0.25 * preset.model.carried_data_traffic + 1e-12)
+        EXPECT_NEAR(traced.carried_data_traffic,
+                    preset.carried_data_traffic,
+                    0.25 * preset.carried_data_traffic + 1e-12)
             << "rate " << result.rates[r];
-        EXPECT_NEAR(traced.model.throughput_per_user_kbps,
-                    preset.model.throughput_per_user_kbps,
-                    0.25 * preset.model.throughput_per_user_kbps + 1e-12)
+        EXPECT_NEAR(traced.throughput_per_user_kbps,
+                    preset.throughput_per_user_kbps,
+                    0.25 * preset.throughput_per_user_kbps + 1e-12)
             << "rate " << result.rates[r];
         // Blocking-type probabilities are tiny here; compare absolutely.
-        EXPECT_NEAR(traced.model.gsm_blocking, preset.model.gsm_blocking, 0.05);
-        EXPECT_NEAR(traced.model.packet_loss_probability,
-                    preset.model.packet_loss_probability, 0.05);
+        EXPECT_NEAR(traced.gsm_blocking, preset.gsm_blocking, 0.05);
+        EXPECT_NEAR(traced.packet_loss_probability,
+                    preset.packet_loss_probability, 0.05);
     }
 }
 

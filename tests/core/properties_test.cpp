@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <string>
 
 #include "core/model.hpp"
 #include "queueing/erlang.hpp"
@@ -14,7 +13,9 @@ namespace gprsim::core {
 namespace {
 
 struct ConfigCase {
-    std::string label;
+    // A fixed array, not std::string: gtest prints the case's bytes after its
+    // name, and a string's heap pointer would change that name every run.
+    char label[32];
     int total_channels;
     int reserved_pdch;
     int buffer_capacity;

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <string>
 #include <tuple>
 
 #include "core/handover.hpp"
@@ -15,7 +14,9 @@ namespace gprsim::core {
 namespace {
 
 struct TransitionCase {
-    std::string label;
+    // A fixed array, not std::string: gtest prints the case's bytes after its
+    // name, and a string's heap pointer would change that name every run.
+    char label[32];
     int total_channels;
     int reserved_pdch;
     int buffer_capacity;

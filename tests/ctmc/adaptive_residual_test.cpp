@@ -96,8 +96,7 @@ TEST_P(AdaptiveResidualMethods, BitwiseEqualToFixedScheduleWithFewerChecks) {
 
 INSTANTIATE_TEST_SUITE_P(Engine, AdaptiveResidualMethods,
                          ::testing::Values(SolveMethod::gauss_seidel,
-                                           SolveMethod::red_black_gauss_seidel,
-                                           SolveMethod::jacobi),
+                                           SolveMethod::red_black_gauss_seidel),
                          [](const auto& info) { return method_name(info.param); });
 
 TEST(AdaptiveResidual, FixedScheduleCountsOneResidualPerCheckpoint) {

@@ -113,20 +113,8 @@ TEST_P(ParallelMethods, BitwiseIdenticalAcrossThreadCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engine, ParallelMethods,
-                         ::testing::Values(SolveMethod::red_black_gauss_seidel,
-                                           SolveMethod::jacobi, SolveMethod::power),
-                         [](const auto& info) {
-                             switch (info.param) {
-                                 case SolveMethod::red_black_gauss_seidel:
-                                     return "red_black_gauss_seidel";
-                                 case SolveMethod::jacobi:
-                                     return "jacobi";
-                                 case SolveMethod::power:
-                                     return "power";
-                                 default:
-                                     return "unexpected";
-                             }
-                         });
+                         ::testing::Values(SolveMethod::red_black_gauss_seidel),
+                         [](const auto& info) { return method_name(info.param); });
 
 TEST(SolverEngine, GaussSeidelUpgradesToRedBlackWhenParallel) {
     SolverEngine engine;
@@ -261,17 +249,6 @@ TEST(AutoSelect, WideBudgetOnLargeChainsPicksRedBlack) {
     EXPECT_EQ(auto_select_method(200000, 8).method, SolveMethod::gauss_seidel);
 }
 
-TEST(AutoSelect, JacobiNeverWinsTheCostModel) {
-    // Jacobi's sweep-count penalty dominates at every width the model
-    // considers; it exists for A/B experiments, not for auto dispatch.
-    for (index_type n : {20000, 60000, 200000, 2000000}) {
-        for (int threads : {1, 2, 8, 16, 64}) {
-            EXPECT_NE(auto_select_method(n, threads).method, SolveMethod::jacobi)
-                << n << " states, " << threads << " threads";
-        }
-    }
-}
-
 TEST(AutoSelect, DecisionAndReasonAreDeterministic) {
     for (int threads : {1, 8, 16}) {
         const AutoSelection a = auto_select_method(200000, threads);
@@ -326,10 +303,8 @@ TEST(AutoSelect, AutoPickedSerialStaysSerialOnAWideEngine) {
 }
 
 TEST(MethodNames, RoundTripThroughTheStringMapping) {
-    for (SolveMethod m :
-         {SolveMethod::gauss_seidel, SolveMethod::symmetric_gauss_seidel,
-          SolveMethod::sor, SolveMethod::jacobi, SolveMethod::power,
-          SolveMethod::red_black_gauss_seidel, SolveMethod::auto_select}) {
+    for (SolveMethod m : {SolveMethod::gauss_seidel, SolveMethod::red_black_gauss_seidel,
+                          SolveMethod::auto_select}) {
         const auto parsed = method_from_name(method_name(m));
         ASSERT_TRUE(parsed.has_value()) << method_name(m);
         EXPECT_EQ(*parsed, m);
@@ -337,6 +312,10 @@ TEST(MethodNames, RoundTripThroughTheStringMapping) {
     EXPECT_EQ(method_name(SolveMethod::auto_select), std::string("auto"));
     EXPECT_FALSE(method_from_name("bogus").has_value());
     EXPECT_FALSE(method_from_name("").has_value());
+    // The deleted schemes are unknown spellings now.
+    for (const char* removed : {"jacobi", "sor", "symmetric_gauss_seidel", "power"}) {
+        EXPECT_FALSE(method_from_name(removed).has_value()) << removed;
+    }
 }
 
 TEST(SolverEngine, ConvergedResultSkipsRedundantRecomputation) {

@@ -36,7 +36,7 @@ const char* kIdentitySpec = R"({
   "buffer": 10,
   "max_gprs_sessions": 6,
   "rates": [0.3, 0.5],
-  "solver": {"tolerance": 1e-9, "warm_start": true},
+  "solver": {"tolerance": 1e-9},
   "simulation": {
     "replications": 2,
     "seed": 9,

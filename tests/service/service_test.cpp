@@ -212,19 +212,18 @@ TEST(WarmStore, DroppedLeaderTicketAbandonsImplicitly) {
 TEST(WarmStore, SignatureSeparatesEveryAxis) {
     eval::ScenarioQuery query;
     const std::vector<double> rates{0.5, 1.0};
-    const std::string base = slice_signature("ctmc", query, rates, true, 0);
-    EXPECT_NE(base, slice_signature("des", query, rates, true, 0));
-    EXPECT_NE(base, slice_signature("ctmc", query, {0.5}, true, 0));
-    EXPECT_NE(base, slice_signature("ctmc", query, rates, false, 0));
-    EXPECT_NE(base, slice_signature("ctmc", query, rates, true, 2));
+    const std::string base = slice_signature("ctmc", query, rates, 0);
+    EXPECT_NE(base, slice_signature("des", query, rates, 0));
+    EXPECT_NE(base, slice_signature("ctmc", query, {0.5}, 0));
+    EXPECT_NE(base, slice_signature("ctmc", query, rates, 2));
 
     eval::ScenarioQuery changed = query;
     changed.simulation.seed = 7;
-    EXPECT_NE(base, slice_signature("ctmc", changed, rates, true, 0));
+    EXPECT_NE(base, slice_signature("ctmc", changed, rates, 0));
     changed = query;
     changed.parameters.gprs_fraction = 0.2;
-    EXPECT_NE(base, slice_signature("ctmc", changed, rates, true, 0));
-    EXPECT_EQ(base, slice_signature("ctmc", query, rates, true, 0));
+    EXPECT_NE(base, slice_signature("ctmc", changed, rates, 0));
+    EXPECT_EQ(base, slice_signature("ctmc", query, rates, 0));
 }
 
 }  // namespace
