@@ -75,7 +75,7 @@ inline void attach_solve_progress(campaign::CampaignOptions& options) {
     options.solve_progress = [](std::size_t flat, const eval::PointEvaluation& point) {
         std::fprintf(stderr, "  point %zu %s rate %.2f: %lld iterations, %.1fs%s\n", flat,
                      point.backend.c_str(), point.call_arrival_rate, point.iterations,
-                     point.wall_seconds, point.warm_parent >= 0 ? " (warm)" : "");
+                     point.wall_seconds, point.warm_started ? " (warm)" : "");
     };
 }
 

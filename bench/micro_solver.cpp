@@ -4,11 +4,13 @@
 // measuring how far the thread-sharded kernels push that claim.
 //
 // For each case the harness solves the chain once with the serial seed path
-// (Gauss-Seidel, num_threads = 1) as the baseline, once through the auto
-// cost model (which at one thread must reproduce the baseline bitwise —
-// the record doubles as a dispatch check), then with red-black
-// Gauss-Seidel across thread counts, reporting wall time, speedup, and the
-// max-norm distance of each distribution from the serial baseline.
+// (Gauss-Seidel on the CSR matrix, num_threads = 1) as the baseline, once
+// through the auto cost model on the generator's stencil, the operator
+// campaigns run (at one thread it must reproduce the baseline bitwise —
+// the record doubles as a dispatch and stencil check, and its speedup is
+// the stencil's over the CSR), then with red-black Gauss-Seidel on the CSR
+// across thread counts, reporting wall time, speedup, and the max-norm
+// distance of each distribution from the serial baseline.
 // Records land in BENCH_solver.json (--json=PATH to override) so later PRs
 // can diff the perf trajectory.
 //
@@ -138,13 +140,14 @@ int main(int argc, char** argv) try {
               .residual_evaluations =
                   static_cast<long long>(baseline.residual_evaluations)});
 
-    // Cost-model record: same point solved with method = auto. At one
-    // thread the model must pick the serial Gauss-Seidel path, making this
-    // run bitwise identical to the baseline — any maxdiff is a bug.
+    // Cost-model record: same point solved with method = auto on the
+    // stencil. At one thread the model must pick the serial Gauss-Seidel
+    // path, and the stencil sweeps the CSR's arithmetic, making this run
+    // bitwise identical to the baseline — any maxdiff is a bug.
     ctmc::SolveOptions auto_opts = base;
     auto_opts.method = ctmc::SolveMethod::auto_select;
     auto_opts.num_threads = 1;
-    const ctmc::SolveResult auto_run = engine.solve(qt, auto_opts);
+    const ctmc::SolveResult auto_run = engine.solve(generator, auto_opts);
     const double auto_diff =
         max_norm_distance(auto_run.distribution, baseline.distribution);
     std::printf("%-26s %7d %9lld %10.3f %11.2fx %12.2e\n", "auto",

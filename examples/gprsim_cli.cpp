@@ -330,7 +330,7 @@ int cmd_campaign(int argc, char** argv) {
             }
             std::fprintf(stderr, "  point %zu [%s]: rate %.3f, %lld iterations%s\n", flat,
                          e.backend.c_str(), e.call_arrival_rate, e.iterations,
-                         e.warm_parent >= 0 ? " (warm)" : "");
+                         e.warm_started ? " (warm)" : "");
         };
     }
 

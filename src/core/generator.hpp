@@ -1,14 +1,24 @@
-// Generator-matrix views of the GPRS Markov chain.
+// The transposed generator of the GPRS Markov chain as a stencil.
 //
-// GprsGenerator is a matrix-free transposed-generator operator (satisfies
-// ctmc::QtOperatorConcept): rows are enumerated on the fly from the Table 1
-// transition structure, so even the 22-million-state chain of the paper's
-// Fig. 10 (M = 150) can be solved without storing a matrix. to_qt_matrix()
-// materializes the same operator as CSR when memory allows — roughly an
-// order of magnitude faster per Gauss-Seidel sweep.
+// Every state (k, n, m, r) has at most ten predecessors (paper Table 1),
+// each at a fixed offset of the StateSpace codec: -(m+1), -m, -1, +1,
+// +(m+1), +(m+2) inside the (m, r) session triangle, -P and +P for the GSM
+// call count n (P = session pairs) and -L and +L for the buffer level k
+// (L = (N_gsm + 1) P states). GprsGenerator keeps the rates of those
+// neighbours as a per-(m, r) coefficient table, rates shared by a whole
+// (k, n) block, and the diagonal, not a CSR matrix: a Gauss-Seidel sweep
+// streams only the iterate and the diagonal.
+//
+// Results are bitwise identical to sweeping to_qt_matrix(): each row adds
+// the same products in the CSR's column order, and a neighbour Table 1
+// lacks adds rate 0 times a value of the iterate, +0.0, which leaves the
+// running sum unchanged. to_qt_matrix() and to_generator_matrix() are the
+// reference forms, assembled from the Table 1 enumerators of
+// transitions.hpp.
 #pragma once
 
-#include <cstddef>
+#include <algorithm>
+#include <vector>
 
 #include "ctmc/solver.hpp"
 #include "ctmc/sparse_matrix.hpp"
@@ -32,19 +42,59 @@ public:
     common::index_type size() const { return space_.size(); }
 
     double diagonal(common::index_type i) const {
-        return -total_exit_rate(parameters_, rates_, space_.state_of(i));
+        return diag_[static_cast<std::size_t>(i)];
     }
 
+    /// Emits row i of the transposed generator exactly as to_qt_matrix()
+    /// stores it: the same columns, in ascending order, with the same bits.
     template <typename F>
     void for_each_incoming(common::index_type i, F&& f) const {
-        const State s = space_.state_of(i);
-        core::for_each_incoming(parameters_, rates_, s,
-                                [&](const State& pred, double rate) {
-                                    f(space_.index_of(pred), rate);
-                                });
+        const common::index_type k = i / level_;
+        const common::index_type n = (i - k * level_) / pairs_count_;
+        const Pair& q = pairs_[static_cast<std::size_t>(i - k * level_ - n * pairs_count_)];
+        const BlockRates b = block_rates(k, n);
+        if (const double arrival = std::min(q.offered, b.arrival_cap); arrival > 0.0) {
+            f(i - level_, arrival);
+        }
+        if (n > 0) {
+            f(i - pairs_count_, b.gsm_arrival);
+        }
+        for (int t = 0; t < kSessionTerms; ++t) {
+            if (q.offset[t] != 0) {
+                f(i + q.offset[t], q.rate[t]);
+            }
+        }
+        if (n < space_.gsm_channels()) {
+            f(i + pairs_count_, b.gsm_departure);
+        }
+        if (b.service > 0.0) {
+            f(i + level_, b.service);
+        }
     }
 
-    // --- materialized forms ---------------------------------------------
+    // --- ctmc::PipelinedSweepOperator ----------------------------------
+    /// `count` forward Gauss-Seidel sweeps over x, up to four in flight,
+    /// bitwise identical to `count` one-at-a-time sweeps of to_qt_matrix().
+    /// With `want_sum` returns the left-to-right sum of the final iterate,
+    /// otherwise 0.
+    double gauss_seidel_sweeps(double* x, common::index_type count, bool want_sum) const;
+
+    /// Divides x by `sum` and returns max_i |(x Q)_i| / uniformization_rate
+    /// in one pass, bitwise equal to normalizing and then evaluating the
+    /// scaled residual. Throws when `sum` is not positive.
+    double fused_normalize_residual(double* x, double sum, double uniformization_rate) const;
+
+    // --- ctmc::RowRangeOperator ----------------------------------------
+    /// out[i] = (sum_j Q_ji x_j) / -Q_ii for i = begin, begin + stride, ...
+    /// below end.
+    void update_rows(const double* x, double* out, common::index_type begin,
+                     common::index_type end, common::index_type stride) const;
+
+    /// max_i |(x Q)_i| over [begin, end).
+    double max_residual(const double* x, common::index_type begin,
+                        common::index_type end) const;
+
+    // --- reference forms -------------------------------------------------
     /// Transposed generator in CSR form (off-diagonal) plus diagonal array.
     ctmc::QtMatrix to_qt_matrix() const;
 
@@ -52,14 +102,44 @@ public:
     /// solves in tests. O(n^2) memory via dense GTH, so small configs only.
     ctmc::SparseMatrix to_generator_matrix() const;
 
-    /// Estimated heap footprint of to_qt_matrix(), used to decide between
-    /// the CSR and matrix-free solve paths.
-    std::size_t estimated_qt_bytes() const;
-
 private:
+    /// Session-triangle predecessors, in column order: OFF and ON session
+    /// arrival (-(m+1), -m), ON->OFF and OFF->ON (-1, +1), ON and OFF
+    /// session departure (+(m+1), +(m+2)).
+    static constexpr int kSessionTerms = 6;
+
+    /// Coefficients of one (m, r) pair. A predecessor Table 1 lacks has
+    /// offset 0 (the state reads itself) and rate 0.
+    struct Pair {
+        double offered = 0.0;  ///< (m - r) lambda_packet, what its ON sources offer
+        double rate[kSessionTerms] = {};
+        int offset[kSessionTerms] = {};
+    };
+
+    /// The rates every row of the (k, n) block shares, each computed by the
+    /// expression core::for_each_incoming uses: the cap on the packet
+    /// arrival from (k - 1, n) (offered_packet_rate's throttle: infinite up
+    /// to the flow-control onset, the service rate there above it), the GSM
+    /// arrival from n - 1 and departure from n + 1, and the service from
+    /// (k + 1, n). A neighbour the block lacks gets 0.
+    struct BlockRates {
+        double arrival_cap = 0.0;
+        double gsm_arrival = 0.0;
+        double gsm_departure = 0.0;
+        double service = 0.0;
+    };
+    BlockRates block_rates(common::index_type k, common::index_type n) const;
+
+    /// The block-wise sweep kernels (generator.cpp).
+    struct Kernel;
+
     Parameters parameters_;
     ModelRates rates_;
     StateSpace space_;
+    common::index_type pairs_count_;  ///< P
+    common::index_type level_;        ///< L
+    std::vector<Pair> pairs_;
+    std::vector<double> diag_;
 };
 
 }  // namespace gprsim::core

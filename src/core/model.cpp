@@ -34,24 +34,6 @@ common::Result<std::reference_wrapper<const ctmc::SolveResult>> GprsModel::try_s
     if (solution_) {
         return std::cref(*solution_);
     }
-    const auto run = [&](const ctmc::SolveOptions& effective) {
-        if (estimated_qt_bytes() <= memory_budget_) {
-            const ctmc::QtMatrix qt = generator_.to_qt_matrix();
-            used_matrix_free_ = false;
-            if (effective.permutation.empty()) {
-                // QBD level grouping (identity for this codec — detected
-                // and skipped by the engine, but stated here so a codec
-                // change automatically reorders the solve). Only explicit
-                // matrices can be reindexed, hence CSR branch only.
-                ctmc::SolveOptions ordered = effective;
-                ordered.permutation = qbd_level_ordering(space());
-                return engine.solve(qt, ordered);
-            }
-            return engine.solve(qt, effective);
-        }
-        used_matrix_free_ = true;
-        return engine.solve(generator_, effective);
-    };
     ctmc::SolveResult result;
     try {
         if (options.initial.empty() && options.initial_candidates.empty()) {
@@ -62,9 +44,9 @@ common::Result<std::reference_wrapper<const ctmc::SolveResult>> GprsModel::try_s
             // state-space-sized, so the options are only copied here.
             ctmc::SolveOptions effective = options;
             effective.initial = product_form_initial(parameters_, balanced_, space());
-            result = run(effective);
+            result = engine.solve(generator_, effective);
         } else {
-            result = run(options);
+            result = engine.solve(generator_, options);
         }
     } catch (const std::exception& e) {
         // Degenerate options/operator (engine throws invalid_argument).

@@ -2,7 +2,6 @@
 // generator -> steady-state solve -> measures.
 #pragma once
 
-#include <cstddef>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -23,8 +22,8 @@ namespace gprsim::core {
 ///   model.solve();
 ///   Measures m = model.measures();
 ///
-/// The solver path is picked automatically: CSR when the transposed
-/// generator fits the memory budget, matrix-free otherwise.
+/// Every solve sweeps the generator's stencil (core::GprsGenerator); no
+/// matrix is assembled.
 class GprsModel {
 public:
     explicit GprsModel(Parameters parameters);
@@ -33,11 +32,6 @@ public:
     const BalancedTraffic& balanced() const { return balanced_; }
     const StateSpace& space() const { return generator_.space(); }
     const GprsGenerator& generator() const { return generator_; }
-
-    /// Size the CSR representation would occupy; compare with memory_budget.
-    std::size_t estimated_qt_bytes() const { return generator_.estimated_qt_bytes(); }
-    /// CSR is used when estimated_qt_bytes() <= memory_budget (default 8 GiB).
-    void set_memory_budget(std::size_t bytes) { memory_budget_ = bytes; }
 
     /// Solves for the stationary distribution (cached) on the process-wide
     /// default engine. Returns solver statistics; throws
@@ -76,16 +70,12 @@ public:
     std::vector<double> gsm_distribution() const;
     /// Marginal distribution of active GPRS sessions m (Erlang over M).
     std::vector<double> gprs_session_distribution() const;
-    /// Whether the last solve used the matrix-free path.
-    bool used_matrix_free() const { return used_matrix_free_; }
 
 private:
     Parameters parameters_;
     BalancedTraffic balanced_;
     GprsGenerator generator_;
-    std::size_t memory_budget_ = std::size_t{8} * 1024 * 1024 * 1024;
     std::optional<ctmc::SolveResult> solution_;
-    bool used_matrix_free_ = false;
 };
 
 }  // namespace gprsim::core

@@ -1,9 +1,10 @@
 // Transition structure of the GPRS Markov chain — paper Table 1, verbatim.
 //
-// Every row of Table 1 appears here twice: once in for_each_outgoing() (used
-// to assemble the generator and its diagonal) and once in for_each_incoming()
-// (used by the matrix-free Gauss-Seidel path for chains too large to store).
-// The test suite checks both views against each other entry by entry.
+// Every row of Table 1 appears here twice: once in for_each_outgoing() (the
+// generator and its diagonal) and once in for_each_incoming() (the rows of
+// the transposed generator). The test suite checks both views against
+// each other entry by entry. They are the reference the solver's stencil
+// (core::GprsGenerator) takes its rates from and is checked against.
 #pragma once
 
 #include <algorithm>

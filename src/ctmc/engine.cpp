@@ -48,6 +48,16 @@ AutoSelection auto_select_method(index_type n, int threads) {
     return pick;
 }
 
+double QtMatrix::gauss_seidel_sweeps(double* x, index_type count, bool want_sum) const {
+    return detail::gauss_seidel_sweeps(detail::csr_view(*this), x, count, want_sum);
+}
+
+double QtMatrix::fused_normalize_residual(double* x, double sum,
+                                          double uniformization_rate) const {
+    return detail::fused_normalize_residual(detail::csr_view(*this), x, sum,
+                                            uniformization_rate);
+}
+
 SolverEngine::SolverEngine(int prewarm_threads) {
     if (prewarm_threads > 1) {
         pool_ = std::make_unique<common::ThreadPool>(prewarm_threads);

@@ -24,10 +24,11 @@
 //         the width).
 //
 // The solve loop runs sweeps in batches of check_interval. Serial
-// Gauss-Seidel on an explicit QtMatrix takes the raw-CSR wavefront kernel
-// (kernels.hpp), which pipelines the batch and fuses the normalization sum
-// into the final sweep and the residual into the normalizing division —
-// bitwise identical to the one-sweep-at-a-time schedule, about 2x faster.
+// Gauss-Seidel on a PipelinedSweepOperator (the CSR QtMatrix, the GPRS
+// stencil) runs the operator's own wavefront pass, which pipelines the
+// batch and fuses the normalization sum into the final sweep and the
+// residual into the normalizing division — bitwise identical to the
+// one-sweep-at-a-time schedule, about 2x faster.
 // With adaptive_checks the residual is evaluated only when the observed
 // convergence rate predicts it could matter; normalization stays on the
 // fixed every-interval schedule, so the iterate trajectory is unchanged.
@@ -38,10 +39,8 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
-#include <type_traits>
 
 #include "ctmc/kernels.hpp"
-#include "ctmc/ordering.hpp"
 #include "ctmc/solver_options.hpp"
 #include "common/thread_pool.hpp"
 
@@ -103,35 +102,6 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
     }
     if (options.check_interval <= 0) {
         throw std::invalid_argument("solve_steady_state: check_interval must be positive");
-    }
-
-    // Row reordering: solve the permuted system, then map the distribution
-    // back to caller indexing. Only explicit matrices can be reindexed;
-    // the reordered solve runs with an empty permutation, so the recursion
-    // is exactly one level deep.
-    if (!options.permutation.empty() && !is_identity_permutation(options.permutation)) {
-        if constexpr (std::is_same_v<Op, QtMatrix>) {
-            validate_permutation(options.permutation, n);
-            const QtMatrix reordered = permute_qt_matrix(op, options.permutation);
-            SolveOptions inner = options;
-            inner.permutation.clear();
-            if (!inner.initial.empty()) {
-                inner.initial = permute_vector(inner.initial, options.permutation);
-            }
-            for (std::vector<double>& cand : inner.initial_candidates) {
-                cand = permute_vector(cand, options.permutation);
-            }
-            SolveResult res = solve(reordered, inner);
-            res.distribution =
-                inverse_permute_vector(res.distribution, options.permutation);
-            res.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                        t0)
-                              .count();
-            return res;
-        } else {
-            throw std::invalid_argument(
-                "solve_steady_state: permutation requires an explicit QtMatrix operator");
-        }
     }
 
     SolveResult result;
@@ -210,27 +180,38 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
         scratch.resize(static_cast<std::size_t>(n));
     }
 
-    // Serial Gauss-Seidel on an explicit matrix takes the raw-CSR wavefront
-    // kernel; every other (method, operator, width) combination runs the
-    // generic one-sweep-at-a-time kernels.
-    const bool fast_gs = [&] {
-        if constexpr (std::is_same_v<Op, QtMatrix>) {
-            return method == SolveMethod::gauss_seidel && exec.pool == nullptr;
+    const auto normalize_x = [&] {
+        if (parallel_family) {
+            detail::normalize_blocked(x, exec);
         } else {
-            return false;
+            detail::normalize(x);
         }
-    }();
+    };
 
-    // Runs `count` sweeps; on the fast path returns the final sweep's
-    // running sum (the normalization numerator), otherwise 0.
-    const auto run_sweeps = [&](index_type count, bool want_sum) -> double {
-        if constexpr (std::is_same_v<Op, QtMatrix>) {
-            if (fast_gs) {
-                return detail::gauss_seidel_sweeps(detail::csr_view(op), x.data(), count,
-                                                   want_sum);
+    // One batch: `count` sweeps, then the checkpoint's normalization and,
+    // when asked, its residual. Serial Gauss-Seidel on an operator with its
+    // own pipelined pass takes that pass, which also returns the
+    // normalization sum and fuses the residual into the division; every
+    // other (method, operator, width) combination runs the generic
+    // one-sweep-at-a-time kernels.
+    const auto run_batch = [&](index_type count, bool want_residual) {
+        if constexpr (PipelinedSweepOperator<Op>) {
+            if (method == SolveMethod::gauss_seidel && exec.pool == nullptr) {
+                const double sum = op.gauss_seidel_sweeps(x.data(), count, true);
+                if (want_residual) {
+                    result.residual = op.fused_normalize_residual(x.data(), sum, lambda);
+                    ++result.residual_evaluations;
+                    return;
+                }
+                if (sum <= 0.0) {
+                    throw std::runtime_error("steady-state solve collapsed to the zero vector");
+                }
+                for (double& v : x) {
+                    v /= sum;
+                }
+                return;
             }
         }
-        (void)want_sum;
         for (index_type s = 0; s < count; ++s) {
             if (parallel_family) {
                 detail::red_black_sweep(op, x, scratch, exec);
@@ -238,13 +219,10 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
                 detail::gauss_seidel_forward(op, x);
             }
         }
-        return 0.0;
-    };
-    const auto normalize_x = [&] {
-        if (parallel_family) {
-            detail::normalize_blocked(x, exec);
-        } else {
-            detail::normalize(x);
+        normalize_x();
+        if (want_residual) {
+            result.residual = detail::scaled_residual(op, x, lambda, exec);
+            ++result.residual_evaluations;
         }
     };
 
@@ -263,32 +241,7 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
                                            options.max_iterations);
         const bool want_residual = !options.adaptive_checks || target >= next_residual ||
                                    target == options.max_iterations;
-        const double batch_sum = run_sweeps(target - sweep, fast_gs);
-        if constexpr (std::is_same_v<Op, QtMatrix>) {
-            if (fast_gs) {
-                if (want_residual) {
-                    result.residual = detail::fused_normalize_residual(
-                        detail::csr_view(op), x.data(), batch_sum, lambda);
-                    ++result.residual_evaluations;
-                } else {
-                    if (batch_sum <= 0.0) {
-                        throw std::runtime_error(
-                            "steady-state solve collapsed to the zero vector");
-                    }
-                    for (double& v : x) {
-                        v /= batch_sum;
-                    }
-                }
-            }
-        }
-        if (!fast_gs) {
-            (void)batch_sum;
-            normalize_x();
-            if (want_residual) {
-                result.residual = detail::scaled_residual(op, x, lambda, exec);
-                ++result.residual_evaluations;
-            }
-        }
+        run_batch(target - sweep, want_residual);
         sweep = target;
         result.iterations = sweep;
         have_residual = want_residual;

@@ -1,21 +1,20 @@
 // Per-method solver kernels: serial Gauss-Seidel sweeps plus block-sharded
-// parallel kernels (red-black Gauss-Seidel, normalize, residual). All sharded kernels partition the state range into a FIXED
-// number of contiguous blocks (kReductionBlocks, independent of the thread
-// count) and combine per-block partials in block order, so every result is
-// a pure function of the operator and the input vector — bitwise identical
+// parallel kernels (red-black Gauss-Seidel, normalize, residual). All
+// sharded kernels partition the state range into a FIXED number of
+// contiguous blocks (kReductionBlocks, independent of the thread count) and
+// combine per-block partials in block order, so every result is a pure
+// function of the operator and the input vector — bitwise identical
 // whether the blocks run on 1, 2, or 16 threads. Blocks are claimed
-// dynamically from the pool, which load-balances rows of uneven degree.
+// dynamically from the pool, which load-balances rows of uneven degree. A
+// RowRangeOperator evaluates each block's rows in one call.
 //
-// Serial Gauss-Seidel additionally has a raw-CSR fast path
-// (gauss_seidel_sweeps on a QtCsrView) that pipelines several sweeps in a
-// wavefront: T sweeps are in flight at once, sweep s+t trailing sweep
-// s+t-1 by a row distance D > the matrix bandwidth, so every read sees
-// exactly the value a sequential sweep sequence would — the iterates are
-// bitwise identical to T back-to-back seed sweeps, but the per-row
-// dependency chain (accumulate -> divide, the serial solver's actual
-// bottleneck; the kernel is latency-bound, not bandwidth-bound) overlaps
-// across the T in-flight sweeps. Measured on the Fig. 10 M=10 chain
-// (126k states, bandwidth 1254): ~2x per sweep over the sequential loop.
+// The raw-CSR kernels at the end are QtMatrix's PipelinedSweepOperator
+// pass, the reference the GPRS stencil (core::GprsGenerator) is checked
+// against: T sweeps in flight at once, sweep s+t trailing sweep s+t-1 by
+// a row distance D > the matrix bandwidth, so every read sees exactly the
+// value a sequential sweep sequence would — bitwise identical to T
+// back-to-back sweeps, while the per-row accumulate -> divide chains (the
+// serial solver's actual bottleneck) of the T sweeps overlap.
 #pragma once
 
 #include <algorithm>
@@ -137,12 +136,16 @@ double scaled_residual(const Op& op, std::span<const double> x, double uniformiz
     exec.for_each_block([&](int b) {
         const BlockRange r = reduction_block(n, b);
         double worst = 0.0;
-        for (index_type i = r.begin; i < r.end; ++i) {
-            double acc = op.diagonal(i) * x[static_cast<std::size_t>(i)];
-            op.for_each_incoming(i, [&](index_type j, double rate) {
-                acc += rate * x[static_cast<std::size_t>(j)];
-            });
-            worst = std::max(worst, std::fabs(acc));
+        if constexpr (RowRangeOperator<Op>) {
+            worst = op.max_residual(x.data(), r.begin, r.end);
+        } else {
+            for (index_type i = r.begin; i < r.end; ++i) {
+                double acc = op.diagonal(i) * x[static_cast<std::size_t>(i)];
+                op.for_each_incoming(i, [&](index_type j, double rate) {
+                    acc += rate * x[static_cast<std::size_t>(j)];
+                });
+                worst = std::max(worst, std::fabs(acc));
+            }
         }
         partial[static_cast<std::size_t>(b)] = worst;
     });
@@ -214,17 +217,21 @@ void red_black_sweep(const Op& op, std::span<double> x, std::span<double> scratc
         exec.for_each_block([&](int b) {
             const BlockRange r = reduction_block(n, b);
             index_type i = r.begin + ((r.begin & 1) == color ? 0 : 1);
-            for (; i < r.end; i += 2) {
-                const double d = op.diagonal(i);
-                if (d == 0.0) {
-                    scratch[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
-                    continue;
+            if constexpr (RowRangeOperator<Op>) {
+                op.update_rows(x.data(), scratch.data(), i, r.end, 2);
+            } else {
+                for (; i < r.end; i += 2) {
+                    const double d = op.diagonal(i);
+                    if (d == 0.0) {
+                        scratch[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
+                        continue;
+                    }
+                    double acc = 0.0;
+                    op.for_each_incoming(i, [&](index_type j, double rate) {
+                        acc += rate * x[static_cast<std::size_t>(j)];
+                    });
+                    scratch[static_cast<std::size_t>(i)] = acc / -d;
                 }
-                double acc = 0.0;
-                op.for_each_incoming(i, [&](index_type j, double rate) {
-                    acc += rate * x[static_cast<std::size_t>(j)];
-                });
-                scratch[static_cast<std::size_t>(i)] = acc / -d;
             }
         });
         exec.for_each_block([&](int b) {

@@ -1,14 +1,15 @@
 // Solver vocabulary shared by every layer of the steady-state stack: the
-// transposed-generator operator concept, the explicit CSR operator, and the
+// transposed-generator operator concepts, the explicit CSR operator, and the
 // option/result structs consumed by SolverEngine (see engine.hpp).
 //
 // All solvers compute the stationary distribution pi of an irreducible CTMC
 // with generator Q, i.e. the solution of  pi * Q = 0,  sum(pi) = 1.
 // They operate on the *transposed* generator: a type modelling the
 // QtOperatorConcept below exposes, for every state i, the diagonal Q_ii and
-// the incoming transition rates Q_ji (j != i). This works both for an
-// explicitly stored CSR matrix (QtMatrix) and for matrix-free operators that
-// enumerate transitions on the fly (used when the chain does not fit in RAM).
+// the incoming transition rates Q_ji (j != i). An operator that also brings
+// its own pipelined Gauss-Seidel pass (PipelinedSweepOperator) gets the
+// engine's serial fast path: the explicit CSR matrix (QtMatrix) and the GPRS
+// chain's stencil (core::GprsGenerator) both do.
 #pragma once
 
 #include <cstddef>
@@ -40,6 +41,34 @@ concept QtOperatorConcept = requires(const Op& op, index_type i) {
     op.for_each_incoming(i, [](index_type, double) {});
 };
 
+/// An operator with its own serial Gauss-Seidel pass, which the engine
+/// runs instead of one-sweep-at-a-time kernels. gauss_seidel_sweeps runs
+/// `count` forward sweeps (returning the final iterate's left-to-right sum
+/// when want_sum, else 0); fused_normalize_residual divides x by `sum` and
+/// returns max_i |(x Q)_i| / lambda. Both are bitwise equal to the generic
+/// kernels they replace.
+template <typename Op>
+concept PipelinedSweepOperator =
+    QtOperatorConcept<Op> &&
+    requires(const Op& op, double* x, index_type count, bool want_sum, double sum) {
+        { op.gauss_seidel_sweeps(x, count, want_sum) } -> std::convertible_to<double>;
+        { op.fused_normalize_residual(x, sum, sum) } -> std::convertible_to<double>;
+    };
+
+/// An operator that evaluates a range of rows at once for the blocked
+/// kernels: update_rows(x, out, begin, end, stride) sets out[i] to the
+/// Gauss-Seidel value of row i from x (red-black's color phase) for
+/// i = begin, begin + stride, ... < end, and max_residual(x, begin, end)
+/// returns max |(x Q)_i| over [begin, end). Both add the products in
+/// for_each_incoming's order, so they are bitwise equal to the row loops.
+template <typename Op>
+concept RowRangeOperator =
+    QtOperatorConcept<Op> &&
+    requires(const Op& op, const double* x, double* out, index_type i) {
+        op.update_rows(x, out, i, i, i);
+        { op.max_residual(x, i, i) } -> std::convertible_to<double>;
+    };
+
 /// Transposed generator stored explicitly: off-diagonal CSR + diagonal array.
 class QtMatrix {
 public:
@@ -64,12 +93,13 @@ public:
         }
     }
 
+    /// PipelinedSweepOperator over the raw-CSR kernels (engine.cpp).
+    double gauss_seidel_sweeps(double* x, index_type count, bool want_sum) const;
+    double fused_normalize_residual(double* x, double sum, double uniformization_rate) const;
+
     const SparseMatrix& off_diagonal() const { return off_diag_; }
     /// Contiguous diagonal array (size() entries) for the raw sweep kernels.
     const double* diagonal_data() const { return diag_.data(); }
-    std::size_t memory_bytes() const {
-        return off_diag_.memory_bytes() + diag_.capacity() * sizeof(double);
-    }
 
 private:
     SparseMatrix off_diag_;  // entry (i, j) = Q_ji, i != j
@@ -168,16 +198,6 @@ struct SolveOptions {
     /// SolveResult::residual_evaluations (and the progress callback
     /// cadence) changes. Disable to force a residual at every interval.
     bool adaptive_checks = true;
-    /// Row ordering applied to the solve (order[new] = old; empty = keep
-    /// the operator's ordering). Only supported for explicit QtMatrix
-    /// operators: the engine permutes the matrix and the initial vectors,
-    /// sweeps the reordered system, and inverse-applies the permutation to
-    /// the returned distribution, so callers never see internal indices.
-    /// An identity permutation is detected and skipped (the GPRS
-    /// generator's QBD level grouping — core::qbd_level_ordering — is the
-    /// identity because the state codec already stores the buffer level
-    /// outermost).
-    std::vector<index_type> permutation;
     /// Execution width. 1 (default) runs serially; 0 means "all hardware
     /// threads". red_black_gauss_seidel results are bitwise identical for
     /// every thread count; plain gauss_seidel is inherently sequential and

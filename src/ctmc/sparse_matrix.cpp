@@ -205,56 +205,4 @@ SparseMatrix SparseMatrix::transpose() const {
     return from_triplets(cols_, rows_, std::move(triplets));
 }
 
-SparseMatrix SparseMatrix::permuted(std::span<const index_type> order) const {
-    if (rows_ != cols_) {
-        throw std::invalid_argument("SparseMatrix::permuted: matrix must be square");
-    }
-    if (static_cast<index_type>(order.size()) != rows_) {
-        throw std::invalid_argument("SparseMatrix::permuted: permutation size mismatch");
-    }
-    // inverse[old] = new, validating that `order` is a bijection.
-    std::vector<index_type> inverse(static_cast<std::size_t>(rows_), -1);
-    for (index_type p = 0; p < rows_; ++p) {
-        const index_type old = order[static_cast<std::size_t>(p)];
-        if (old < 0 || old >= rows_ || inverse[static_cast<std::size_t>(old)] != -1) {
-            throw std::invalid_argument(
-                "SparseMatrix::permuted: order is not a permutation of [0, rows)");
-        }
-        inverse[static_cast<std::size_t>(old)] = p;
-    }
-
-    std::vector<index_type> row_ptr;
-    row_ptr.reserve(static_cast<std::size_t>(rows_) + 1);
-    std::vector<col_type> cols;
-    cols.reserve(values_.size());
-    std::vector<double> values;
-    values.reserve(values_.size());
-    std::vector<std::pair<col_type, double>> row;
-    row_ptr.push_back(0);
-    for (index_type p = 0; p < rows_; ++p) {
-        const index_type old = order[static_cast<std::size_t>(p)];
-        const auto old_cols = row_cols(old);
-        const auto old_values = row_values(old);
-        row.clear();
-        for (std::size_t e = 0; e < old_cols.size(); ++e) {
-            row.emplace_back(
-                static_cast<col_type>(inverse[static_cast<std::size_t>(old_cols[e])]),
-                old_values[e]);
-        }
-        std::sort(row.begin(), row.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-        for (const auto& [c, v] : row) {
-            cols.push_back(c);
-            values.push_back(v);
-        }
-        row_ptr.push_back(static_cast<index_type>(cols.size()));
-    }
-    return from_csr(rows_, cols_, std::move(row_ptr), std::move(cols), std::move(values));
-}
-
-std::size_t SparseMatrix::memory_bytes() const {
-    return row_ptr_.capacity() * sizeof(index_type) +
-           cols_idx_.capacity() * sizeof(col_type) + values_.capacity() * sizeof(double);
-}
-
 }  // namespace gprsim::ctmc

@@ -87,15 +87,6 @@ public:
 
     SparseMatrix transpose() const;
 
-    /// The matrix reindexed by `order` (order[new] = old, a permutation of
-    /// [0, rows)): result(i, j) = (*this)(order[i], order[j]). Requires a
-    /// square matrix; columns are remapped through the inverse permutation
-    /// and re-sorted per row. Used by the solver's QBD row-ordering path.
-    SparseMatrix permuted(std::span<const index_type> order) const;
-
-    /// Approximate heap footprint, used to pick CSR vs matrix-free solves.
-    std::size_t memory_bytes() const;
-
 private:
     void compute_bandwidth();
 

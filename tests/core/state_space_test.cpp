@@ -63,29 +63,6 @@ TEST(StateSpace, DegenerateDimensionsWork) {
     EXPECT_EQ(space.state_of(space.index_of(s)), s);
 }
 
-TEST(StateSpace, QbdLevelOrderingIsIdentityForTheNaturalCodec) {
-    // The codec already enumerates states with the buffer level as the
-    // outermost (slowest) digit, so the QBD level ordering the model layer
-    // requests degenerates to the identity — stable_sort on the buffer
-    // level must not move anything. The solver engine detects this and
-    // skips the reindexing entirely; this test pins the convention so a
-    // future codec change surfaces as a failure here instead of a silent
-    // permutation cost.
-    const StateSpace space(4, 3, 5);
-    const std::vector<common::index_type> order = qbd_level_ordering(space);
-    ASSERT_EQ(order.size(), static_cast<std::size_t>(space.size()));
-    for (std::size_t p = 0; p < order.size(); ++p) {
-        EXPECT_EQ(order[p], static_cast<common::index_type>(p));
-    }
-    // And the levels really are contiguous under that order.
-    common::index_type previous_level = 0;
-    for (common::index_type i = 0; i < space.size(); ++i) {
-        const common::index_type level = space.state_of(i).buffer;
-        EXPECT_GE(level, previous_level);
-        previous_level = level;
-    }
-}
-
 TEST(StateSpace, RejectsNegativeDimensions) {
     EXPECT_THROW(StateSpace(-1, 2, 2), std::invalid_argument);
     EXPECT_THROW(StateSpace(2, -1, 2), std::invalid_argument);
