@@ -3,7 +3,6 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -191,42 +190,17 @@ GprsGenerator::BlockRates GprsGenerator::block_rates(index_type k, index_type n)
 }
 
 double GprsGenerator::gauss_seidel_sweeps(double* x, index_type count, bool want_sum) const {
-    double sum = 0.0;
-    double* const tail_sum = want_sum ? &sum : nullptr;
-    for (index_type left = count; left > 0;) {
-        if (left >= 4) {
-            Kernel::wavefront_pass<4>(*this, x, left == 4 ? tail_sum : nullptr);
-            left -= 4;
-        } else if (left >= 2) {
-            Kernel::wavefront_pass<2>(*this, x, left == 2 ? tail_sum : nullptr);
-            left -= 2;
-        } else {
-            Kernel::wavefront_pass<1>(*this, x, tail_sum);
-            left -= 1;
-        }
-    }
-    return sum;
+    return ctmc::detail::grouped_sweeps(count, want_sum, true, [&](auto group, double* sum) {
+        Kernel::wavefront_pass<decltype(group)::value>(*this, x, sum);
+    });
 }
 
 double GprsGenerator::fused_normalize_residual(double* x, double sum,
                                                double uniformization_rate) const {
-    if (sum <= 0.0) {
-        throw std::runtime_error("steady-state solve collapsed to the zero vector");
-    }
-    // Level k is divided before the residual of level k - 1, the last
-    // level whose rows read it.
-    double worst = 0.0;
-    for (index_type k = 0; k <= space_.buffer_capacity() + 1; ++k) {
-        if (k <= space_.buffer_capacity()) {
-            for (index_type i = k * level_; i < (k + 1) * level_; ++i) {
-                x[i] /= sum;
-            }
-        }
-        if (k > 0) {
-            worst = std::max(worst, max_residual(x, (k - 1) * level_, k * level_));
-        }
-    }
-    return worst / uniformization_rate;
+    // A row reads at most one level ahead of itself.
+    return ctmc::detail::lagged_normalize_residual(
+        x, size(), level_, sum, uniformization_rate,
+        [&](index_type begin, index_type end) { return max_residual(x, begin, end); });
 }
 
 void GprsGenerator::update_rows(const double* x, double* out, index_type begin, index_type end,

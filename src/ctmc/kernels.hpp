@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -244,6 +245,56 @@ void red_black_sweep(const Op& op, std::span<double> x, std::span<double> scratc
     }
 }
 
+// --- pipelined passes, shared by the raw-CSR kernels and the GPRS stencil --
+
+/// Runs `count` forward sweeps as wavefront groups of 4, then 2, then 1
+/// (only 1 when !pipeline): pass(group, sum) runs group() sweeps, a
+/// std::integral_constant, adding the last one's rows to *sum in index
+/// order when sum is non-null. Returns that sum for the final sweep when
+/// want_sum, otherwise 0.
+template <typename Pass>
+double grouped_sweeps(index_type count, bool want_sum, bool pipeline, Pass&& pass) {
+    double sum = 0.0;
+    double* const tail_sum = want_sum ? &sum : nullptr;
+    for (index_type left = count; left > 0;) {
+        if (pipeline && left >= 4) {
+            pass(std::integral_constant<int, 4>{}, left == 4 ? tail_sum : nullptr);
+            left -= 4;
+        } else if (pipeline && left >= 2) {
+            pass(std::integral_constant<int, 2>{}, left == 2 ? tail_sum : nullptr);
+            left -= 2;
+        } else {
+            pass(std::integral_constant<int, 1>{}, left == 1 ? tail_sum : nullptr);
+            left -= 1;
+        }
+    }
+    return sum;
+}
+
+/// Divides x[0, n) by `sum` and returns max_i |(x Q)_i| / uniformization_rate
+/// in one pass: the division runs a chunk of `lag` rows ahead of
+/// max_residual(begin, end), so when no row reads more than `lag` rows
+/// ahead of itself every residual row reads divided entries only. Bitwise
+/// equal to normalize's division followed by scaled_residual (max combines
+/// exactly). Throws like normalize when `sum` is not positive.
+template <typename MaxResidual>
+double lagged_normalize_residual(double* x, index_type n, index_type lag, double sum,
+                                 double uniformization_rate, MaxResidual&& max_residual) {
+    if (sum <= 0.0) {
+        throw std::runtime_error("steady-state solve collapsed to the zero vector");
+    }
+    double worst = 0.0;
+    for (index_type begin = 0; begin < n + lag; begin += lag) {
+        for (index_type i = begin; i < std::min(begin + lag, n); ++i) {
+            x[i] /= sum;
+        }
+        if (begin > 0) {
+            worst = std::max(worst, max_residual(begin - lag, std::min(begin, n)));
+        }
+    }
+    return worst / uniformization_rate;
+}
+
 // --- raw-CSR serial Gauss-Seidel fast path ------------------------------
 
 /// Borrowed contiguous view of a QtMatrix: off-diagonal CSR arrays plus the
@@ -344,57 +395,32 @@ void gs_wavefront_pass(const QtCsrView& m, double* x, index_type D, double* fina
 /// contribute their unchanged value); otherwise returns 0.
 inline double gauss_seidel_sweeps(const QtCsrView& m, double* x, index_type count,
                                   bool accumulate_final_sum) {
-    double sum = 0.0;
-    double* const tail_sum = accumulate_final_sum ? &sum : nullptr;
     const index_type D = m.bandwidth + 8;  // > bandwidth: safe wavefront gap
     // Pipelining pays off only when the steady state dominates; tiny chains
     // (or near-dense bandwidth) run the plain sequential schedule (T == 1).
-    const bool pipeline = count > 1 && 8 * D < m.n;
-    index_type left = count;
-    while (left > 0) {
-        if (pipeline && left >= 4) {
-            gs_wavefront_pass<4>(m, x, D, left == 4 ? tail_sum : nullptr);
-            left -= 4;
-        } else if (pipeline && left >= 2) {
-            gs_wavefront_pass<2>(m, x, D, left == 2 ? tail_sum : nullptr);
-            left -= 2;
-        } else {
-            gs_wavefront_pass<1>(m, x, D, left == 1 ? tail_sum : nullptr);
-            left -= 1;
-        }
-    }
-    return sum;
+    return grouped_sweeps(count, accumulate_final_sum, 8 * D < m.n,
+                          [&](auto group, double* sum) {
+                              gs_wavefront_pass<decltype(group)::value>(m, x, D, sum);
+                          });
 }
 
-/// Divides x by `sum` and evaluates the scaled residual in one pass, the
-/// division running D > bandwidth rows ahead of the residual accumulation
-/// so every residual row reads only fully normalized entries. Bitwise
-/// identical to the divide loop of detail::normalize followed by
-/// scaled_residual (max combines exactly, so fusing cannot change it).
-/// Throws like normalize when the sweep collapsed to a non-positive sum.
+/// fused_normalize_residual on the raw view: a row reads at most the
+/// bandwidth ahead of itself.
 inline double fused_normalize_residual(const QtCsrView& m, double* x, double sum,
                                        double uniformization_rate) {
-    if (sum <= 0.0) {
-        throw std::runtime_error("steady-state solve collapsed to the zero vector");
-    }
-    const index_type n = m.n;
-    const index_type D = m.bandwidth + 1;
-    double worst = 0.0;
-    for (index_type lead = 0; lead < n + D; ++lead) {
-        if (lead < n) {
-            x[lead] /= sum;
-        }
-        const index_type i = lead - D;
-        if (i >= 0) {
-            double acc = m.diag[i] * x[i];
-            const index_type end = m.row_ptr[i + 1];
-            for (index_type p = m.row_ptr[i]; p < end; ++p) {
-                acc += m.vals[p] * x[m.cols[p]];
+    return lagged_normalize_residual(
+        x, m.n, m.bandwidth + 1, sum, uniformization_rate,
+        [&](index_type begin, index_type end) {
+            double worst = 0.0;
+            for (index_type i = begin; i < end; ++i) {
+                double acc = m.diag[i] * x[i];
+                for (index_type p = m.row_ptr[i]; p < m.row_ptr[i + 1]; ++p) {
+                    acc += m.vals[p] * x[m.cols[p]];
+                }
+                worst = std::max(worst, std::fabs(acc));
             }
-            worst = std::max(worst, std::fabs(acc));
-        }
-    }
-    return worst / uniformization_rate;
+            return worst;
+        });
 }
 
 }  // namespace detail
