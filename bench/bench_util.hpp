@@ -150,8 +150,8 @@ inline bool write_json_records(const std::string& path,
 }
 
 /// One machine-readable solver perf record. Two kinds share the struct:
-/// chain-solve records (dispatch empty; method is the iteration scheme the
-/// engine ran, or "auto" for a cost-model-selected solve) and campaign
+/// chain-solve records (dispatch empty; method names the scheme and the
+/// operator it swept, e.g. "gauss_seidel_stencil") and campaign
 /// records (dispatch = "batched"; these time a whole campaign run, not a
 /// solver method, and are keyed accordingly in the JSON so tooling never
 /// mistakes a campaign for an iteration scheme).

@@ -1,23 +1,22 @@
 // Solver microbench backing the paper's methodological claim (Section 1):
 // "sensitive performance measures can be computed on a modern PC within few
-// minutes of CPU solution time" — and, since the parallel-engine refactor,
-// measuring how far the thread-sharded kernels push that claim.
+// minutes of CPU solution time" — and how far idle threads push that claim.
 //
-// For each case the harness solves the chain once with the serial seed path
-// (Gauss-Seidel on the CSR matrix, num_threads = 1) as the baseline, once
-// through the auto cost model on the generator's stencil, the operator
-// campaigns run (at one thread it must reproduce the baseline bitwise —
-// the record doubles as a dispatch and stencil check, and its speedup is
-// the stencil's over the CSR), then with red-black Gauss-Seidel on the CSR
-// across thread counts, reporting wall time, speedup, and the max-norm
-// distance of each distribution from the serial baseline.
+// For each case the harness solves the chain once with Gauss-Seidel on the
+// CSR matrix (to_qt_matrix(), the reference operator, one thread) as the
+// baseline, then with Gauss-Seidel on the generator's stencil, the
+// operator campaigns run, across thread counts: at one thread the solve
+// runs alone, wider it runs its sweep groups as a team on the engine's
+// pool. Every stencil run must reproduce the baseline bitwise (maxdiff 0 —
+// the record doubles as a stencil and team check), so its speedup is the
+// stencil's and the team's over the CSR.
 // Records land in BENCH_solver.json (--json=PATH to override) so later PRs
 // can diff the perf trajectory.
 //
 //   micro_solver [--full] [--m=N] [--threads=N] [--json=PATH] [--no-campaign]
 //
 // --threads caps the widest configuration measured: the ladder is
-// {1, 2, 4, ..., cap}, so --threads=1 runs just the serial baseline and
+// {1, 2, 4, ..., cap}, so --threads=1 runs just the serial solves and
 // --threads=0 ladders up to every hardware thread; with no flag the cap is
 // min(8, 2 x hardware threads). The quick default solves M = 10 (~130k
 // states, finishes in seconds); --full solves the Fig. 10 mid-size
@@ -103,73 +102,38 @@ int main(int argc, char** argv) try {
                 static_cast<long long>(qt.off_diagonal().nonzeros()),
                 build_timer.seconds());
 
-    // No prewarm: the pool spawns on the first parallel solve, so the
-    // serial baseline (and the auto record below) are never timed against
-    // spinning pool workers — on a 1-core CI box that contention inflates
-    // the serial wall time by ~25%.
+    // No prewarm: the pool spawns on the first wide solve, so the serial
+    // solves are never timed against spinning pool workers — on a 1-core
+    // CI box that contention inflates the serial wall time by ~25%.
     ctmc::SolverEngine engine;
     bench::BenchJsonWriter json;
     const std::string case_name =
         "fig10_M" + std::to_string(m_sessions);
 
     ctmc::SolveOptions base;
-    // 1e-14 on the scaled residual keeps the per-method distributions
-    // within 1e-10 max-norm of each other (the residual-to-error
-    // amplification on this chain is ~4e3).
+    // 1e-14 on the scaled residual: the tolerance every record of the
+    // trajectory has used.
     base.tolerance = 1e-14;
     base.initial = initial;
+    const auto record = [&](const char* method, int threads, const ctmc::SolveResult& r) {
+        json.add({.name = case_name,
+                  .states = static_cast<long long>(qt.size()),
+                  .method = method,
+                  .threads = threads,
+                  .seconds = r.seconds,
+                  .iterations = static_cast<long long>(r.iterations),
+                  .residual = r.residual,
+                  .residual_evaluations = static_cast<long long>(r.residual_evaluations)});
+    };
 
-    // Serial seed path: the baseline every other run is compared against.
-    ctmc::SolveOptions serial = base;
-    serial.method = ctmc::SolveMethod::gauss_seidel;
-    serial.num_threads = 1;
-    const ctmc::SolveResult baseline = engine.solve(qt, serial);
+    // Gauss-Seidel on the CSR reference: the baseline every other run is
+    // compared against.
+    const ctmc::SolveResult baseline = engine.solve(qt, base);
     std::printf("\n%-26s %7s %9s %10s %12s %12s\n", "method", "threads", "sweeps",
                 "seconds", "speedup", "maxdiff");
-    std::printf("%-26s %7d %9lld %10.3f %12s %12s\n",
-                ctmc::method_name(baseline.method_used), baseline.threads_used,
-                static_cast<long long>(baseline.iterations), baseline.seconds, "1.00x",
-                "-");
-    json.add({.name = case_name,
-              .states = static_cast<long long>(qt.size()),
-              .method = ctmc::method_name(baseline.method_used),
-              .threads = baseline.threads_used,
-              .seconds = baseline.seconds,
-              .iterations = static_cast<long long>(baseline.iterations),
-              .residual = baseline.residual,
-              .residual_evaluations =
-                  static_cast<long long>(baseline.residual_evaluations)});
-
-    // Cost-model record: same point solved with method = auto on the
-    // stencil. At one thread the model must pick the serial Gauss-Seidel
-    // path, and the stencil sweeps the CSR's arithmetic, making this run
-    // bitwise identical to the baseline — any maxdiff is a bug.
-    ctmc::SolveOptions auto_opts = base;
-    auto_opts.method = ctmc::SolveMethod::auto_select;
-    auto_opts.num_threads = 1;
-    const ctmc::SolveResult auto_run = engine.solve(generator, auto_opts);
-    const double auto_diff =
-        max_norm_distance(auto_run.distribution, baseline.distribution);
-    std::printf("%-26s %7d %9lld %10.3f %11.2fx %12.2e\n", "auto",
-                auto_run.threads_used, static_cast<long long>(auto_run.iterations),
-                auto_run.seconds, baseline.seconds / auto_run.seconds, auto_diff);
-    std::printf("  auto -> %s (%s)\n", ctmc::method_name(auto_run.method_used),
-                auto_run.reason.c_str());
-    if (auto_diff != 0.0) {
-        std::fprintf(stderr,
-                     "WARNING: auto @ 1 thread must be bitwise identical to the serial "
-                     "baseline (maxdiff %.2e)\n",
-                     auto_diff);
-    }
-    json.add({.name = case_name,
-              .states = static_cast<long long>(qt.size()),
-              .method = "auto",
-              .threads = auto_run.threads_used,
-              .seconds = auto_run.seconds,
-              .iterations = static_cast<long long>(auto_run.iterations),
-              .residual = auto_run.residual,
-              .residual_evaluations =
-                  static_cast<long long>(auto_run.residual_evaluations)});
+    std::printf("%-26s %7d %9lld %10.3f %12s %12s\n", "gauss_seidel (CSR)", 1,
+                static_cast<long long>(baseline.iterations), baseline.seconds, "1.00x", "-");
+    record("gauss_seidel", 1, baseline);
 
     std::vector<int> ladder;
     for (int t = 1; t <= max_threads; t *= 2) {
@@ -181,27 +145,18 @@ int main(int argc, char** argv) try {
 
     for (int threads : ladder) {
         ctmc::SolveOptions options = base;
-        options.method = ctmc::SolveMethod::red_black_gauss_seidel;
         options.num_threads = threads;
-        const ctmc::SolveResult r = engine.solve(qt, options);
+        const ctmc::SolveResult r = engine.solve(generator, options);
         const double diff = max_norm_distance(r.distribution, baseline.distribution);
-        std::printf("%-26s %7d %9lld %10.3f %11.2fx %12.2e\n",
-                    ctmc::method_name(r.method_used), r.threads_used,
-                    static_cast<long long>(r.iterations), r.seconds,
+        std::printf("%-26s %7d %9lld %10.3f %11.2fx %12.2e\n", "gauss_seidel_stencil",
+                    threads, static_cast<long long>(r.iterations), r.seconds,
                     baseline.seconds / r.seconds, diff);
-        json.add({.name = case_name,
-                  .states = static_cast<long long>(qt.size()),
-                  .method = ctmc::method_name(r.method_used),
-                  .threads = r.threads_used,
-                  .seconds = r.seconds,
-                  .iterations = static_cast<long long>(r.iterations),
-                  .residual = r.residual,
-                  .residual_evaluations = static_cast<long long>(r.residual_evaluations)});
-        if (diff > 1e-10) {
+        record("gauss_seidel_stencil", threads, r);
+        if (diff != 0.0) {
             std::fprintf(stderr,
-                         "WARNING: %s @ %d threads drifted %.2e from the serial "
-                         "baseline (budget 1e-10)\n",
-                         ctmc::method_name(r.method_used), threads, diff);
+                         "WARNING: the stencil at %d threads must be bitwise identical to "
+                         "the CSR baseline (maxdiff %.2e)\n",
+                         threads, diff);
         }
     }
 

@@ -52,9 +52,6 @@
 // campaign:
 //   --threads=<n>         task-sharding width (output is identical at any)
 //   --replications=<n>    override the spec's replication count
-//   --solver-method=<m>   override the spec's chain-solve iteration scheme
-//                         (gauss_seidel, red_black_gauss_seidel, or auto
-//                         for the engine's cost model)
 //   --csv=<path>          write one row per (point, backend) as CSV
 //   --out=<path>          write the rows + summary as JSON
 //   --quiet               suppress per-point progress on stderr
@@ -134,8 +131,9 @@ int cmd_analyze(int argc, char** argv) {
     core::GprsModel model(parameters_from_flags(argc, argv));
     ctmc::SolveOptions options;
     options.tolerance = 1e-9;
-    // --threads=N runs the red-black parallel engine; 1 keeps the serial
-    // seed path, 0 uses every hardware thread.
+    // --threads=N lets up to N threads run the solve's sweep groups as a
+    // team (0 = every hardware thread); the measures are bitwise those of
+    // --threads=1.
     options.num_threads = static_cast<int>(flag(argc, argv, "threads", 1));
     const auto& solve = model.solve(options);
     const core::Measures m = model.measures();
@@ -319,7 +317,6 @@ int cmd_campaign(int argc, char** argv) {
 
     campaign::CampaignOptions options;
     options.num_threads = static_cast<int>(flag(argc, argv, "threads", 1));
-    options.solver_method_override = string_flag(argc, argv, "solver-method");
     if (!has_flag(argc, argv, "quiet")) {
         options.solve_progress = [](std::size_t flat, const eval::PointEvaluation& e) {
             if (e.has_confidence) {

@@ -8,13 +8,9 @@
 
 namespace gprsim::campaign {
 
-CampaignWorkload build_campaign_workload(const ScenarioSpec& spec,
-                                         const CampaignOptions& options) {
+CampaignWorkload build_campaign_workload(const ScenarioSpec& spec) {
     CampaignWorkload workload;
     workload.effective = spec;
-    if (!options.solver_method_override.empty()) {
-        workload.effective.solver.method = options.solver_method_override;
-    }
     workload.variants = workload.effective.expand();  // validates the spec
 
     // One ScenarioQuery per variant; every backend reads the knob block it
@@ -121,7 +117,7 @@ common::Result<CampaignResult> assemble_campaign(
 
 CampaignResult CampaignRunner::run(const ScenarioSpec& spec, const CampaignOptions& options) {
     const auto t0 = std::chrono::steady_clock::now();
-    CampaignWorkload workload = build_campaign_workload(spec, options);
+    CampaignWorkload workload = build_campaign_workload(spec);
 
     const int width = common::ThreadPool::resolve_thread_count(options.num_threads);
     eval::GridOptions grid;
@@ -151,6 +147,7 @@ CampaignResult CampaignRunner::run(const ScenarioSpec& spec, const CampaignOptio
     CampaignResult result = assembled.take();
     result.summary.batch_waves = evaluation.stats.waves;
     result.summary.batch_tasks = evaluation.stats.tasks;
+    result.summary.batch_helped_groups = evaluation.stats.helped_groups;
     result.summary.threads = width;
     result.summary.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

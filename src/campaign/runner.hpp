@@ -54,11 +54,6 @@ struct CampaignOptions {
     /// Execution width for sharding tasks across the engine's pool:
     /// 0 = all hardware threads, <= 1 = serial. Never changes any output.
     int num_threads = 1;
-    /// Non-empty: overrides ScenarioSpec::solver.method for every chain
-    /// solve of the run (canonical ctmc::method_name spelling, or "auto").
-    /// The A/B knob behind the CLI's --solver-method flag; an unknown
-    /// spelling surfaces as each point's invalid_query error.
-    std::string solver_method_override;
     /// Called as backends finish points (under a lock, NOT in point order):
     /// flat point index v * rates.size() + r and the finished evaluation.
     std::function<void(std::size_t, const eval::PointEvaluation&)> solve_progress;
@@ -89,6 +84,8 @@ struct CampaignSummary {
     /// Merged task set: tasks executed and the waves they ran in.
     std::size_t batch_tasks = 0;
     std::size_t batch_waves = 0;
+    /// Chain-solve sweep groups that idle seats ran (timing-dependent).
+    std::size_t batch_helped_groups = 0;
     double wall_seconds = 0.0;
     int threads = 1;
 };
@@ -108,8 +105,8 @@ struct CampaignResult {
     }
 };
 
-/// The expanded, execution-ready form of a spec: the effective spec (with
-/// the CampaignOptions overrides folded in), its materialized variants, and
+/// The expanded, execution-ready form of a spec: the effective spec, its
+/// materialized variants, and
 /// one ScenarioQuery per variant. This is the shared front half of every
 /// campaign execution path — CampaignRunner::run and the evaluation
 /// service (src/service/) both build the same workload, so a service
@@ -129,10 +126,9 @@ struct CampaignWorkload {
     }
 };
 
-/// Applies solver_method_override and expands the spec.
-/// Throws SpecError on an invalid spec (same contract as expand()).
-CampaignWorkload build_campaign_workload(const ScenarioSpec& spec,
-                                         const CampaignOptions& options = {});
+/// Expands the spec. Throws SpecError on an invalid spec (same contract as
+/// expand()).
+CampaignWorkload build_campaign_workload(const ScenarioSpec& spec);
 
 /// Assembles per-(backend, variant) grid outcomes — outcomes[b][v] in
 /// workload.effective.methods x workload.variants order — into a finished

@@ -309,8 +309,13 @@ void print_campaign_summary(const CampaignResult& result, std::FILE* out) {
         std::fprintf(out, "\n");
     }
     if (s.batch_waves > 0) {
-        std::fprintf(out, "  task set: %zu tasks in %zu merged waves\n", s.batch_tasks,
+        std::fprintf(out, "  task set: %zu tasks in %zu merged waves", s.batch_tasks,
                      s.batch_waves);
+        if (s.batch_helped_groups > 0) {
+            std::fprintf(out, ", %zu sweep groups run by helper seats",
+                         s.batch_helped_groups);
+        }
+        std::fprintf(out, "\n");
     }
     std::fprintf(out, "  wall %.2f s on %d thread%s\n", s.wall_seconds, s.threads,
                  s.threads == 1 ? "" : "s");

@@ -112,13 +112,4 @@ void ThreadPool::run(int num_tasks, const std::function<void(int)>& task, int ma
     }
 }
 
-void ThreadPool::run_tasks(std::span<const std::function<void()>> tasks, int max_width) {
-    if (tasks.empty()) {
-        return;
-    }
-    run(
-        static_cast<int>(tasks.size()),
-        [&tasks](int t) { tasks[static_cast<std::size_t>(t)](); }, max_width);
-}
-
 }  // namespace gprsim::common

@@ -1,9 +1,9 @@
 // Reusable fixed-size worker pool for fork-join parallelism, shared by the
-// CTMC solver engine (row ranges of an operator) and the simulation
-// experiment engine (independent replications). The pool is created once
-// (thread spawn is ~100us per worker) and reused across sweeps, residual
-// evaluations, whole solves, and replication batches, so the per-dispatch
-// overhead is two mutex handshakes.
+// campaign executor and the CTMC solver engine (whose seats run a crew,
+// common/crew.hpp) and the simulation experiment engine (independent
+// replications). The pool is created once (thread spawn is ~100us per
+// worker) and reused across waves, whole solves, and replication batches,
+// so the per-dispatch overhead is two mutex handshakes.
 #pragma once
 
 #include <atomic>
@@ -11,7 +11,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -40,14 +39,6 @@ public:
     /// solve width therefore never over-parallelizes a narrower job.
     /// The first exception thrown by a task is rethrown here.
     void run(int num_tasks, const std::function<void(int)>& task, int max_width = 0);
-
-    /// Heterogeneous counterpart of run(): executes every closure of
-    /// `tasks` exactly once, blocking until all finished. This is the
-    /// dispatch shape of a merged batch wave (eval/batch.hpp), where one
-    /// flat task set mixes chain solves, simulator replications, and
-    /// whole-grid closures of different backends. Same claiming, width,
-    /// and error semantics as run().
-    void run_tasks(std::span<const std::function<void()>> tasks, int max_width = 0);
 
     /// Number of concurrent threads the hardware supports (>= 1).
     static int hardware_threads();

@@ -97,12 +97,20 @@ struct GprsGenerator::Kernel {
     /// sweep's, exactly as in T back-to-back sweeps (gs_wavefront_pass's
     /// argument). The chains at one (n, pair) position share its rates,
     /// and their updates are independent, so they overlap. The group's
-    /// last sweep adds the iterate to *final_sum in index order.
+    /// last sweep adds the iterate to *final_sum in index order. `lane`
+    /// keeps the leading chain the same two levels behind the previous
+    /// group's trailing chain, and publishes how many levels this group's
+    /// trailing chain has finished.
     template <index_type T>
-    static void wavefront_pass(const GprsGenerator& g, double* x, double* final_sum) {
+    static void wavefront_pass(const GprsGenerator& g, double* x, double* final_sum,
+                               const ctmc::detail::GroupLane& lane) {
         static constexpr std::array steps{&sweep<1>, &sweep<2>, &sweep<3>, &sweep<4>};
         const index_type K = g.space_.buffer_capacity();
         for (index_type lead = 0; lead <= K + 2 * (T - 1); ++lead) {
+            if (lead <= K) {
+                lane.wait_for(static_cast<int>(std::min(lead + 2, K + 1)),
+                              static_cast<int>(K + 1));
+            }
             // Chains first..last are at a level lead - 2t within [0, K].
             const index_type first = std::max<index_type>(0, (lead - K + 1) / 2);
             const index_type last = std::min<index_type>(T - 1, lead / 2);
@@ -110,21 +118,23 @@ struct GprsGenerator::Kernel {
                 steps[static_cast<std::size_t>(last - first)](
                     g, x, lead, first, n, last == T - 1 ? final_sum : nullptr);
             }
+            if (lead >= 2 * (T - 1)) {
+                lane.finished(static_cast<int>(lead - 2 * (T - 1) + 1));
+            }
         }
     }
 
-    /// visit(i, pair, gsm, chain) for i = first, first + stride, ... below
-    /// end, decoding one (k, n) block at a time.
+    /// visit(i, pair, gsm, chain) for i in [first, end), decoding one
+    /// (k, n) block at a time.
     template <typename F>
-    static void for_rows(const GprsGenerator& g, index_type first, index_type end,
-                         index_type stride, F&& visit) {
+    static void for_rows(const GprsGenerator& g, index_type first, index_type end, F&& visit) {
         for (index_type i = first; i < end;) {
             const index_type k = i / g.level_;
             const index_type n = (i - k * g.level_) / g.pairs_count_;
             const Chain c = chain(g, k, n);
             const Gsm s = gsm(g, n);
             for (const index_type block_end = std::min(c.at + g.pairs_count_, end);
-                 i < block_end; i += stride) {
+                 i < block_end; ++i) {
                 visit(i, g.pairs_[static_cast<std::size_t>(i - c.at)], s, c);
             }
         }
@@ -189,10 +199,13 @@ GprsGenerator::BlockRates GprsGenerator::block_rates(index_type k, index_type n)
     return b;
 }
 
-double GprsGenerator::gauss_seidel_sweeps(double* x, index_type count, bool want_sum) const {
-    return ctmc::detail::grouped_sweeps(count, want_sum, true, [&](auto group, double* sum) {
-        Kernel::wavefront_pass<decltype(group)::value>(*this, x, sum);
-    });
+double GprsGenerator::gauss_seidel_sweeps(double* x, index_type count, bool want_sum,
+                                          bool team) const {
+    return ctmc::detail::grouped_sweeps(
+        count, want_sum, true, team,
+        [&](auto group, double* sum, const ctmc::detail::GroupLane& lane) {
+            Kernel::wavefront_pass<decltype(group)::value>(*this, x, sum, lane);
+        });
 }
 
 double GprsGenerator::fused_normalize_residual(double* x, double sum,
@@ -203,18 +216,9 @@ double GprsGenerator::fused_normalize_residual(double* x, double sum,
         [&](index_type begin, index_type end) { return max_residual(x, begin, end); });
 }
 
-void GprsGenerator::update_rows(const double* x, double* out, index_type begin, index_type end,
-                                index_type stride) const {
-    Kernel::for_rows(*this, begin, end, stride,
-                     [&](index_type i, const Pair& q, const Kernel::Gsm& s,
-                         const Kernel::Chain& c) {
-                         out[i] = Kernel::add_incoming(0.0, q, s, c, x + i) / -diagonal(i);
-                     });
-}
-
 double GprsGenerator::max_residual(const double* x, index_type begin, index_type end) const {
     double worst = 0.0;
-    Kernel::for_rows(*this, begin, end, 1,
+    Kernel::for_rows(*this, begin, end,
                      [&](index_type i, const Pair& q, const Kernel::Gsm& s,
                          const Kernel::Chain& c) {
                          const double acc =

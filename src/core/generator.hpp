@@ -72,25 +72,26 @@ public:
         }
     }
 
-    // --- ctmc::PipelinedSweepOperator ----------------------------------
-    /// `count` forward Gauss-Seidel sweeps over x, up to four in flight,
-    /// bitwise identical to `count` one-at-a-time sweeps of to_qt_matrix().
-    /// With `want_sum` returns the left-to-right sum of the final iterate,
-    /// otherwise 0.
-    double gauss_seidel_sweeps(double* x, common::index_type count, bool want_sum) const;
+    // --- ctmc::TeamSweepOperator ----------------------------------------
+    /// `count` forward Gauss-Seidel sweeps over x in wavefront groups of up
+    /// to four sweeps, bitwise identical to `count` one-at-a-time sweeps of
+    /// to_qt_matrix(). With `want_sum` returns the left-to-right sum of the
+    /// final iterate, otherwise 0. With `team` the groups are pieces of a
+    /// common::Crew batch that idle threads may claim: group g's leading
+    /// sweep enters buffer level l only once group g - 1's trailing sweep
+    /// has finished levels 0..min(l + 1, K). A row reads only its own
+    /// level and the two next to it, so the leading sweep then reads level
+    /// l + 1 and the unvisited rows of l as sweep g - 1 left them, and
+    /// sweep g - 1, past l + 1, reads l no more.
+    double gauss_seidel_sweeps(double* x, common::index_type count, bool want_sum,
+                               bool team = false) const;
 
     /// Divides x by `sum` and returns max_i |(x Q)_i| / uniformization_rate
     /// in one pass, bitwise equal to normalizing and then evaluating the
     /// scaled residual. Throws when `sum` is not positive.
     double fused_normalize_residual(double* x, double sum, double uniformization_rate) const;
 
-    // --- ctmc::RowRangeOperator ----------------------------------------
-    /// out[i] = (sum_j Q_ji x_j) / -Q_ii for i = begin, begin + stride, ...
-    /// below end.
-    void update_rows(const double* x, double* out, common::index_type begin,
-                     common::index_type end, common::index_type stride) const;
-
-    /// max_i |(x Q)_i| over [begin, end).
+    /// max_i |(x Q)_i| over [begin, end), the fused pass's residual.
     double max_residual(const double* x, common::index_type begin,
                         common::index_type end) const;
 

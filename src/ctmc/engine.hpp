@@ -1,55 +1,64 @@
 // SolverEngine: the reusable entry point of the steady-state stack.
 //
-//   engine layer   (this file + kernels.hpp + thread_pool.hpp)
-//        ^ owns a shared common::ThreadPool, dispatches per-method kernels
+//   engine layer   (this file + kernels.hpp + common/crew.hpp)
+//        ^ owns a shared common::ThreadPool for solves wider than one thread
 //   model layer    (core/model.hpp)
 //        ^ routes GprsModel::solve() through an engine
 //   consumers      (bench/, examples/)
 //
 // One engine should live as long as the workload: its pool is spawned once
-// and reused across every solve and residual evaluation; a
-// pool wider than a given solve's width never over-parallelizes it (the
-// dispatch caps participating threads at num_threads).
-// Thread-count semantics (SolveOptions::num_threads):
-//   1  -> serial. For gauss_seidel this is the exact seed arithmetic
-//         (bit-compatible); red_black_gauss_seidel uses block-ordered
-//         reductions, whose rounding differs from the seed's
-//         left-to-right sums in the last ulps.
-//   0  -> all hardware threads,
-//   N  -> N-wide execution. red_black_gauss_seidel produces bitwise
-//         identical distributions for every thread count; plain
-//         gauss_seidel upgrades to red_black_gauss_seidel when more than
-//         one thread is requested (unless auto_select picked it — the cost
-//         model's serial choice is deliberate and runs serially whatever
-//         the width).
+// and reused across every solve.
 //
-// The solve loop runs sweeps in batches of check_interval. Serial
-// Gauss-Seidel on a PipelinedSweepOperator (the CSR QtMatrix, the GPRS
-// stencil) runs the operator's own wavefront pass, which pipelines the
-// batch and fuses the normalization sum into the final sweep and the
-// residual into the normalizing division — bitwise identical to the
-// one-sweep-at-a-time schedule, about 2x faster.
-// With adaptive_checks the residual is evaluated only when the observed
-// convergence rate predicts it could matter; normalization stays on the
-// fixed every-interval schedule, so the iterate trajectory is unchanged.
+// The solve loop runs forward Gauss-Seidel sweeps in batches of
+// check_interval. An operator with its own pipelined pass (the CSR
+// QtMatrix, the GPRS stencil) runs each batch as wavefront groups, and
+// fuses the normalization sum into the final sweep and the residual into
+// the normalizing division: bitwise identical to the one-sweep-at-a-time
+// schedule, about 2x faster. With adaptive_checks the residual is
+// evaluated only when the observed convergence rate predicts it could
+// matter; normalization stays on the fixed every-interval schedule, so the
+// iterate trajectory is unchanged.
+//
+// Thread-count semantics (SolveOptions::num_threads): the answer never
+// depends on it; it is bitwise the serial solve at every width. The
+// stencil's batches of a chain of at least kTeamMinStates states run as a
+// team (kernels.hpp): their sweep groups are pieces that idle threads may
+// claim. The idle threads are
+//   - the other seats of the campaign wave the solve runs in
+//     (eval::execute_plans), whatever num_threads says; or
+//   - with num_threads > 1 outside any wave, seats of this engine's pool:
+//     the solve runs as a task on one seat (the progress callback runs
+//     there too), and up to num_threads - 1 more seats, one per further
+//     sweep group of a batch (two for the default 10-sweep batch), help
+//     it. 0 means all hardware threads.
+// Smaller chains, and the CSR pass, run on the calling thread alone.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 
 #include "ctmc/kernels.hpp"
 #include "ctmc/solver_options.hpp"
+#include "common/crew.hpp"
 #include "common/thread_pool.hpp"
 
 namespace gprsim::ctmc {
 
+/// Chains with fewer states solve on the calling thread alone: a 10-sweep
+/// batch of them takes under ~0.7 ms, where waking helpers for each batch
+/// bought a 4-vCPU VM less than 1.5x. A property of the input, never an
+/// option.
+inline constexpr index_type kTeamMinStates = index_type{1} << 14;
+
 class SolverEngine {
 public:
     /// `prewarm_threads` > 1 spawns the pool eagerly; otherwise the pool is
-    /// created on first parallel solve (or pool() call).
+    /// created on first wide solve (or pool() call).
     explicit SolverEngine(int prewarm_threads = 0);
 
     SolverEngine(const SolverEngine&) = delete;
@@ -69,12 +78,16 @@ public:
     /// Throws std::invalid_argument for degenerate generators. A
     /// non-converged result (result.converged == false) is returned rather
     /// than thrown so callers can decide whether the residual is
-    /// acceptable. Concurrent serial solves (num_threads == 1) on one
-    /// engine are safe; concurrent *parallel* solves serialize on the pool.
+    /// acceptable. Concurrent solves on one engine are safe; those wider
+    /// than one thread serialize on the pool.
     template <QtOperatorConcept Op>
     SolveResult solve(const Op& op, const SolveOptions& options = {});
 
 private:
+    /// The solve itself, on the calling thread (and its crew, if seated).
+    template <QtOperatorConcept Op>
+    static SolveResult solve_here(const Op& op, const SolveOptions& options);
+
     std::unique_ptr<common::ThreadPool> pool_;
     std::mutex pool_mutex_;
 };
@@ -87,6 +100,25 @@ SolverEngine& default_engine();
 
 template <QtOperatorConcept Op>
 SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
+    if constexpr (TeamSweepOperator<Op>) {
+        // One seat per sweep group of a batch at most: more have nothing
+        // to claim.
+        const auto seats = static_cast<int>(
+            std::min<index_type>(resolve_thread_count(options.num_threads),
+                                 detail::GroupSplit(options.check_interval, true).groups()));
+        if (seats > 1 && op.size() >= kTeamMinStates && !common::Crew::seated()) {
+            SolveResult result;
+            const std::function<void()> task = [&] { result = solve_here(op, options); };
+            common::Crew::run_tasks(pool(seats), std::span(&task, 1), seats);
+            result.threads_used = seats;
+            return result;
+        }
+    }
+    return solve_here(op, options);
+}
+
+template <QtOperatorConcept Op>
+SolveResult SolverEngine::solve_here(const Op& op, const SolveOptions& options) {
     const auto t0 = std::chrono::steady_clock::now();
     const index_type n = op.size();
     if (n <= 0) {
@@ -105,46 +137,38 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
     }
 
     SolveResult result;
-    const int threads = resolve_thread_count(options.num_threads);
-    SolveMethod method = options.method;
-    bool auto_serial = false;  // auto-picked gauss_seidel stays serial
-    if (method == SolveMethod::auto_select) {
-        const AutoSelection pick = auto_select_method(n, threads);
-        method = pick.method;
-        result.reason = pick.reason;
-        auto_serial = method == SolveMethod::gauss_seidel;
-    }
-    if (method == SolveMethod::gauss_seidel && threads > 1 && !auto_serial) {
-        method = SolveMethod::red_black_gauss_seidel;
-        result.reason =
-            "gauss_seidel is strictly serial; upgraded to red_black_gauss_seidel "
-            "for the parallel run";
-    }
-    const bool parallel_family = method == SolveMethod::red_black_gauss_seidel;
-    detail::Executor exec;
-    if (threads > 1 && parallel_family) {
-        exec = {&this->pool(threads), threads};
-    }
+    const double lambda = detail::max_exit_rate(op);
+    // Sweep groups go to idle threads only when the calling thread has a
+    // crew and a batch is long enough to repay a wake-up.
+    const bool team = n >= kTeamMinStates && common::Crew::seated();
 
-    result.threads_used = exec.pool != nullptr ? threads : 1;
-    result.method_used = method;
-    const double lambda = detail::max_exit_rate(op, exec);
-
-    const auto prepared_initial = [&](const std::vector<double>& raw) {
+    // A start: clamped to non-negative and normalized; with `residual`,
+    // also its scaled residual, which a pipelined operator fuses into the
+    // normalizing division.
+    const auto prepared = [&](const std::vector<double>& raw, double* residual) {
         std::vector<double> x = raw;
         for (double& v : x) {
             v = std::max(v, 0.0);
         }
-        if (parallel_family) {
-            detail::normalize_blocked(x, exec);
+        if (residual == nullptr) {
+            detail::normalize(x);
+            return x;
+        }
+        if constexpr (PipelinedSweepOperator<Op>) {
+            double sum = 0.0;
+            for (double v : x) {
+                sum += v;
+            }
+            *residual = op.fused_normalize_residual(x.data(), sum, lambda);
         } else {
             detail::normalize(x);
+            *residual = detail::scaled_residual(op, x, lambda);
         }
         return x;
     };
     result.distribution.assign(static_cast<std::size_t>(n), 1.0 / static_cast<double>(n));
     if (!options.initial.empty()) {
-        result.distribution = prepared_initial(options.initial);
+        result.distribution = prepared(options.initial, nullptr);
     } else if (!options.initial_candidates.empty()) {
         // Competitive warm starts: one residual evaluation per candidate
         // (an O(nnz) pass, far cheaper than the sweeps a bad start costs),
@@ -163,8 +187,8 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
                 throw std::invalid_argument(
                     "solve_steady_state: initial candidate size mismatch");
             }
-            std::vector<double> x = prepared_initial(raw);
-            const double residual = detail::scaled_residual(op, x, lambda, exec);
+            double residual = 0.0;
+            std::vector<double> x = prepared(raw, &residual);
             ++result.residual_evaluations;
             if (result.initial_selected < 0 ||
                 residual < options.candidate_margin * incumbent_residual) {
@@ -175,54 +199,40 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
         }
     }
     std::vector<double>& x = result.distribution;
-    std::vector<double> scratch;
-    if (parallel_family) {
-        scratch.resize(static_cast<std::size_t>(n));
-    }
-
-    const auto normalize_x = [&] {
-        if (parallel_family) {
-            detail::normalize_blocked(x, exec);
-        } else {
-            detail::normalize(x);
-        }
-    };
 
     // One batch: `count` sweeps, then the checkpoint's normalization and,
-    // when asked, its residual. Serial Gauss-Seidel on an operator with its
-    // own pipelined pass takes that pass, which also returns the
-    // normalization sum and fuses the residual into the division; every
-    // other (method, operator, width) combination runs the generic
+    // when asked, its residual. An operator with its own pipelined pass
+    // takes that pass, which also returns the normalization sum and fuses
+    // the residual into the division; any other operator runs the generic
     // one-sweep-at-a-time kernels.
     const auto run_batch = [&](index_type count, bool want_residual) {
         if constexpr (PipelinedSweepOperator<Op>) {
-            if (method == SolveMethod::gauss_seidel && exec.pool == nullptr) {
-                const double sum = op.gauss_seidel_sweeps(x.data(), count, true);
-                if (want_residual) {
-                    result.residual = op.fused_normalize_residual(x.data(), sum, lambda);
-                    ++result.residual_evaluations;
-                    return;
-                }
-                if (sum <= 0.0) {
-                    throw std::runtime_error("steady-state solve collapsed to the zero vector");
-                }
-                for (double& v : x) {
-                    v /= sum;
-                }
+            double sum = 0.0;
+            if constexpr (TeamSweepOperator<Op>) {
+                sum = op.gauss_seidel_sweeps(x.data(), count, true, team);
+            } else {
+                sum = op.gauss_seidel_sweeps(x.data(), count, true);
+            }
+            if (want_residual) {
+                result.residual = op.fused_normalize_residual(x.data(), sum, lambda);
+                ++result.residual_evaluations;
                 return;
             }
-        }
-        for (index_type s = 0; s < count; ++s) {
-            if (parallel_family) {
-                detail::red_black_sweep(op, x, scratch, exec);
-            } else {
+            if (sum <= 0.0) {
+                throw std::runtime_error("steady-state solve collapsed to the zero vector");
+            }
+            for (double& v : x) {
+                v /= sum;
+            }
+        } else {
+            for (index_type s = 0; s < count; ++s) {
                 detail::gauss_seidel_forward(op, x);
             }
-        }
-        normalize_x();
-        if (want_residual) {
-            result.residual = detail::scaled_residual(op, x, lambda, exec);
-            ++result.residual_evaluations;
+            detail::normalize(x);
+            if (want_residual) {
+                result.residual = detail::scaled_residual(op, x, lambda);
+                ++result.residual_evaluations;
+            }
         }
     };
 
@@ -283,8 +293,8 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
     // break, or the forced evaluation at max_iterations), so this fallback
     // only fires when max_iterations left the loop body unentered.
     if (!have_residual) {
-        normalize_x();
-        result.residual = detail::scaled_residual(op, x, lambda, exec);
+        detail::normalize(x);
+        result.residual = detail::scaled_residual(op, x, lambda);
         ++result.residual_evaluations;
     }
     result.converged = result.residual <= options.tolerance;

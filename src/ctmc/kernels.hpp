@@ -1,26 +1,27 @@
-// Per-method solver kernels: serial Gauss-Seidel sweeps plus block-sharded
-// parallel kernels (red-black Gauss-Seidel, normalize, residual). All
-// sharded kernels partition the state range into a FIXED number of
-// contiguous blocks (kReductionBlocks, independent of the thread count) and
-// combine per-block partials in block order, so every result is a pure
-// function of the operator and the input vector — bitwise identical
-// whether the blocks run on 1, 2, or 16 threads. Blocks are claimed
-// dynamically from the pool, which load-balances rows of uneven degree. A
-// RowRangeOperator evaluates each block's rows in one call.
+// Gauss-Seidel kernels: the generic one-sweep-at-a-time sweep, the plain
+// normalization, residual and uniformization-rate loops, and the wavefront
+// passes that the operators with their own pipelined sweep share.
 //
-// The raw-CSR kernels at the end are QtMatrix's PipelinedSweepOperator
-// pass, the reference the GPRS stencil (core::GprsGenerator) is checked
-// against: T sweeps in flight at once, sweep s+t trailing sweep s+t-1 by
-// a row distance D > the matrix bandwidth, so every read sees exactly the
-// value a sequential sweep sequence would — bitwise identical to T
-// back-to-back sweeps, while the per-row accumulate -> divide chains (the
-// serial solver's actual bottleneck) of the T sweeps overlap.
+// A wavefront pass runs T sweeps at once, sweep t trailing sweep t-1 by a
+// distance greater than the operator's bandwidth, so every read sees
+// exactly the value a sequential sweep sequence would: bitwise identical
+// to T back-to-back sweeps, while the per-row accumulate -> divide chains
+// (the serial solver's actual bottleneck) of the T sweeps overlap.
+// grouped_sweeps splits a batch of sweeps into such groups. Run as a team,
+// the groups are pieces of a common::Crew batch: idle threads claim them in
+// order, and a lane makes group g's leading sweep trail group g-1's
+// trailing sweep by the same distance, so the team is the pass's own
+// sequential-equivalence argument carried across threads, bitwise
+// identical at any width. The raw-CSR kernels at the end are QtMatrix's
+// pass, the serial reference the GPRS stencil (core::GprsGenerator) is
+// checked against.
 #pragma once
 
 #include <algorithm>
-#include <array>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -28,57 +29,15 @@
 #include <vector>
 
 #include "ctmc/solver_options.hpp"
-#include "common/thread_pool.hpp"
+#include "common/crew.hpp"
 #include "common/types.hpp"
 
 namespace gprsim::ctmc {
 namespace detail {
 
-/// Fixed shard count for all blocked kernels. 64 keeps per-block state in
-/// one cache line's worth of partials while exposing enough slack for
-/// dynamic load balancing on any realistic core count.
-inline constexpr int kReductionBlocks = 64;
-
-struct BlockRange {
-    index_type begin = 0;
-    index_type end = 0;
-};
-
-/// Contiguous block `block` of [0, n) split into kReductionBlocks pieces.
-/// Depends only on n and the block id — never on the thread count.
-inline BlockRange reduction_block(index_type n, int block) {
-    const index_type per = (n + kReductionBlocks - 1) / kReductionBlocks;
-    const index_type begin = std::min(per * static_cast<index_type>(block), n);
-    return {begin, std::min(begin + per, n)};
-}
-
-/// Execution context for the blocked kernels: which pool to dispatch on
-/// and how many threads of it may participate. A default-constructed
-/// Executor runs inline — the serial path of every kernel.
-struct Executor {
-    common::ThreadPool* pool = nullptr;
-    int width = 1;  ///< cap on participating threads (pool may be wider)
-
-    /// Runs body(block) for every block; on the pool when one is given
-    /// (and the width allows it), inline in ascending block order
-    /// otherwise. The partition is fixed, so both paths — and any width —
-    /// produce bitwise identical results for the blocked kernels.
-    template <typename Body>
-    void for_each_block(Body&& body) const {
-        if (pool != nullptr && width > 1) {
-            pool->run(kReductionBlocks, [&](int b) { body(b); }, width);
-        } else {
-            for (int b = 0; b < kReductionBlocks; ++b) {
-                body(b);
-            }
-        }
-    }
-};
-
 // --- reductions ---------------------------------------------------------
 
-/// Serial left-to-right normalization — the seed solver's arithmetic; used
-/// by the strictly serial Gauss-Seidel family for bit-compatibility.
+/// Left-to-right normalization, the seed solver's arithmetic.
 inline void normalize(std::span<double> x) {
     double sum = 0.0;
     for (double v : x) {
@@ -92,87 +51,26 @@ inline void normalize(std::span<double> x) {
     }
 }
 
-/// Blocked sum: per-block partials combined in block order. Deterministic
-/// across thread counts (including the inline path).
-inline double blocked_sum(std::span<const double> x, const Executor& exec) {
-    const index_type n = static_cast<index_type>(x.size());
-    std::array<double, kReductionBlocks> partial{};
-    exec.for_each_block([&](int b) {
-        const BlockRange r = reduction_block(n, b);
-        double s = 0.0;
-        for (index_type i = r.begin; i < r.end; ++i) {
-            s += x[static_cast<std::size_t>(i)];
-        }
-        partial[static_cast<std::size_t>(b)] = s;
-    });
-    double sum = 0.0;
-    for (double p : partial) {
-        sum += p;
-    }
-    return sum;
-}
-
-/// Thread-count-invariant normalization used by the parallel method family.
-inline void normalize_blocked(std::span<double> x, const Executor& exec) {
-    const double sum = blocked_sum(x, exec);
-    if (sum <= 0.0) {
-        throw std::runtime_error("steady-state solve collapsed to the zero vector");
-    }
-    const index_type n = static_cast<index_type>(x.size());
-    exec.for_each_block([&](int b) {
-        const BlockRange r = reduction_block(n, b);
-        for (index_type i = r.begin; i < r.end; ++i) {
-            x[static_cast<std::size_t>(i)] /= sum;
-        }
-    });
-}
-
-/// max_i |(pi Q)_i| / Lambda for a normalized pi. Max combines exactly, so
-/// the sharded result is bitwise equal to the serial one for any partition.
+/// max_i |(pi Q)_i| / Lambda for a normalized pi.
 template <QtOperatorConcept Op>
-double scaled_residual(const Op& op, std::span<const double> x, double uniformization_rate,
-                       const Executor& exec = {}) {
-    const index_type n = op.size();
-    std::array<double, kReductionBlocks> partial{};
-    exec.for_each_block([&](int b) {
-        const BlockRange r = reduction_block(n, b);
-        double worst = 0.0;
-        if constexpr (RowRangeOperator<Op>) {
-            worst = op.max_residual(x.data(), r.begin, r.end);
-        } else {
-            for (index_type i = r.begin; i < r.end; ++i) {
-                double acc = op.diagonal(i) * x[static_cast<std::size_t>(i)];
-                op.for_each_incoming(i, [&](index_type j, double rate) {
-                    acc += rate * x[static_cast<std::size_t>(j)];
-                });
-                worst = std::max(worst, std::fabs(acc));
-            }
-        }
-        partial[static_cast<std::size_t>(b)] = worst;
-    });
+double scaled_residual(const Op& op, std::span<const double> x, double uniformization_rate) {
     double worst = 0.0;
-    for (double p : partial) {
-        worst = std::max(worst, p);
+    for (index_type i = 0; i < op.size(); ++i) {
+        double acc = op.diagonal(i) * x[static_cast<std::size_t>(i)];
+        op.for_each_incoming(i, [&](index_type j, double rate) {
+            acc += rate * x[static_cast<std::size_t>(j)];
+        });
+        worst = std::max(worst, std::fabs(acc));
     }
     return worst / uniformization_rate;
 }
 
-/// Lambda = max_i |Q_ii| (uniformization rate); exact under sharding.
+/// Lambda = max_i |Q_ii|, the uniformization rate.
 template <QtOperatorConcept Op>
-double max_exit_rate(const Op& op, const Executor& exec = {}) {
-    const index_type n = op.size();
-    std::array<double, kReductionBlocks> partial{};
-    exec.for_each_block([&](int b) {
-        const BlockRange r = reduction_block(n, b);
-        double lambda = 0.0;
-        for (index_type i = r.begin; i < r.end; ++i) {
-            lambda = std::max(lambda, -op.diagonal(i));
-        }
-        partial[static_cast<std::size_t>(b)] = lambda;
-    });
+double max_exit_rate(const Op& op) {
     double lambda = 0.0;
-    for (double p : partial) {
-        lambda = std::max(lambda, p);
+    for (index_type i = 0; i < op.size(); ++i) {
+        lambda = std::max(lambda, -op.diagonal(i));
     }
     if (lambda <= 0.0) {
         throw std::invalid_argument("generator has no transitions (all diagonal zero)");
@@ -204,70 +102,135 @@ void gauss_seidel_forward(const Op& op, std::span<double> x) {
     }
 }
 
-/// One red-black Gauss-Seidel sweep. States are colored by index parity;
-/// each color phase computes updates for all of its states from the vector
-/// as it stood at the start of the phase (writes land in `scratch`, then
-/// commit), so within a phase the updates are order-independent and shard
-/// cleanly. Across phases the freshly committed opposite-color values are
-/// used, which is what makes this Gauss-Seidel-like rather than Jacobi.
-template <QtOperatorConcept Op>
-void red_black_sweep(const Op& op, std::span<double> x, std::span<double> scratch,
-                     const Executor& exec) {
-    const index_type n = op.size();
-    for (index_type color = 0; color < 2; ++color) {
-        exec.for_each_block([&](int b) {
-            const BlockRange r = reduction_block(n, b);
-            index_type i = r.begin + ((r.begin & 1) == color ? 0 : 1);
-            if constexpr (RowRangeOperator<Op>) {
-                op.update_rows(x.data(), scratch.data(), i, r.end, 2);
-            } else {
-                for (; i < r.end; i += 2) {
-                    const double d = op.diagonal(i);
-                    if (d == 0.0) {
-                        scratch[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
-                        continue;
-                    }
-                    double acc = 0.0;
-                    op.for_each_incoming(i, [&](index_type j, double rate) {
-                        acc += rate * x[static_cast<std::size_t>(j)];
-                    });
-                    scratch[static_cast<std::size_t>(i)] = acc / -d;
-                }
-            }
-        });
-        exec.for_each_block([&](int b) {
-            const BlockRange r = reduction_block(n, b);
-            index_type i = r.begin + ((r.begin & 1) == color ? 0 : 1);
-            for (; i < r.end; i += 2) {
-                x[static_cast<std::size_t>(i)] = scratch[static_cast<std::size_t>(i)];
-            }
-        });
-    }
-}
-
 // --- pipelined passes, shared by the raw-CSR kernels and the GPRS stencil --
 
-/// Runs `count` forward sweeps as wavefront groups of 4, then 2, then 1
-/// (only 1 when !pipeline): pass(group, sum) runs group() sweeps, a
-/// std::integral_constant, adding the last one's rows to *sum in index
-/// order when sum is non-null. Returns that sum for the final sweep when
-/// want_sum, otherwise 0.
-template <typename Pass>
-double grouped_sweeps(index_type count, bool want_sum, bool pipeline, Pass&& pass) {
-    double sum = 0.0;
-    double* const tail_sum = want_sum ? &sum : nullptr;
-    for (index_type left = count; left > 0;) {
-        if (pipeline && left >= 4) {
-            pass(std::integral_constant<int, 4>{}, left == 4 ? tail_sum : nullptr);
-            left -= 4;
-        } else if (pipeline && left >= 2) {
-            pass(std::integral_constant<int, 2>{}, left == 2 ? tail_sum : nullptr);
-            left -= 2;
-        } else {
-            pass(std::integral_constant<int, 1>{}, left == 1 ? tail_sum : nullptr);
-            left -= 1;
+/// How far one sweep group of a team batch has come: the number of levels
+/// (the operator's unit of distance, e.g. the stencil's buffer levels) its
+/// trailing sweep has finished, and the count a blocked successor waits
+/// for. On a cache line of its own, so publishing it does not slow the
+/// groups that read their own.
+struct alignas(64) GroupProgress {
+    std::atomic<int> levels{0};
+    std::atomic<int> awaited{std::numeric_limits<int>::max()};
+};
+
+/// A group's view of the team: it waits on the previous group's progress
+/// and publishes its own. A default lane (a solo pass, or a team's first
+/// group) never waits and publishes nothing.
+class GroupLane {
+public:
+    GroupLane() = default;
+    GroupLane(GroupProgress* previous, GroupProgress* own) : previous_(previous), own_(own) {}
+
+    /// Returns once the previous group's trailing sweep has finished
+    /// `levels` of the pass's `total` levels. Spins briefly, then blocks
+    /// (spinning throughout costs a three-thread team 20-40 % more CPU).
+    /// A blocked group waits for an eighth of the pass more than it needs:
+    /// a group reads what its predecessor just wrote, from cache, so it
+    /// keeps catching up, and waking it at every level would cost more
+    /// than the level.
+    void wait_for(int levels, int total) const {
+        if (previous_ == nullptr) {
+            return;
+        }
+        constexpr int kSpins = 50;
+        for (int spin = 0; spin < kSpins; ++spin) {
+            if (previous_->levels.load(std::memory_order_acquire) >= levels) {
+                return;
+            }
+            cpu_relax();
+        }
+        // Dekker with finished(): the waiter stores `awaited` and then loads
+        // `levels`; the publisher stores `levels` and then loads `awaited`,
+        // all sequentially consistent, so one of them sees the other.
+        const int resume = std::min(levels + total / 8, total);
+        previous_->awaited.store(resume);
+        for (int seen; (seen = previous_->levels.load()) < resume;) {
+            previous_->levels.wait(seen);
+        }
+        previous_->awaited.store(std::numeric_limits<int>::max(), std::memory_order_relaxed);
+    }
+
+    /// Publishes that this group's trailing sweep has finished `levels`
+    /// levels, waking the next group if it waits for that many.
+    void finished(int levels) const {
+        if (own_ != nullptr) {
+            own_->levels.store(levels);
+            if (levels >= own_->awaited.load()) {
+                own_->levels.notify_all();
+            }
         }
     }
+
+private:
+    static void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#elif defined(__aarch64__)
+        asm volatile("yield");
+#endif
+    }
+
+    GroupProgress* previous_ = nullptr;
+    GroupProgress* own_ = nullptr;
+};
+
+/// The split of a batch of sweeps into wavefront groups: groups of 4 while
+/// at least 4 sweeps are left, then one of 2, then one of 1; only groups of
+/// 1 without pipelining. A 10-sweep batch is 4, 4, 2.
+struct GroupSplit {
+    index_type fours = 0;
+    index_type two = 0;
+    index_type one = 0;
+
+    GroupSplit(index_type count, bool pipeline)
+        : fours(pipeline ? count / 4 : 0),
+          two(pipeline ? (count % 4) / 2 : 0),
+          one(pipeline ? count % 2 : count) {}
+
+    index_type groups() const { return fours + two + one; }
+    int size(index_type g) const { return g < fours ? 4 : g < fours + two ? 2 : 1; }
+};
+
+/// Runs `count` forward sweeps as the wavefront groups of GroupSplit:
+/// pass(group, sum, lane) runs group() sweeps, a std::integral_constant,
+/// adding the last one's rows to *sum in index order when sum is non-null,
+/// and ordering itself after the previous group through `lane`. Returns
+/// that sum for the final sweep when want_sum, otherwise 0.
+///
+/// Solo, the calling thread runs the groups in order with default lanes.
+/// As a team, the groups are the pieces of a common::Crew batch, so idle
+/// seats of the calling thread's crew may claim all but the ones it claims
+/// itself; a pass waits, through its lane, until the previous group is far
+/// enough ahead. One thread that claims every group runs the solo schedule.
+template <typename Pass>
+double grouped_sweeps(index_type count, bool want_sum, bool pipeline, bool team, Pass&& pass) {
+    const GroupSplit split(count, pipeline);
+    double sum = 0.0;
+    const auto run = [&](index_type g, const GroupLane& lane) {
+        double* const tail_sum = want_sum && g + 1 == split.groups() ? &sum : nullptr;
+        switch (split.size(g)) {
+            case 4:
+                pass(std::integral_constant<int, 4>{}, tail_sum, lane);
+                break;
+            case 2:
+                pass(std::integral_constant<int, 2>{}, tail_sum, lane);
+                break;
+            default:
+                pass(std::integral_constant<int, 1>{}, tail_sum, lane);
+        }
+    };
+    if (!team) {
+        for (index_type g = 0; g < split.groups(); ++g) {
+            run(g, GroupLane{});
+        }
+        return sum;
+    }
+    std::vector<GroupProgress> progress(static_cast<std::size_t>(split.groups()));
+    common::Crew::run_pieces(static_cast<int>(split.groups()), [&](int g) {
+        const auto at = static_cast<std::size_t>(g);
+        run(g, GroupLane(g > 0 ? &progress[at - 1] : nullptr, &progress[at]));
+    });
     return sum;
 }
 
@@ -398,8 +361,8 @@ inline double gauss_seidel_sweeps(const QtCsrView& m, double* x, index_type coun
     const index_type D = m.bandwidth + 8;  // > bandwidth: safe wavefront gap
     // Pipelining pays off only when the steady state dominates; tiny chains
     // (or near-dense bandwidth) run the plain sequential schedule (T == 1).
-    return grouped_sweeps(count, accumulate_final_sum, 8 * D < m.n,
-                          [&](auto group, double* sum) {
+    return grouped_sweeps(count, accumulate_final_sum, 8 * D < m.n, false,
+                          [&](auto group, double* sum, const GroupLane&) {
                               gs_wavefront_pass<decltype(group)::value>(m, x, D, sum);
                           });
 }

@@ -8,15 +8,16 @@
 // QtOperatorConcept below exposes, for every state i, the diagonal Q_ii and
 // the incoming transition rates Q_ji (j != i). An operator that also brings
 // its own pipelined Gauss-Seidel pass (PipelinedSweepOperator) gets the
-// engine's serial fast path: the explicit CSR matrix (QtMatrix) and the GPRS
-// chain's stencil (core::GprsGenerator) both do.
+// engine's fast path: the explicit CSR matrix (QtMatrix) and the GPRS
+// chain's stencil (core::GprsGenerator) both do. The stencil's pass can
+// also run as a team on idle threads (TeamSweepOperator); the CSR's stays
+// serial, because it is the reference the stencil is checked against.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -41,7 +42,7 @@ concept QtOperatorConcept = requires(const Op& op, index_type i) {
     op.for_each_incoming(i, [](index_type, double) {});
 };
 
-/// An operator with its own serial Gauss-Seidel pass, which the engine
+/// An operator with its own pipelined Gauss-Seidel pass, which the engine
 /// runs instead of one-sweep-at-a-time kernels. gauss_seidel_sweeps runs
 /// `count` forward sweeps (returning the final iterate's left-to-right sum
 /// when want_sum, else 0); fused_normalize_residual divides x by `sum` and
@@ -55,18 +56,15 @@ concept PipelinedSweepOperator =
         { op.fused_normalize_residual(x, sum, sum) } -> std::convertible_to<double>;
     };
 
-/// An operator that evaluates a range of rows at once for the blocked
-/// kernels: update_rows(x, out, begin, end, stride) sets out[i] to the
-/// Gauss-Seidel value of row i from x (red-black's color phase) for
-/// i = begin, begin + stride, ... < end, and max_residual(x, begin, end)
-/// returns max |(x Q)_i| over [begin, end). Both add the products in
-/// for_each_incoming's order, so they are bitwise equal to the row loops.
+/// A pipelined operator whose pass can run as a team:
+/// gauss_seidel_sweeps(x, count, want_sum, team) with team = true hands its
+/// sweep groups to idle threads of the calling thread's common::Crew, with
+/// results bitwise equal to the solo pass.
 template <typename Op>
-concept RowRangeOperator =
-    QtOperatorConcept<Op> &&
-    requires(const Op& op, const double* x, double* out, index_type i) {
-        op.update_rows(x, out, i, i, i);
-        { op.max_residual(x, i, i) } -> std::convertible_to<double>;
+concept TeamSweepOperator =
+    PipelinedSweepOperator<Op> &&
+    requires(const Op& op, double* x, index_type count, bool flag) {
+        { op.gauss_seidel_sweeps(x, count, flag, flag) } -> std::convertible_to<double>;
     };
 
 /// Transposed generator stored explicitly: off-diagonal CSR + diagonal array.
@@ -129,49 +127,27 @@ QtMatrix build_qt_matrix(index_type num_states, Outgoing&& outgoing) {
 }
 
 /// Iteration scheme used by SolverEngine::solve() / solve_steady_state().
-/// The values are the ones these methods had before sor, jacobi, power and
-/// symmetric Gauss-Seidel were removed, so a printed value keeps its meaning.
+/// Forward Gauss-Seidel is the one scheme; the value is the one it had when
+/// sor, jacobi, power, symmetric and red-black Gauss-Seidel still existed,
+/// so a printed value keeps its meaning.
 enum class SolveMethod {
-    /// In-place forward sweeps; the default. Strictly serial; with
-    /// num_threads > 1 the engine substitutes the red-black variant.
     gauss_seidel = 0,
-    /// Two-color Gauss-Seidel: states are split by index parity; each color
-    /// phase updates all of its states from a consistent snapshot (writes go
-    /// to a scratch half-vector, then commit), so the phase parallelizes
-    /// over row shards and the result is bitwise independent of the thread
-    /// count.
-    red_black_gauss_seidel = 5,
-    /// Let the engine pick between serial and red-black Gauss-Seidel from
-    /// the state count and thread budget via the measured cost model in
-    /// engine.cpp (auto_select_method). The decision and its reasoning land
-    /// in SolveResult::method_used / SolveResult::reason. Note an
-    /// auto-selected gauss_seidel runs SERIALLY even when num_threads > 1 —
-    /// choosing the serial pipelined kernel over the parallel method is
-    /// precisely the decision the cost model makes for small chains and
-    /// narrow thread budgets.
-    auto_select = 6,
 };
 
-/// Canonical spelling of a method, as used by the eval/campaign layers and
-/// the benches ("gauss_seidel", "auto", ...).
+/// Canonical spelling of a method ("gauss_seidel").
 inline const char* method_name(SolveMethod method) {
     switch (method) {
         case SolveMethod::gauss_seidel:
             return "gauss_seidel";
-        case SolveMethod::red_black_gauss_seidel:
-            return "red_black_gauss_seidel";
-        case SolveMethod::auto_select:
-            return "auto";
     }
     return "unknown";
 }
 
-/// Inverse of method_name; nullopt for unrecognized spellings (callers turn
-/// that into their own typed error).
+/// Inverse of method_name; "auto", the eval layer's default spelling, also
+/// means gauss_seidel. nullopt for unrecognized spellings, removed ones
+/// included (callers turn that into their own typed error).
 inline std::optional<SolveMethod> method_from_name(std::string_view name) {
-    if (name == "gauss_seidel") return SolveMethod::gauss_seidel;
-    if (name == "red_black_gauss_seidel") return SolveMethod::red_black_gauss_seidel;
-    if (name == "auto") return SolveMethod::auto_select;
+    if (name == "gauss_seidel" || name == "auto") return SolveMethod::gauss_seidel;
     return std::nullopt;
 }
 
@@ -198,11 +174,10 @@ struct SolveOptions {
     /// SolveResult::residual_evaluations (and the progress callback
     /// cadence) changes. Disable to force a residual at every interval.
     bool adaptive_checks = true;
-    /// Execution width. 1 (default) runs serially; 0 means "all hardware
-    /// threads". red_black_gauss_seidel results are bitwise identical for
-    /// every thread count; plain gauss_seidel is inherently sequential and
-    /// upgrades to red_black_gauss_seidel when more than one thread is
-    /// requested.
+    /// Execution width, see engine.hpp. 1 (default) runs on the calling
+    /// thread; 0 means "all hardware threads"; N > 1 lets up to N threads
+    /// of the engine's pool run a large chain's sweep groups. The result is
+    /// bitwise identical at every width.
     int num_threads = 1;
     /// Warm start; empty means the uniform distribution. Non-negative,
     /// renormalized internally.
@@ -210,9 +185,7 @@ struct SolveOptions {
     /// Competing warm starts, in preference order: when non-empty the
     /// engine evaluates the scaled residual of every candidate (one O(nnz)
     /// pass each, no iterations consumed) and starts from the winner;
-    /// SolveResult::initial_selected reports the choice. The evaluation
-    /// uses the same block-ordered reduction as the solve, so the
-    /// selection is deterministic at every thread count. Mutually
+    /// SolveResult::initial_selected reports the choice. Mutually
     /// exclusive with `initial`.
     std::vector<std::vector<double>> initial_candidates;
     /// Preference margin for the candidate comparison: a later candidate
@@ -235,31 +208,16 @@ struct SolveResult {
     double residual = 0.0;
     bool converged = false;
     double seconds = 0.0;
-    /// Execution width actually used (after resolving num_threads == 0).
+    /// Threads of the engine's pool the solve ran on: 1 when it ran on the
+    /// calling thread alone, as a campaign task does (idle seats of the
+    /// campaign's crew may still run its sweep groups).
     int threads_used = 1;
-    /// Method actually executed (gauss_seidel may upgrade to red-black).
-    SolveMethod method_used = SolveMethod::gauss_seidel;
     /// Index of the winning SolveOptions::initial_candidates entry;
     /// -1 when no candidate list was supplied.
     int initial_selected = -1;
     /// Number of scaled-residual evaluations the solve performed (each is
     /// an O(nnz) pass; adaptive_checks exists to shrink this).
     index_type residual_evaluations = 0;
-    /// Why method_used was chosen: the cost-model explanation for
-    /// SolveMethod::auto_select, the upgrade note when gauss_seidel was
-    /// promoted to red-black for a parallel run, empty when the caller's
-    /// explicit choice ran as-is.
-    std::string reason;
 };
-
-/// The auto_select decision for a chain of `n` states under a budget of
-/// `threads` (already resolved; >= 1): the method to run and the
-/// cost-model reasoning behind it. Deterministic in (n, threads) — the
-/// eval layer relies on per-point decisions being reproducible.
-struct AutoSelection {
-    SolveMethod method = SolveMethod::gauss_seidel;
-    std::string reason;
-};
-AutoSelection auto_select_method(index_type n, int threads);
 
 }  // namespace gprsim::ctmc

@@ -180,8 +180,9 @@ public:
     /// onto its dependents' product form and offered to the engine as a
     /// competing initial (adopted only when it undercuts HALF the product
     /// form's initial residual — near-ties mispredict the iteration
-    /// count). Per-point solves run single-threaded (the points are the
-    /// parallelism); every query shares one wave structure (the schedule
+    /// count). Each point solves on its task's thread (the points are the
+    /// parallelism), and idle seats of the wave help with its sweep groups;
+    /// every query shares one wave structure (the schedule
     /// depends only on the grid size), so level-L points of ALL queries
     /// carry wave L and solve concurrently under the executor. Output is
     /// bitwise invariant to num_threads and to merging.
@@ -292,7 +293,8 @@ public:
 private:
     /// The one chain-point computation behind evaluate() and every task of
     /// the grid plan: builds the model and its product-form guess, solves
-    /// single-threaded (the points of a grid are the parallelism), and fills
+    /// on the calling thread (the points of a grid are the parallelism;
+    /// idle seats of its wave may help with the sweeps), and fills
     /// the evaluation. A root point (parent < 0) starts from the product
     /// form. A dependent point is offered `transferred` — its parent's
     /// deviation from the parent's own product form — grafted onto this
@@ -310,10 +312,8 @@ private:
         ctmc::SolveOptions solve;
         solve.tolerance = query.solver.tolerance;
         solve.max_iterations = query.solver.max_iterations;
-        // validated() (via guarded) already vetted the spelling. "auto"
-        // resolves per point, and at width 1 the decision depends only on
-        // the state count, so provenance is identical at every executor
-        // thread count.
+        // validated() (via guarded) already vetted the spelling. One
+        // thread: idle seats of the wave may still help with the sweeps.
         solve.method = *ctmc::method_from_name(query.solver.method);
         solve.num_threads = 1;
         if (parent >= 0) {
@@ -347,8 +347,7 @@ private:
                                                 result.distribution);
         point.iterations = static_cast<long long>(result.iterations);
         point.residual = result.residual;
-        point.solver_method = ctmc::method_name(result.method_used);
-        point.solver_reason = result.reason;
+        point.solver_method = ctmc::method_name(solve.method);
         point.warm_parent = parent;
         point.warm_started = result.initial_selected == 1;
         point.wall_seconds = result.seconds;

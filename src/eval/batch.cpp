@@ -6,6 +6,7 @@
 #include <mutex>
 #include <utility>
 
+#include "common/crew.hpp"
 #include "common/thread_pool.hpp"
 
 namespace gprsim::eval {
@@ -37,13 +38,12 @@ BatchStats execute_plans(std::span<GridPlan> plans, const GridOptions& options) 
     const int width = common::ThreadPool::resolve_thread_count(options.num_threads);
     for (const std::vector<std::function<void()>>& wave : waves) {
         stats.max_wave_width = std::max(stats.max_wave_width, wave.size());
-        const int wave_width = std::min<int>(width, static_cast<int>(wave.size()));
-        if (wave_width <= 1 || options.pool == nullptr) {
+        if (width <= 1 || options.pool == nullptr) {
             for (const std::function<void()>& task : wave) {
                 task();
             }
         } else {
-            options.pool->run_tasks(wave, wave_width);
+            stats.helped_groups += common::Crew::run_tasks(*options.pool, wave, width);
         }
     }
     return stats;

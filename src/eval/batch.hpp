@@ -13,10 +13,17 @@
 // collect per (backend, query). Evaluator::evaluate_grid(s) run a single
 // plan through the same executor.
 //
-// Determinism: tasks of one wave write disjoint plan-private state and
-// every order-sensitive reduction happens in the plans' serial collect
-// step, so merged results are bitwise identical to executing each
-// (backend, variant) plan on its own and invariant to the thread count.
+// Every wave runs on all the executor's seats (common::Crew::run_tasks): a
+// seat claims tasks first and, once the wave has no unclaimed task left,
+// helps the chain solves still running by taking sweep groups of their
+// batches (ctmc::SolverEngine, kernels.hpp). So no task waits for a helper,
+// and a narrow wave of long solves still uses every seat.
+//
+// Determinism: tasks of one wave write disjoint plan-private state, a
+// helped solve is bitwise the solo solve, and every order-sensitive
+// reduction happens in the plans' serial collect step, so merged results
+// are bitwise identical to executing each (backend, variant) plan on its
+// own and invariant to the thread count.
 #pragma once
 
 #include <span>
@@ -40,13 +47,17 @@ struct BatchStats {
     /// Largest single-wave task count — the peak concurrency the merged
     /// set offers the pool.
     std::size_t max_wave_width = 0;
+    /// Chain-solve sweep groups that helper seats ran. Depends on timing,
+    /// so it is reported, never written to a result.
+    std::size_t helped_groups = 0;
 };
 
 /// Executes the plans' tasks as one flat wave-ordered task set on
 /// options.pool (serially when the pool is absent or num_threads <= 1) and
-/// returns the accounting. Wave w of every plan runs in one dispatch,
-/// ordered (plan, insertion order) so the serial path is deterministic;
-/// a wave-w task observes every earlier wave of every plan completed.
+/// returns the accounting. Wave w of every plan runs in one dispatch on
+/// num_threads seats, ordered (plan, insertion order) so the serial path is
+/// deterministic; a wave-w task observes every earlier wave of every plan
+/// completed.
 /// Tasks are consumed (moved out of the plans); the plans' collect
 /// closures are NOT invoked — callers do that per plan afterwards.
 BatchStats execute_plans(std::span<GridPlan> plans, const GridOptions& options);

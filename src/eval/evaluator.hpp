@@ -41,15 +41,10 @@ namespace gprsim::eval {
 struct SolverKnobs {
     double tolerance = 1e-9;
     long long max_iterations = 200000;
-    /// Iteration scheme, by canonical ctmc::method_name spelling
-    /// ("gauss_seidel", "red_black_gauss_seidel"). "auto"
-    /// (the default) lets the engine's cost model pick per point; the
-    /// decision and its reasoning land in PointEvaluation::solver_method /
-    /// solver_reason. Unknown spellings fail validated() with
-    /// invalid_query. Campaign points solve at width 1 (the points are the
-    /// parallelism), where auto deterministically picks serial
-    /// Gauss-Seidel — so the default produces bitwise the same measures as
-    /// explicit "gauss_seidel".
+    /// Iteration scheme, by ctmc::method_from_name spelling: "gauss_seidel",
+    /// or "auto" (the default), which means the same. Unknown spellings
+    /// fail validated() with invalid_query; the removed
+    /// "red_black_gauss_seidel" fails naming "gauss_seidel".
     std::string method = "auto";
 
     /// What is out of range, or empty when every knob is valid.
@@ -161,10 +156,9 @@ struct PointEvaluation {
     // --- iterative provenance -------------------------------------------
     long long iterations = 0;
     double residual = 0.0;
-    /// Method the solve actually executed (ctmc::method_name spelling) and
-    /// why — the cost-model explanation when SolverKnobs::method was
-    /// "auto", the upgrade note when a serial method was promoted for a
-    /// parallel run, empty when the explicit choice ran as-is.
+    /// The scheme that produced the point and how it got there: ctmc names
+    /// its one method ("gauss_seidel") and leaves the reason empty; the
+    /// approximations and network-fp describe their iteration.
     std::string solver_method;
     std::string solver_reason;
     /// Grid index whose warm-start information this point was offered;
@@ -286,8 +280,11 @@ public:
     /// (des replications) override it. Implementations copy queries and
     /// rates into the plan's shared state, so the caller's buffers only
     /// need to outlive this call. GridOptions::pool is ignored at planning
-    /// time: tasks run wherever the executor schedules them and must never
-    /// touch a pool themselves.
+    /// time: tasks run wherever the executor schedules them. A task must
+    /// never dispatch onto a pool itself; what it may do is hand pieces of
+    /// its own work to the idle seats of its wave through
+    /// common::Crew::run_pieces, as a chain solve does with its sweep
+    /// groups (results bitwise those of running the pieces itself).
     virtual GridPlan plan_grids(std::span<const ScenarioQuery> queries,
                                 std::span<const double> rates,
                                 const GridOptions& options = {});

@@ -13,7 +13,9 @@
 #include <cmath>
 #include <cstring>
 #include <span>
+#include <sstream>
 
+#include "campaign/sink.hpp"
 #include "eval/backends.hpp"
 #include "eval/registry.hpp"
 
@@ -179,6 +181,40 @@ TEST(CampaignRunner, OutputBitwiseInvariantToThreadCount) {
         EXPECT_EQ(a.summary.backends[m].iterations, b.summary.backends[m].iterations);
         EXPECT_EQ(a.summary.backends[m].events, b.summary.backends[m].events);
     }
+}
+
+TEST(CampaignRunner, HelpedSolvesKeepTheCsvBytes) {
+    // Waves of one and two solves on four seats: the idle seats take sweep
+    // groups of the running solves, whose chain (16,896 states) is above
+    // ctmc::kTeamMinStates. The CSV is the one-thread CSV, byte for byte.
+    ScenarioSpec spec;
+    spec.named("helped")
+        .with_methods({"ctmc"})
+        .over_reserved_pdch({1})
+        .over_gprs_fractions({0.3})
+        .with_rate_grid(0.6, 1.0, 3)
+        .with_tolerance(1e-10);
+    spec.total_channels = 8;
+    spec.buffer_capacity = 31;
+    spec.max_gprs_sessions = {10};
+
+    ctmc::SolverEngine engine;
+    CampaignRunner runner(engine);
+    CampaignOptions serial;
+    serial.num_threads = 1;
+    CampaignOptions wide;
+    wide.num_threads = 4;
+    const CampaignResult a = runner.run(spec, serial);
+    const CampaignResult b = runner.run(spec, wide);
+    ASSERT_LT(a.summary.batch_tasks / a.summary.batch_waves, 4u);
+
+    std::ostringstream csv_a;
+    std::ostringstream csv_b;
+    write_campaign_csv(a, csv_a);
+    write_campaign_csv(b, csv_b);
+    EXPECT_EQ(csv_a.str(), csv_b.str());
+    EXPECT_EQ(a.summary.batch_helped_groups, 0u);
+    EXPECT_GT(b.summary.batch_helped_groups, 0u);
 }
 
 TEST(CampaignRunner, BothMethodFillsDeltasAndCis) {

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/crew.hpp"
+#include "common/thread_pool.hpp"
 #include "ctmc/gth.hpp"
 #include "core/handover.hpp"
 #include "core/initial_guess.hpp"
@@ -156,6 +161,8 @@ std::vector<StencilCase> stencil_cases() {
     cases.push_back({"pinned_handover", pinned});
     // Thirteen levels: all four chains of the wavefront run together.
     cases.push_back({"mid_size", stencil_cell(12, 6, 1, 6)});
+    // 16,896 states, above ctmc::kTeamMinStates: wide solves run as a team.
+    cases.push_back({"team_size", stencil_cell(31, 8, 1, 10)});
     return cases;
 }
 
@@ -222,6 +229,35 @@ TEST_P(GeneratorStencil, SweepsMatchCsrKernel) {
     }
 }
 
+TEST_P(GeneratorStencil, TeamSweepsMatchCsrKernel) {
+    // The team pass with 1, 2 and 3 seats, and with a helper whose seat
+    // first sleeps through a task of its own, so that it joins mid-batch
+    // (on the larger cells; on the small ones the batch is over by then).
+    common::ThreadPool pool(3);
+    for (common::index_type count = 1; count <= 9; ++count) {
+        std::vector<double> csr = start();
+        const double csr_sum = qt_.gauss_seidel_sweeps(csr.data(), count, true);
+        for (const int seats : {1, 2, 3, 0}) {
+            std::vector<double> team = start();
+            double team_sum = 0.0;
+            std::vector<std::function<void()>> tasks{[&] {
+                team_sum = gen_.gauss_seidel_sweeps(team.data(), count, true, true);
+            }};
+            if (seats == 0) {
+                tasks.emplace_back(
+                    [] { std::this_thread::sleep_for(std::chrono::microseconds(200)); });
+            }
+            common::Crew::run_tasks(pool, tasks, seats == 0 ? 2 : seats);
+            SCOPED_TRACE("count " + std::to_string(count) + ", " +
+                         (seats == 0 ? std::string("a late helper")
+                                     : std::to_string(seats) + " seats"));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(team_sum),
+                      std::bit_cast<std::uint64_t>(csr_sum));
+            expect_bitwise_equal(team, csr);
+        }
+    }
+}
+
 TEST_P(GeneratorStencil, FusedNormalizeResidualMatchesCsr) {
     std::vector<double> stencil = start();
     std::vector<double> csr = start();
@@ -239,22 +275,20 @@ TEST_P(GeneratorStencil, FusedNormalizeResidualMatchesCsr) {
 
 TEST_P(GeneratorStencil, ModelSolveMatchesCsrSolve) {
     const Parameters& p = GetParam().parameters;
-    const struct {
-        ctmc::SolveMethod method;
-        int threads;
-    } runs[] = {{ctmc::SolveMethod::gauss_seidel, 1},
-                {ctmc::SolveMethod::red_black_gauss_seidel, 1},
-                {ctmc::SolveMethod::red_black_gauss_seidel, 4}};
+    // At every width the stencil solve is the serial CSR solve, bit for
+    // bit: distribution, sweeps, residual and residual passes.
     ctmc::SolverEngine engine;
-    for (const auto& run : runs) {
-        SCOPED_TRACE(std::string(ctmc::method_name(run.method)) + " at " +
-                     std::to_string(run.threads) + " threads");
+    for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
         ctmc::SolveOptions options;
-        options.method = run.method;
-        options.num_threads = run.threads;
+        options.num_threads = threads;
         options.tolerance = 1e-11;
         GprsModel model(p);
         const ctmc::SolveResult& stencil = model.solve(options, engine);
+        // A large chain runs a wide solve as a team of at most one seat per
+        // sweep group (three for the default 10-sweep batch).
+        const bool team = gen_.size() >= ctmc::kTeamMinStates;
+        EXPECT_EQ(stencil.threads_used, team ? std::min(threads, 3) : 1);
 
         ctmc::SolveOptions reference = options;
         reference.initial = product_form_initial(p, model.balanced(), model.space());

@@ -203,15 +203,14 @@ TEST(CtmcBackend, WarmGridReportsTransfersAndAgreesWithCold) {
 }
 
 TEST(CtmcBackend, AutoMethodProvenanceIsRecordedAndThreadStable) {
-    // The default solver.method is "auto". Campaign/grid points always solve
-    // at width 1 (the points are the parallelism), so the cost model sees
-    // only the state count and the recorded decision must not depend on the
-    // grid's thread budget.
+    // The default solver.method is "auto", a spelling of the one method:
+    // the point records "gauss_seidel" with no reason, and neither depends
+    // on the grid's thread budget.
     const ScenarioQuery query = tiny_query();
     auto point = backend("ctmc").evaluate(query);
     ASSERT_TRUE(point.ok());
     EXPECT_EQ(point.value().solver_method, "gauss_seidel");
-    EXPECT_FALSE(point.value().solver_reason.empty());
+    EXPECT_TRUE(point.value().solver_reason.empty());
 
     const std::vector<double> rates{0.3, 0.5, 0.7};
     GridOptions narrow;
@@ -242,10 +241,9 @@ TEST(CtmcBackend, ExplicitMethodIsHonoredAndRecorded) {
     auto explicit_gs = backend("ctmc").evaluate(query);
     ASSERT_TRUE(explicit_gs.ok());
     EXPECT_EQ(explicit_gs.value().solver_method, "gauss_seidel");
-    // An explicit method carries no cost-model rationale.
     EXPECT_TRUE(explicit_gs.value().solver_reason.empty());
 
-    // auto resolves to the same serial solve on this cell: bitwise equal.
+    // auto is the same solve: bitwise equal.
     ScenarioQuery auto_query = tiny_query();
     auto_query.solver.method = "auto";
     auto picked = backend("ctmc").evaluate(auto_query);
@@ -262,6 +260,15 @@ TEST(CtmcBackend, UnknownSolverMethodIsTypedInvalidQuery) {
     ASSERT_FALSE(point.ok());
     EXPECT_EQ(point.error().code, common::EvalErrorCode::invalid_query);
     EXPECT_NE(point.error().message.find("bogus_scheme"), std::string::npos);
+
+    // The removed red-black spelling names its replacement.
+    query.solver.method = "red_black_gauss_seidel";
+    auto removed = backend("ctmc").evaluate(query);
+    ASSERT_FALSE(removed.ok());
+    EXPECT_EQ(removed.error().code, common::EvalErrorCode::invalid_query);
+    EXPECT_NE(removed.error().message.find("was removed: use \"gauss_seidel\""),
+              std::string::npos)
+        << removed.error().message;
 }
 
 TEST(DesBackend, ProvenanceCarriesReplicationsAndCis) {
