@@ -15,9 +15,6 @@ bool Crew::seated() { return current_crew != nullptr; }
 
 std::size_t Crew::run_tasks(ThreadPool& pool, std::span<const std::function<void()>> tasks,
                             int width) {
-    if (tasks.empty()) {
-        return 0;
-    }
     Crew crew;
     const int seats = std::clamp(width, 1, pool.size());
     pool.run(seats, [&](int) { crew.seat(tasks); }, seats);
@@ -29,64 +26,51 @@ std::size_t Crew::run_tasks(ThreadPool& pool, std::span<const std::function<void
 
 void Crew::seat(std::span<const std::function<void()>> tasks) {
     Crew* const outer = std::exchange(current_crew, this);
-    while (true) {
-        // Count the seat as working before it claims, so that a seat that
-        // finds the task list empty cannot see working_ == 0 while the
-        // last task is claimed but not yet running.
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++working_;
+    std::unique_lock<std::mutex> lock(mutex_);
+    // A task is claimed and counted as working in one step, so helpers stay
+    // while any task may still offer a batch.
+    while (next_task_ < tasks.size()) {
+        const std::function<void()>& task = tasks[next_task_++];
+        ++working_;
+        lock.unlock();
+        std::exception_ptr error;
+        try {
+            task();
+        } catch (...) {
+            error = std::current_exception();
         }
-        const std::size_t t = next_task_.fetch_add(1, std::memory_order_acq_rel);
-        if (t < tasks.size()) {
-            try {
-                tasks[t]();
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mutex_);
-                if (!first_error_) {
-                    first_error_ = std::current_exception();
-                }
-            }
+        lock.lock();
+        if (error && !first_error_) {
+            first_error_ = error;
         }
-        std::lock_guard<std::mutex> lock(mutex_);
         if (--working_ == 0) {
             wake_.notify_all();
         }
-        if (t >= tasks.size()) {
-            break;
-        }
     }
-    help();
-    current_crew = outer;
-}
-
-void Crew::help() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (true) {
+    // Help until no task runs.
+    while (working_ > 0) {
         const auto open = std::find_if(open_.begin(), open_.end(), [](const Batch* b) {
             return b->next.load(std::memory_order_relaxed) < b->count;
         });
-        if (open != open_.end()) {
-            Batch& batch = **open;
-            ++batch.helpers;
-            lock.unlock();
-            std::size_t ran = 0;
-            for (int i; (i = batch.next.fetch_add(1, std::memory_order_relaxed)) < batch.count;
-                 ++ran) {
-                batch.run(batch.context, i);
-            }
-            lock.lock();
-            helped_ += ran;
-            if (--batch.helpers == 0) {
-                released_.notify_all();
-            }
+        if (open == open_.end()) {
+            wake_.wait(lock);
             continue;
         }
-        if (working_ == 0) {
-            return;
+        Batch& batch = **open;
+        ++batch.helpers;
+        lock.unlock();
+        std::size_t ran = 0;
+        for (int i; (i = batch.next.fetch_add(1, std::memory_order_relaxed)) < batch.count;
+             ++ran) {
+            batch.run(batch.context, i);
         }
-        wake_.wait(lock);
+        lock.lock();
+        helped_ += ran;
+        if (--batch.helpers == 0) {
+            released_.notify_all();
+        }
     }
+    current_crew = outer;
 }
 
 void Crew::offer(int count, void (*run)(void*, int), void* context) {
@@ -97,10 +81,7 @@ void Crew::offer(int count, void (*run)(void*, int), void* context) {
         }
         return;
     }
-    Batch batch;
-    batch.count = count;
-    batch.run = run;
-    batch.context = context;
+    Batch batch{count, run, context};
     {
         std::lock_guard<std::mutex> lock(crew->mutex_);
         crew->open_.push_back(&batch);

@@ -1,22 +1,16 @@
 // Idle threads lending a hand to running work.
 //
 // Crew::run_tasks runs a task set (a campaign wave, or one chain solve on
-// the solver engine's pool) on the seats of a ThreadPool. Each seat claims
-// tasks in order; a seat that finds none left becomes a helper until every
-// task has finished. A running task hands out work through
-// Crew::run_pieces: a batch of pieces 0..count-1, claimed in index order by
-// the task's own thread and by helpers, where piece i may wait only on
-// pieces below i. A piece is claimed only by a running thread and waits
-// only on pieces claimed before it, so no wait can deadlock; and a task
-// never waits for a helper, because with none about its own thread claims
-// every piece in order.
-//
-// Lifetime: run_pieces returns only after every claimed piece has
-// finished, and a helper touches a batch only between claiming a piece of
-// it and reporting it done, so a batch may live on its owner's stack.
-//
-// The crew knows nothing of what the pieces compute. A chain solve's
-// wavefront sweep groups (ctmc::detail::grouped_sweeps) are one client.
+// the solver engine's pool) on a ThreadPool's seats. A seat claims tasks in
+// order; once none is left it helps: it claims pieces of the batches that
+// running tasks hand out through Crew::run_pieces, until every task has
+// finished. Pieces are claimed in index order, and piece i may wait only on
+// pieces below it, which running threads have claimed, so no wait
+// deadlocks, and no task waits for a helper. run_pieces returns only after
+// every piece has finished, and a helper touches a batch only between
+// claiming a piece and reporting it done, so a batch lives on its owner's
+// stack. The crew knows nothing of what the pieces compute; a chain
+// solve's sweep groups (ctmc::detail::grouped_sweeps) are one client.
 #pragma once
 
 #include <atomic>
@@ -26,6 +20,7 @@
 #include <functional>
 #include <mutex>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -46,20 +41,19 @@ public:
     /// calling thread runs them in order. A piece must not throw.
     template <typename Piece>
     static void run_pieces(int count, Piece&& piece) {
-        offer(count, [](void* context, int i) { (*static_cast<Piece*>(context))(i); },
-              &piece);
+        using P = std::remove_reference_t<Piece>;
+        offer(count, [](void* context, int i) { (*static_cast<P*>(context))(i); }, &piece);
     }
 
-    /// Whether the calling thread runs a task of run_tasks, so that
-    /// run_pieces may get help.
+    /// Whether the calling thread runs a task of run_tasks (may get help).
     static bool seated();
 
 private:
     /// One owner's open batch of pieces.
     struct Batch {
-        int count = 0;
-        void (*run)(void*, int) = nullptr;
-        void* context = nullptr;
+        int count;
+        void (*run)(void*, int);
+        void* context;
         std::atomic<int> next{0};  ///< the claim cursor
         int helpers = 0;           ///< helpers inside; guarded by mutex_
     };
@@ -68,16 +62,16 @@ private:
 
     /// One seat: claims tasks, then helps until no task is running.
     void seat(std::span<const std::function<void()>> tasks);
-    void help();
 
-    std::atomic<std::size_t> next_task_{0};
     std::mutex mutex_;
     std::condition_variable wake_;      ///< helpers: a batch opened, or no task runs
     std::condition_variable released_;  ///< owners: a helper left a batch
-    std::vector<Batch*> open_;          ///< guarded by mutex_
-    int working_ = 0;                   ///< seats inside a task; guarded by mutex_
-    std::size_t helped_ = 0;            ///< pieces helpers ran; guarded by mutex_
-    std::exception_ptr first_error_;    ///< guarded by mutex_
+    // Guarded by mutex_:
+    std::vector<Batch*> open_;
+    std::size_t next_task_ = 0;
+    int working_ = 0;         ///< seats inside a task
+    std::size_t helped_ = 0;  ///< pieces helpers ran
+    std::exception_ptr first_error_;
 };
 
 }  // namespace gprsim::common

@@ -98,9 +98,8 @@ struct GprsGenerator::Kernel {
     /// argument). The chains at one (n, pair) position share its rates,
     /// and their updates are independent, so they overlap. The group's
     /// last sweep adds the iterate to *final_sum in index order. `lane`
-    /// keeps the leading chain the same two levels behind the previous
-    /// group's trailing chain, and publishes how many levels this group's
-    /// trailing chain has finished.
+    /// keeps the leading chain as far behind the previous group's trailing
+    /// chain, and publishes the levels this group's trailing chain finished.
     template <index_type T>
     static void wavefront_pass(const GprsGenerator& g, double* x, double* final_sum,
                                const ctmc::detail::GroupLane& lane) {
@@ -120,22 +119,6 @@ struct GprsGenerator::Kernel {
             }
             if (lead >= 2 * (T - 1)) {
                 lane.finished(static_cast<int>(lead - 2 * (T - 1) + 1));
-            }
-        }
-    }
-
-    /// visit(i, pair, gsm, chain) for i in [first, end), decoding one
-    /// (k, n) block at a time.
-    template <typename F>
-    static void for_rows(const GprsGenerator& g, index_type first, index_type end, F&& visit) {
-        for (index_type i = first; i < end;) {
-            const index_type k = i / g.level_;
-            const index_type n = (i - k * g.level_) / g.pairs_count_;
-            const Chain c = chain(g, k, n);
-            const Gsm s = gsm(g, n);
-            for (const index_type block_end = std::min(c.at + g.pairs_count_, end);
-                 i < block_end; ++i) {
-                visit(i, g.pairs_[static_cast<std::size_t>(i - c.at)], s, c);
             }
         }
     }
@@ -217,14 +200,21 @@ double GprsGenerator::fused_normalize_residual(double* x, double sum,
 }
 
 double GprsGenerator::max_residual(const double* x, index_type begin, index_type end) const {
+    // One (k, n) block at a time: its chain and GSM terms are decoded once.
     double worst = 0.0;
-    Kernel::for_rows(*this, begin, end,
-                     [&](index_type i, const Pair& q, const Kernel::Gsm& s,
-                         const Kernel::Chain& c) {
-                         const double acc =
-                             Kernel::add_incoming(diagonal(i) * x[i], q, s, c, x + i);
-                         worst = std::max(worst, std::fabs(acc));
-                     });
+    for (index_type i = begin; i < end;) {
+        const index_type k = i / level_;
+        const index_type n = (i - k * level_) / pairs_count_;
+        const Kernel::Chain c = Kernel::chain(*this, k, n);
+        const Kernel::Gsm s = Kernel::gsm(*this, n);
+        for (const index_type block_end = std::min(c.at + pairs_count_, end); i < block_end;
+             ++i) {
+            const double acc = Kernel::add_incoming(diagonal(i) * x[i],
+                                                    pairs_[static_cast<std::size_t>(i - c.at)],
+                                                    s, c, x + i);
+            worst = std::max(worst, std::fabs(acc));
+        }
+    }
     return worst;
 }
 

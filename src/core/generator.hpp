@@ -74,15 +74,12 @@ public:
 
     // --- ctmc::TeamSweepOperator ----------------------------------------
     /// `count` forward Gauss-Seidel sweeps over x in wavefront groups of up
-    /// to four sweeps, bitwise identical to `count` one-at-a-time sweeps of
+    /// to four sweeps, bitwise `count` one-at-a-time sweeps of
     /// to_qt_matrix(). With `want_sum` returns the left-to-right sum of the
-    /// final iterate, otherwise 0. With `team` the groups are pieces of a
-    /// common::Crew batch that idle threads may claim: group g's leading
-    /// sweep enters buffer level l only once group g - 1's trailing sweep
-    /// has finished levels 0..min(l + 1, K). A row reads only its own
-    /// level and the two next to it, so the leading sweep then reads level
-    /// l + 1 and the unvisited rows of l as sweep g - 1 left them, and
-    /// sweep g - 1, past l + 1, reads l no more.
+    /// final iterate, otherwise 0. With `team` idle threads may claim groups
+    /// (common::Crew); group g's leading sweep enters buffer level l once
+    /// group g - 1 has finished levels 0..min(l + 1, K), the pass's own
+    /// two-level lag (a row reads only its level and the two next to it).
     double gauss_seidel_sweeps(double* x, common::index_type count, bool want_sum,
                                bool team = false) const;
 

@@ -14,12 +14,6 @@ double QtMatrix::fused_normalize_residual(double* x, double sum,
                                             uniformization_rate);
 }
 
-SolverEngine::SolverEngine(int prewarm_threads) {
-    if (prewarm_threads > 1) {
-        pool_ = std::make_unique<common::ThreadPool>(prewarm_threads);
-    }
-}
-
 int SolverEngine::resolve_thread_count(int requested) {
     return common::ThreadPool::resolve_thread_count(requested);
 }

@@ -11,27 +11,21 @@
 //
 // The solve loop runs forward Gauss-Seidel sweeps in batches of
 // check_interval. An operator with its own pipelined pass (the CSR
-// QtMatrix, the GPRS stencil) runs each batch as wavefront groups, and
-// fuses the normalization sum into the final sweep and the residual into
-// the normalizing division: bitwise identical to the one-sweep-at-a-time
-// schedule, about 2x faster. With adaptive_checks the residual is
-// evaluated only when the observed convergence rate predicts it could
-// matter; normalization stays on the fixed every-interval schedule, so the
-// iterate trajectory is unchanged.
+// QtMatrix, the GPRS stencil) runs each batch as wavefront groups and fuses
+// the normalization sum into the final sweep and the residual into the
+// normalizing division: bitwise the one-sweep-at-a-time schedule, about 2x
+// faster. With adaptive_checks the residual is evaluated only when the
+// observed convergence rate predicts it could matter; normalization stays
+// on the fixed every-interval schedule, so the iterate trajectory is
+// unchanged.
 //
-// Thread-count semantics (SolveOptions::num_threads): the answer never
-// depends on it; it is bitwise the serial solve at every width. The
-// stencil's batches of a chain of at least kTeamMinStates states run as a
-// team (kernels.hpp): their sweep groups are pieces that idle threads may
-// claim. The idle threads are
-//   - the other seats of the campaign wave the solve runs in
-//     (eval::execute_plans), whatever num_threads says; or
-//   - with num_threads > 1 outside any wave, seats of this engine's pool:
-//     the solve runs as a task on one seat (the progress callback runs
-//     there too), and up to num_threads - 1 more seats, one per further
-//     sweep group of a batch (two for the default 10-sweep batch), help
-//     it. 0 means all hardware threads.
-// Smaller chains, and the CSR pass, run on the calling thread alone.
+// Threads never change the answer: it is bitwise the serial solve at every
+// width. The stencil's batches of a chain of kTeamMinStates states or more
+// run as a team (kernels.hpp) whose sweep groups idle threads may claim:
+// the other seats of the campaign wave the solve runs in, or, with
+// SolveOptions::num_threads > 1 (0 = all hardware threads) outside a wave,
+// this engine's pool, where the solve (and its progress callback) runs on
+// one seat and one more seat per further sweep group helps.
 #pragma once
 
 #include <algorithm>
@@ -49,17 +43,14 @@
 
 namespace gprsim::ctmc {
 
-/// Chains with fewer states solve on the calling thread alone: a 10-sweep
-/// batch of them takes under ~0.7 ms, where waking helpers for each batch
-/// bought a 4-vCPU VM less than 1.5x. A property of the input, never an
-/// option.
+/// Chains with fewer states solve on the calling thread alone: their
+/// 10-sweep batches take under ~0.7 ms, where helpers bought less than 1.5x.
 inline constexpr index_type kTeamMinStates = index_type{1} << 14;
 
 class SolverEngine {
 public:
-    /// `prewarm_threads` > 1 spawns the pool eagerly; otherwise the pool is
-    /// created on first wide solve (or pool() call).
-    explicit SolverEngine(int prewarm_threads = 0);
+    /// The pool is created on the first wide solve (or pool() call).
+    SolverEngine() = default;
 
     SolverEngine(const SolverEngine&) = delete;
     SolverEngine& operator=(const SolverEngine&) = delete;
@@ -84,7 +75,7 @@ public:
     SolveResult solve(const Op& op, const SolveOptions& options = {});
 
 private:
-    /// The solve itself, on the calling thread (and its crew, if seated).
+    /// The solve on the calling thread (and its crew, if seated).
     template <QtOperatorConcept Op>
     static SolveResult solve_here(const Op& op, const SolveOptions& options);
 
@@ -142,26 +133,23 @@ SolveResult SolverEngine::solve_here(const Op& op, const SolveOptions& options) 
     // crew and a batch is long enough to repay a wake-up.
     const bool team = n >= kTeamMinStates && common::Crew::seated();
 
-    // A start: clamped to non-negative and normalized; with `residual`,
-    // also its scaled residual, which a pipelined operator fuses into the
-    // normalizing division.
+    // A start, clamped to non-negative and normalized; for a candidate also
+    // its scaled residual, which a pipelined operator fuses into the division.
     const auto prepared = [&](const std::vector<double>& raw, double* residual) {
         std::vector<double> x = raw;
+        double sum = 0.0;
         for (double& v : x) {
             v = std::max(v, 0.0);
-        }
-        if (residual == nullptr) {
-            detail::normalize(x);
-            return x;
+            sum += v;
         }
         if constexpr (PipelinedSweepOperator<Op>) {
-            double sum = 0.0;
-            for (double v : x) {
-                sum += v;
+            if (residual != nullptr) {
+                *residual = op.fused_normalize_residual(x.data(), sum, lambda);
+                return x;
             }
-            *residual = op.fused_normalize_residual(x.data(), sum, lambda);
-        } else {
-            detail::normalize(x);
+        }
+        detail::normalize(x);
+        if (residual != nullptr) {
             *residual = detail::scaled_residual(op, x, lambda);
         }
         return x;

@@ -1,20 +1,17 @@
 // Gauss-Seidel kernels: the generic one-sweep-at-a-time sweep, the plain
 // normalization, residual and uniformization-rate loops, and the wavefront
-// passes that the operators with their own pipelined sweep share.
+// passes of the operators with their own pipelined sweep.
 //
-// A wavefront pass runs T sweeps at once, sweep t trailing sweep t-1 by a
-// distance greater than the operator's bandwidth, so every read sees
-// exactly the value a sequential sweep sequence would: bitwise identical
-// to T back-to-back sweeps, while the per-row accumulate -> divide chains
-// (the serial solver's actual bottleneck) of the T sweeps overlap.
-// grouped_sweeps splits a batch of sweeps into such groups. Run as a team,
-// the groups are pieces of a common::Crew batch: idle threads claim them in
-// order, and a lane makes group g's leading sweep trail group g-1's
-// trailing sweep by the same distance, so the team is the pass's own
-// sequential-equivalence argument carried across threads, bitwise
-// identical at any width. The raw-CSR kernels at the end are QtMatrix's
-// pass, the serial reference the GPRS stencil (core::GprsGenerator) is
-// checked against.
+// A wavefront pass runs T sweeps at once, sweep t trailing sweep t-1 by
+// more than the operator's bandwidth, so every read sees exactly the value
+// of a sequential sweep sequence: bitwise T back-to-back sweeps, with the
+// per-row accumulate -> divide chains of the T sweeps overlapping.
+// grouped_sweeps splits a batch into such groups; run as a team, idle
+// threads claim groups in order (common::Crew), and a lane keeps group g's
+// leading sweep trailing group g-1's trailing sweep by the same distance:
+// the same argument across threads, bitwise at any width. The raw-CSR
+// kernels at the end are QtMatrix's serial pass, the reference the GPRS
+// stencil (core::GprsGenerator) is checked against.
 #pragma once
 
 #include <algorithm>
@@ -104,19 +101,16 @@ void gauss_seidel_forward(const Op& op, std::span<double> x) {
 
 // --- pipelined passes, shared by the raw-CSR kernels and the GPRS stencil --
 
-/// How far one sweep group of a team batch has come: the number of levels
-/// (the operator's unit of distance, e.g. the stencil's buffer levels) its
-/// trailing sweep has finished, and the count a blocked successor waits
-/// for. On a cache line of its own, so publishing it does not slow the
-/// groups that read their own.
+/// How many levels (the operator's unit of distance, e.g. the stencil's
+/// buffer levels) a team group's trailing sweep has finished, and the count
+/// a blocked successor waits for; on a cache line of its own.
 struct alignas(64) GroupProgress {
     std::atomic<int> levels{0};
     std::atomic<int> awaited{std::numeric_limits<int>::max()};
 };
 
-/// A group's view of the team: it waits on the previous group's progress
-/// and publishes its own. A default lane (a solo pass, or a team's first
-/// group) never waits and publishes nothing.
+/// A group waits on the previous group's progress and publishes its own; a
+/// default lane (a solo pass) does neither.
 class GroupLane {
 public:
     GroupLane() = default;
@@ -124,11 +118,9 @@ public:
 
     /// Returns once the previous group's trailing sweep has finished
     /// `levels` of the pass's `total` levels. Spins briefly, then blocks
-    /// (spinning throughout costs a three-thread team 20-40 % more CPU).
-    /// A blocked group waits for an eighth of the pass more than it needs:
-    /// a group reads what its predecessor just wrote, from cache, so it
-    /// keeps catching up, and waking it at every level would cost more
-    /// than the level.
+    /// for an eighth of the pass more: a group reads from cache what its
+    /// predecessor just wrote, so it keeps catching up, and a wake-up per
+    /// level would cost more than the level.
     void wait_for(int levels, int total) const {
         if (previous_ == nullptr) {
             return;
@@ -175,19 +167,14 @@ private:
     GroupProgress* own_ = nullptr;
 };
 
-/// The split of a batch of sweeps into wavefront groups: groups of 4 while
-/// at least 4 sweeps are left, then one of 2, then one of 1; only groups of
-/// 1 without pipelining. A 10-sweep batch is 4, 4, 2.
+/// A batch's wavefront groups: 4 sweeps while at least 4 are left, then 2,
+/// then 1 (only 1s without pipelining). A 10-sweep batch is 4, 4, 2.
 struct GroupSplit {
-    index_type fours = 0;
-    index_type two = 0;
-    index_type one = 0;
-
+    index_type fours, two, one;
     GroupSplit(index_type count, bool pipeline)
         : fours(pipeline ? count / 4 : 0),
-          two(pipeline ? (count % 4) / 2 : 0),
+          two(pipeline ? count % 4 / 2 : 0),
           one(pipeline ? count % 2 : count) {}
-
     index_type groups() const { return fours + two + one; }
     int size(index_type g) const { return g < fours ? 4 : g < fours + two ? 2 : 1; }
 };
@@ -196,28 +183,21 @@ struct GroupSplit {
 /// pass(group, sum, lane) runs group() sweeps, a std::integral_constant,
 /// adding the last one's rows to *sum in index order when sum is non-null,
 /// and ordering itself after the previous group through `lane`. Returns
-/// that sum for the final sweep when want_sum, otherwise 0.
-///
-/// Solo, the calling thread runs the groups in order with default lanes.
-/// As a team, the groups are the pieces of a common::Crew batch, so idle
-/// seats of the calling thread's crew may claim all but the ones it claims
-/// itself; a pass waits, through its lane, until the previous group is far
-/// enough ahead. One thread that claims every group runs the solo schedule.
+/// that sum for the final sweep when want_sum, otherwise 0. As a team, the
+/// groups are pieces of a common::Crew batch that idle seats may claim; one
+/// thread that claims every group runs the solo schedule.
 template <typename Pass>
 double grouped_sweeps(index_type count, bool want_sum, bool pipeline, bool team, Pass&& pass) {
     const GroupSplit split(count, pipeline);
     double sum = 0.0;
     const auto run = [&](index_type g, const GroupLane& lane) {
         double* const tail_sum = want_sum && g + 1 == split.groups() ? &sum : nullptr;
-        switch (split.size(g)) {
-            case 4:
-                pass(std::integral_constant<int, 4>{}, tail_sum, lane);
-                break;
-            case 2:
-                pass(std::integral_constant<int, 2>{}, tail_sum, lane);
-                break;
-            default:
-                pass(std::integral_constant<int, 1>{}, tail_sum, lane);
+        if (const int size = split.size(g); size == 4) {
+            pass(std::integral_constant<int, 4>{}, tail_sum, lane);
+        } else if (size == 2) {
+            pass(std::integral_constant<int, 2>{}, tail_sum, lane);
+        } else {
+            pass(std::integral_constant<int, 1>{}, tail_sum, lane);
         }
     };
     if (!team) {

@@ -9,9 +9,8 @@
 // the incoming transition rates Q_ji (j != i). An operator that also brings
 // its own pipelined Gauss-Seidel pass (PipelinedSweepOperator) gets the
 // engine's fast path: the explicit CSR matrix (QtMatrix) and the GPRS
-// chain's stencil (core::GprsGenerator) both do. The stencil's pass can
-// also run as a team on idle threads (TeamSweepOperator); the CSR's stays
-// serial, because it is the reference the stencil is checked against.
+// chain's stencil (core::GprsGenerator) both do; the stencil's can also run
+// as a team on idle threads (TeamSweepOperator).
 #pragma once
 
 #include <cstddef>

@@ -14,10 +14,8 @@
 // plan through the same executor.
 //
 // Every wave runs on all the executor's seats (common::Crew::run_tasks): a
-// seat claims tasks first and, once the wave has no unclaimed task left,
-// helps the chain solves still running by taking sweep groups of their
-// batches (ctmc::SolverEngine, kernels.hpp). So no task waits for a helper,
-// and a narrow wave of long solves still uses every seat.
+// seat claims tasks first, then helps the solves still running with their
+// sweep groups, so a narrow wave of long solves still uses every seat.
 //
 // Determinism: tasks of one wave write disjoint plan-private state, a
 // helped solve is bitwise the solo solve, and every order-sensitive
@@ -47,8 +45,7 @@ struct BatchStats {
     /// Largest single-wave task count — the peak concurrency the merged
     /// set offers the pool.
     std::size_t max_wave_width = 0;
-    /// Chain-solve sweep groups that helper seats ran. Depends on timing,
-    /// so it is reported, never written to a result.
+    /// Sweep groups that helper seats ran: timing-dependent, only printed.
     std::size_t helped_groups = 0;
 };
 

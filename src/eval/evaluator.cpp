@@ -24,12 +24,9 @@ std::string SolverKnobs::invalid_reason() const {
     if (max_iterations < 1) {
         return "solver.max_iterations must be at least 1";
     }
-    if (method == "red_black_gauss_seidel") {
-        return "solver.method \"red_black_gauss_seidel\" was removed: use \"gauss_seidel\", "
-               "whose sweeps idle threads help with, bitwise identically";
-    }
     if (!ctmc::method_from_name(method)) {
-        return "solver.method \"" + method + "\" is not a known iteration scheme";
+        return "solver.method \"" + method +
+               "\" is not a known iteration scheme: use \"gauss_seidel\" (or \"auto\")";
     }
     return {};
 }

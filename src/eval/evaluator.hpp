@@ -42,9 +42,8 @@ struct SolverKnobs {
     double tolerance = 1e-9;
     long long max_iterations = 200000;
     /// Iteration scheme, by ctmc::method_from_name spelling: "gauss_seidel",
-    /// or "auto" (the default), which means the same. Unknown spellings
-    /// fail validated() with invalid_query; the removed
-    /// "red_black_gauss_seidel" fails naming "gauss_seidel".
+    /// or "auto" (the default), which means the same. Any other spelling,
+    /// removed ones included, fails validated() with invalid_query.
     std::string method = "auto";
 
     /// What is out of range, or empty when every knob is valid.

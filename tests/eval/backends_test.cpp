@@ -261,13 +261,12 @@ TEST(CtmcBackend, UnknownSolverMethodIsTypedInvalidQuery) {
     EXPECT_EQ(point.error().code, common::EvalErrorCode::invalid_query);
     EXPECT_NE(point.error().message.find("bogus_scheme"), std::string::npos);
 
-    // The removed red-black spelling names its replacement.
+    // The removed red-black spelling names the method to use.
     query.solver.method = "red_black_gauss_seidel";
     auto removed = backend("ctmc").evaluate(query);
     ASSERT_FALSE(removed.ok());
     EXPECT_EQ(removed.error().code, common::EvalErrorCode::invalid_query);
-    EXPECT_NE(removed.error().message.find("was removed: use \"gauss_seidel\""),
-              std::string::npos)
+    EXPECT_NE(removed.error().message.find("use \"gauss_seidel\""), std::string::npos)
         << removed.error().message;
 }
 
