@@ -102,7 +102,7 @@ int main(int argc, char** argv) try {
                 static_cast<long long>(qt.off_diagonal().nonzeros()),
                 build_timer.seconds());
 
-    // No prewarm: the pool spawns on the first wide solve, so the serial
+    // The engine spawns its pool on the first wide solve, so the serial
     // solves are never timed against spinning pool workers — on a 1-core
     // CI box that contention inflates the serial wall time by ~25%.
     ctmc::SolverEngine engine;

@@ -2,9 +2,9 @@
 //
 // The monolithic solver that used to live here is now layered:
 //   solver_options.hpp - QtOperatorConcept, QtMatrix, options/result structs
-//   kernels.hpp        - per-method serial and block-sharded kernels
-//   thread_pool.hpp    - reusable fork-join worker pool
-//   engine.hpp         - SolverEngine tying pool + kernels together
+//   kernels.hpp        - Gauss-Seidel kernels, wavefront groups, team lanes
+//   common/crew.hpp    - idle threads that take pieces of running work
+//   engine.hpp         - SolverEngine tying pool, crew and kernels together
 // This header re-exports all of it and keeps the original free-function
 // entry point, which routes through the process-wide default engine.
 #pragma once
@@ -16,9 +16,8 @@
 namespace gprsim::ctmc {
 
 /// Solves pi Q = 0, sum(pi) = 1 for the operator's chain on the default
-/// engine. With the default options.num_threads == 1 this is the exact
-/// serial arithmetic of the original solver; see engine.hpp for the
-/// parallel semantics.
+/// engine: the exact serial arithmetic of the original solver at every
+/// options.num_threads; see engine.hpp for what more threads do.
 template <QtOperatorConcept Op>
 SolveResult solve_steady_state(const Op& op, const SolveOptions& options = {}) {
     return default_engine().solve(op, options);
