@@ -34,6 +34,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <span>
 
 #include "ctmc/kernels.hpp"
@@ -137,13 +138,12 @@ SolveResult SolverEngine::solve_here(const Op& op, const SolveOptions& options) 
     // its scaled residual, which a pipelined operator fuses into the division.
     const auto prepared = [&](const std::vector<double>& raw, double* residual) {
         std::vector<double> x = raw;
-        double sum = 0.0;
         for (double& v : x) {
             v = std::max(v, 0.0);
-            sum += v;
         }
         if constexpr (PipelinedSweepOperator<Op>) {
             if (residual != nullptr) {
+                const double sum = std::accumulate(x.begin(), x.end(), 0.0);
                 *residual = op.fused_normalize_residual(x.data(), sum, lambda);
                 return x;
             }
