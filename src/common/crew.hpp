@@ -5,11 +5,11 @@
 // order; once none is left it helps: it claims pieces of the batches that
 // running tasks hand out through Crew::run_pieces, until every task has
 // finished. Pieces are claimed in index order, and piece i may wait only on
-// pieces below it, which running threads have claimed, so no wait
-// deadlocks, and no task waits for a helper. run_pieces returns only after
-// every piece has finished, and a helper touches a batch only between
-// claiming a piece and reporting it done, so a batch lives on its owner's
-// stack. The crew knows nothing of what the pieces compute; a chain
+// pieces below it, which running threads have claimed: nothing deadlocks,
+// though a slow helper holds up the pieces after its own. run_pieces returns
+// only after every piece has finished, and a helper touches a batch only
+// between claiming a piece and reporting it done, so a batch lives on its
+// owner's stack. The crew knows nothing of what the pieces compute; a chain
 // solve's sweep groups (ctmc::detail::grouped_sweeps) are one client.
 #pragma once
 

@@ -44,9 +44,9 @@
 
 namespace gprsim::ctmc {
 
-/// Chains with fewer states solve on the calling thread alone: their
-/// 10-sweep batches take under ~0.7 ms, where helpers bought less than 1.5x.
-inline constexpr index_type kTeamMinStates = index_type{1} << 14;
+/// Chains with fewer states solve alone: three seats lost to one thread on
+/// chains of up to 40,299 states and won from 53,732 up (docs/benchmarks.md).
+inline constexpr index_type kTeamMinStates = index_type{1} << 16;
 
 class SolverEngine {
 public:

@@ -21,8 +21,7 @@ Frame error_frame(std::uint64_t id, const common::EvalError& error) {
 }  // namespace
 
 CampaignService::CampaignService(ServiceOptions options)
-    : options_(std::move(options)), store_(options_.store_capacity),
-      pool_(options_.num_threads) {
+    : options_(std::move(options)), store_(options_.store_capacity) {
     const int workers = options_.workers < 1 ? 1 : options_.workers;
     workers_.reserve(static_cast<std::size_t>(workers));
     for (int i = 0; i < workers; ++i) {
@@ -115,6 +114,7 @@ void CampaignService::shutdown() {
 }
 
 void CampaignService::worker_loop() {
+    common::ThreadPool pool(options_.num_threads);
     for (;;) {
         Pending pending;
         {
@@ -126,7 +126,7 @@ void CampaignService::worker_loop() {
             pending = std::move(queue_.front());
             queue_.pop_front();
         }
-        process(pending);
+        process(pending, pool);
     }
 }
 
@@ -140,7 +140,7 @@ void CampaignService::fail(const RequestStreamPtr& stream, const common::EvalErr
     stream->ring_.close();
 }
 
-void CampaignService::process(const Pending& pending) {
+void CampaignService::process(const Pending& pending, common::ThreadPool& pool) {
     const RequestStreamPtr& stream = pending.stream;
     if (stream->cancel_requested()) {
         fail(stream, common::EvalError{common::EvalErrorCode::cancelled,
@@ -199,7 +199,7 @@ void CampaignService::process(const Pending& pending) {
             if (!slice.has_value()) {
                 eval::GridOptions grid;
                 grid.num_threads = options_.num_threads;
-                grid.pool = options_.num_threads > 1 ? &pool_ : nullptr;
+                grid.pool = options_.num_threads > 1 ? &pool : nullptr;
                 grid.grid_offset = offset;
                 eval::GridOutcome computed = evaluator.value()->evaluate_grid(
                     query, std::span<const double>(rates), grid);

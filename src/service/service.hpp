@@ -60,7 +60,9 @@ struct ServiceOptions {
     /// `saturated` (requests being worked on do not count).
     std::size_t queue_capacity = 8;
     /// Execution width per slice (GridOptions::num_threads); the service
-    /// default is 1 — requests are the parallelism. Never changes output.
+    /// default is 1 — requests are the parallelism. Each worker owns a pool
+    /// this wide: a wave holds its pool until its last task ends, so a shared
+    /// pool would make requests wait on each other. Never changes output.
     int num_threads = 1;
     /// Idle entries the shared warm store retains.
     std::size_t store_capacity = 64;
@@ -143,7 +145,7 @@ private:
     };
 
     void worker_loop();
-    void process(const Pending& pending);
+    void process(const Pending& pending, common::ThreadPool& pool);
     /// Pushes one terminal error frame and counts it in the stats.
     void fail(const RequestStreamPtr& stream, const common::EvalError& error);
 
@@ -151,7 +153,6 @@ private:
     RollingStats stats_;
     WarmStore store_;
     TraceIngest traces_;
-    common::ThreadPool pool_;  ///< shared slice pool (idle when num_threads <= 1)
 
     mutable std::mutex queue_mutex_;
     std::condition_variable queue_cv_;

@@ -185,7 +185,7 @@ TEST(CampaignRunner, OutputBitwiseInvariantToThreadCount) {
 
 TEST(CampaignRunner, HelpedSolvesKeepTheCsvBytes) {
     // Waves of one and two solves on four seats: the idle seats take sweep
-    // groups of the running solves, whose chain (16,896 states) is above
+    // groups of the running solves, whose chain (69,632 states) is above
     // ctmc::kTeamMinStates. The CSV is the one-thread CSV, byte for byte.
     ScenarioSpec spec;
     spec.named("helped")
@@ -195,8 +195,8 @@ TEST(CampaignRunner, HelpedSolvesKeepTheCsvBytes) {
         .with_rate_grid(0.6, 1.0, 3)
         .with_tolerance(1e-10);
     spec.total_channels = 8;
-    spec.buffer_capacity = 31;
-    spec.max_gprs_sessions = {10};
+    spec.buffer_capacity = 63;
+    spec.max_gprs_sessions = {15};
 
     ctmc::SolverEngine engine;
     CampaignRunner runner(engine);
@@ -205,16 +205,23 @@ TEST(CampaignRunner, HelpedSolvesKeepTheCsvBytes) {
     CampaignOptions wide;
     wide.num_threads = 4;
     const CampaignResult a = runner.run(spec, serial);
-    const CampaignResult b = runner.run(spec, wide);
     ASSERT_LT(a.summary.batch_tasks / a.summary.batch_waves, 4u);
-
-    std::ostringstream csv_a;
-    std::ostringstream csv_b;
-    write_campaign_csv(a, csv_a);
-    write_campaign_csv(b, csv_b);
-    EXPECT_EQ(csv_a.str(), csv_b.str());
     EXPECT_EQ(a.summary.batch_helped_groups, 0u);
-    EXPECT_GT(b.summary.batch_helped_groups, 0u);
+    std::ostringstream csv_a;
+    write_campaign_csv(a, csv_a);
+
+    // Whether a helper wakes before the owner has claimed every group of a
+    // batch is up to the scheduler: rerun the wide campaign until one did.
+    // Every run's CSV is the one-thread CSV.
+    std::size_t helped = 0;
+    for (int round = 0; round < 10 && helped == 0; ++round) {
+        const CampaignResult b = runner.run(spec, wide);
+        std::ostringstream csv_b;
+        write_campaign_csv(b, csv_b);
+        EXPECT_EQ(csv_b.str(), csv_a.str()) << "round " << round;
+        helped = b.summary.batch_helped_groups;
+    }
+    EXPECT_GT(helped, 0u);
 }
 
 TEST(CampaignRunner, BothMethodFillsDeltasAndCis) {

@@ -161,8 +161,8 @@ std::vector<StencilCase> stencil_cases() {
     cases.push_back({"pinned_handover", pinned});
     // Thirteen levels: all four chains of the wavefront run together.
     cases.push_back({"mid_size", stencil_cell(12, 6, 1, 6)});
-    // 16,896 states, above ctmc::kTeamMinStates: wide solves run as a team.
-    cases.push_back({"team_size", stencil_cell(31, 8, 1, 10)});
+    // 69,632 states, above ctmc::kTeamMinStates: wide solves run as a team.
+    cases.push_back({"team_size", stencil_cell(63, 8, 1, 15)});
     return cases;
 }
 

@@ -6,9 +6,16 @@
 //   2. Store refcounts drain to zero once nothing is in flight.
 //   3. A saturated service REJECTS with a typed `saturated` error; the
 //      bounded queue never grows past its capacity.
+//   4. Slices wider than one thread change no byte either: each worker runs
+//      them on a pool of its own, where idle seats help a running solve, and
+//      a request that holds its pool never holds up another worker's.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +24,7 @@
 #include "campaign/runner.hpp"
 #include "campaign/sink.hpp"
 #include "campaign/spec.hpp"
+#include "eval/registry.hpp"
 #include "service/protocol.hpp"
 #include "service/service.hpp"
 
@@ -45,6 +53,21 @@ const char* kIdentitySpec = R"({
     "batch_duration": 150,
     "tcp": false,
   },
+})";
+
+/// One chain of 69,632 states, above ctmc::kTeamMinStates, per wave: on a
+/// wide slice pool the idle seats run sweep groups of its solves.
+const char* kTeamSpec = R"({
+  "name": "svc_team",
+  "methods": ["ctmc"],
+  "traffic_model": 1,
+  "reserved_pdch": 1,
+  "gprs_fraction": 0.3,
+  "channels": 8,
+  "buffer": 63,
+  "max_gprs_sessions": 15,
+  "rates": [0.6, 0.9],
+  "solver": {"tolerance": 1e-9},
 })";
 
 /// The one-shot reference: same spec through CampaignRunner + CSV sink.
@@ -126,6 +149,121 @@ TEST(Concurrency, ConcurrentRequestsMatchOneShotByteForByte) {
     EXPECT_GT(stats.store_hit_rate(), 0.8);
     EXPECT_GT(stats.points_evaluated, 0u);
 
+    wait_for_drained(service);
+}
+
+TEST(Concurrency, WideSlicesOfConcurrentRequestsMatchOneShotByteForByte) {
+    // Two workers with four-seat slice pools: the two requests' waves run
+    // side by side, and seats left idle by a one-solve wave help that solve.
+    const std::vector<std::string> specs{kTeamSpec, kIdentitySpec};
+    std::vector<std::string> expected;
+    for (const std::string& spec : specs) {
+        expected.push_back(one_shot_csv(spec));
+    }
+
+    ServiceOptions options;
+    options.workers = 2;
+    options.num_threads = 4;
+    CampaignService service(options);
+    std::vector<RequestStreamPtr> streams;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        auto stream = service.submit(i, specs[i]);
+        ASSERT_TRUE(stream.ok()) << stream.error().message;
+        streams.push_back(stream.value());
+    }
+    std::vector<std::string> results(streams.size());
+    std::vector<std::thread> readers;
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+        readers.emplace_back([&results, &streams, i] { results[i] = drain_csv(streams[i]); });
+    }
+    for (std::thread& reader : readers) {
+        reader.join();
+    }
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+        EXPECT_EQ(results[i], expected[i]) << "request " << i << " diverged";
+    }
+    EXPECT_EQ(service.stats().requests_served, specs.size());
+    wait_for_drained(service);
+}
+
+/// A gate the "service-test-gate" backend's points wait behind: a request
+/// of that backend holds its worker, and the worker's pool, until opened.
+struct Gate {
+    std::mutex mutex;
+    std::condition_variable changed;
+    bool open = false;
+    int waiting = 0;
+
+    void pass() {
+        std::unique_lock<std::mutex> lock(mutex);
+        ++waiting;
+        changed.notify_all();
+        changed.wait(lock, [this] { return open; });
+    }
+    bool wait_for_waiter() {
+        std::unique_lock<std::mutex> lock(mutex);
+        return changed.wait_for(lock, std::chrono::seconds(60), [this] { return waiting > 0; });
+    }
+    void release() {
+        std::lock_guard<std::mutex> lock(mutex);
+        open = true;
+        changed.notify_all();
+    }
+};
+
+Gate& gate() {
+    static Gate instance;
+    return instance;
+}
+
+void register_gate_backend() {
+    static const bool registered =
+        eval::register_backend("service-test-gate", "waits for the test's gate", [] {
+            class GateBackend final : public eval::Evaluator {
+                const std::string& name() const override {
+                    static const std::string n = "service-test-gate";
+                    return n;
+                }
+                const std::string& description() const override {
+                    static const std::string d = "waits for the test's gate";
+                    return d;
+                }
+                common::Result<eval::PointEvaluation> evaluate(
+                    const eval::ScenarioQuery& query) override {
+                    gate().pass();
+                    eval::PointEvaluation point;
+                    point.backend = name();
+                    point.call_arrival_rate = query.call_arrival_rate;
+                    return point;
+                }
+            };
+            return std::make_unique<GateBackend>();
+        }).ok();
+    ASSERT_TRUE(registered);
+}
+
+TEST(Concurrency, RequestHoldingItsPoolDoesNotHoldUpAnotherWorker) {
+    // One request's one-point wave waits behind the gate on worker A's pool;
+    // a request on worker B runs its waves on B's own pool and finishes.
+    register_gate_backend();
+    const std::string expected = one_shot_csv(kIdentitySpec);
+    ServiceOptions options;
+    options.workers = 2;
+    options.num_threads = 4;
+    CampaignService service(options);
+
+    auto parked = service.submit(
+        1, R"({"name": "parked", "methods": ["service-test-gate"], "rates": [0.5]})");
+    ASSERT_TRUE(parked.ok()) << parked.error().message;
+    ASSERT_TRUE(gate().wait_for_waiter());
+    auto running = service.submit(2, kIdentitySpec);
+    ASSERT_TRUE(running.ok()) << running.error().message;
+    auto csv = std::async(std::launch::async, [&] { return drain_csv(running.value()); });
+    const bool finished = csv.wait_for(std::chrono::seconds(200)) == std::future_status::ready;
+    gate().release();
+    EXPECT_TRUE(finished) << "the parked request held up the other worker's waves";
+    EXPECT_EQ(csv.get(), expected);
+    drain_csv(parked.value());
     wait_for_drained(service);
 }
 
