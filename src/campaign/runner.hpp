@@ -81,7 +81,8 @@ struct CampaignSummary {
     std::size_t points = 0;
     /// One entry per backend, parallel to CampaignResult::methods.
     std::vector<BackendTotals> backends;
-    /// Merged task set: tasks executed and the waves they ran in.
+    /// Merged task set: tasks executed (eval::BatchStats::tasks, which
+    /// counts speculative starts) and the waves they ran in.
     std::size_t batch_tasks = 0;
     std::size_t batch_waves = 0;
     /// Chain-solve sweep groups that idle seats ran (timing-dependent).

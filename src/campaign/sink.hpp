@@ -45,7 +45,9 @@ bool write_campaign_csv(const CampaignResult& result, const std::string& path);
 /// JSON mirror of the CSV: {"name", "methods": [...], "summary": {...},
 /// "rows": [...]} with one object per CSV row (empty cells omitted, network
 /// rows adding their per-cell "cells" detail) and the summary's
-/// per-backend totals.
+/// per-backend totals. Unlike the rows, the summary's execution counts
+/// depend on the thread count: "batch_tasks" includes ctmc's speculative
+/// starts, and "batch_helped_groups" is timing-dependent.
 void write_campaign_json(const CampaignResult& result, std::ostream& out);
 bool write_campaign_json(const CampaignResult& result, const std::string& path);
 

@@ -1,6 +1,7 @@
 #include "core/model.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "core/initial_guess.hpp"
 
@@ -11,13 +12,13 @@ GprsModel::GprsModel(Parameters parameters)
       balanced_(balance_handover(parameters_)),
       generator_(parameters_, balanced_.rates) {}
 
-const ctmc::SolveResult& GprsModel::solve(const ctmc::SolveOptions& options) {
-    return solve(options, ctmc::default_engine());
+const ctmc::SolveResult& GprsModel::solve(ctmc::SolveOptions options) {
+    return solve(std::move(options), ctmc::default_engine());
 }
 
-const ctmc::SolveResult& GprsModel::solve(const ctmc::SolveOptions& options,
+const ctmc::SolveResult& GprsModel::solve(ctmc::SolveOptions options,
                                           ctmc::SolverEngine& engine) {
-    auto result = try_solve(options, engine);
+    auto result = try_solve(std::move(options), engine);
     if (!result.ok()) {
         throw std::runtime_error("GprsModel::solve: " + result.error().message);
     }
@@ -25,29 +26,24 @@ const ctmc::SolveResult& GprsModel::solve(const ctmc::SolveOptions& options,
 }
 
 common::Result<std::reference_wrapper<const ctmc::SolveResult>> GprsModel::try_solve(
-    const ctmc::SolveOptions& options) {
-    return try_solve(options, ctmc::default_engine());
+    ctmc::SolveOptions options) {
+    return try_solve(std::move(options), ctmc::default_engine());
 }
 
 common::Result<std::reference_wrapper<const ctmc::SolveResult>> GprsModel::try_solve(
-    const ctmc::SolveOptions& options, ctmc::SolverEngine& engine) {
+    ctmc::SolveOptions options, ctmc::SolverEngine& engine) {
     if (solution_) {
         return std::cref(*solution_);
     }
+    const double tolerance = options.tolerance;
     ctmc::SolveResult result;
     try {
         if (options.initial.empty() && options.initial_candidates.empty()) {
             // Warm-start from the closed-form product approximation;
             // typically several times fewer sweeps than a uniform start.
-            // Callers supplying initial_candidates (the campaign runner) add
-            // it themselves — and those candidate vectors are
-            // state-space-sized, so the options are only copied here.
-            ctmc::SolveOptions effective = options;
-            effective.initial = product_form_initial(parameters_, balanced_, space());
-            result = engine.solve(generator_, effective);
-        } else {
-            result = engine.solve(generator_, options);
+            options.initial = product_form_initial(parameters_, balanced_, space());
         }
+        result = engine.solve(generator_, std::move(options));
     } catch (const std::exception& e) {
         // Degenerate options/operator (engine throws invalid_argument).
         return common::EvalError{common::EvalErrorCode::invalid_query,
@@ -60,7 +56,7 @@ common::Result<std::reference_wrapper<const ctmc::SolveResult>> GprsModel::try_s
             "steady-state iteration did not converge (residual " +
                 std::to_string(result.residual) + " after " +
                 std::to_string(result.iterations) + " sweeps, tolerance " +
-                std::to_string(options.tolerance) + ") [" + parameters_.describe() + "]"};
+                std::to_string(tolerance) + ") [" + parameters_.describe() + "]"};
     }
     solution_ = std::move(result);
     return std::cref(*solution_);

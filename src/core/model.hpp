@@ -34,15 +34,16 @@ public:
     const GprsGenerator& generator() const { return generator_; }
 
     /// Solves for the stationary distribution (cached) on the process-wide
-    /// default engine. Returns solver statistics; throws
-    /// std::runtime_error — with the scenario's key parameters in the
-    /// message — if the solve did not converge.
-    const ctmc::SolveResult& solve(const ctmc::SolveOptions& options = {});
+    /// default engine. Without a start in the options it starts from the
+    /// product form; a given start (initial or initial_candidates) is
+    /// consumed like the engine's, so move it in. Returns solver
+    /// statistics; throws std::runtime_error — with the scenario's key
+    /// parameters in the message — if the solve did not converge.
+    const ctmc::SolveResult& solve(ctmc::SolveOptions options = {});
 
     /// Same, but on a caller-managed engine — the route every sweep and
     /// bench takes so one thread pool is reused across all solves.
-    const ctmc::SolveResult& solve(const ctmc::SolveOptions& options,
-                                   ctmc::SolverEngine& engine);
+    const ctmc::SolveResult& solve(ctmc::SolveOptions options, ctmc::SolverEngine& engine);
 
     /// Exception-free solve for the eval API boundary: a non-converged
     /// iteration or invalid solver options come back as a typed
@@ -50,9 +51,9 @@ public:
     /// carries residual, iterations, and Parameters::describe(). On
     /// success the result is cached exactly like solve()'s.
     common::Result<std::reference_wrapper<const ctmc::SolveResult>> try_solve(
-        const ctmc::SolveOptions& options = {});
+        ctmc::SolveOptions options = {});
     common::Result<std::reference_wrapper<const ctmc::SolveResult>> try_solve(
-        const ctmc::SolveOptions& options, ctmc::SolverEngine& engine);
+        ctmc::SolveOptions options, ctmc::SolverEngine& engine);
 
     bool solved() const { return solution_.has_value(); }
     /// Stationary distribution (requires a prior successful solve()).

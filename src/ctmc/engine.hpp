@@ -36,6 +36,8 @@
 #include <mutex>
 #include <numeric>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "ctmc/kernels.hpp"
 #include "ctmc/solver_options.hpp"
@@ -67,18 +69,21 @@ public:
 
     /// Solves pi Q = 0, sum(pi) = 1 for the operator's chain.
     ///
+    /// The solve owns its options: a start (SolveOptions::initial or the
+    /// winning initial_candidates entry) becomes the iterate in place, so
+    /// pass it with std::move to avoid copying a state-space-sized vector.
     /// Throws std::invalid_argument for degenerate generators. A
     /// non-converged result (result.converged == false) is returned rather
     /// than thrown so callers can decide whether the residual is
     /// acceptable. Concurrent solves on one engine are safe; those wider
     /// than one thread serialize on the pool.
     template <QtOperatorConcept Op>
-    SolveResult solve(const Op& op, const SolveOptions& options = {});
+    SolveResult solve(const Op& op, SolveOptions options = {});
 
 private:
     /// The solve on the calling thread (and its crew, if seated).
     template <QtOperatorConcept Op>
-    static SolveResult solve_here(const Op& op, const SolveOptions& options);
+    static SolveResult solve_here(const Op& op, SolveOptions options);
 
     std::unique_ptr<common::ThreadPool> pool_;
     std::mutex pool_mutex_;
@@ -88,10 +93,74 @@ private:
 /// and by model-layer callers that do not manage their own engine.
 SolverEngine& default_engine();
 
+/// The candidate rule of SolveOptions::initial_candidates, callable without
+/// a solve: prepares every candidate in place exactly as a solve prepares
+/// its start (clamped to non-negative, divided by its left-to-right sum)
+/// with its scaled residual, and returns the index of the start a solve
+/// with these candidates iterates from: the first, displaced only by a
+/// later one whose residual is strictly below `margin` times the
+/// incumbent's. Throws std::invalid_argument on a size mismatch or a
+/// margin outside (0, 1].
+template <QtOperatorConcept Op>
+int choose_start(const Op& op, std::span<std::vector<double>> candidates, double margin);
+
 // --- implementation -----------------------------------------------------
 
+namespace detail {
+
+/// Prepares a start in place: clamped to non-negative and divided by its
+/// left-to-right sum. With `residual`, also its scaled residual, which a
+/// pipelined operator fuses into the division (bitwise the same division).
 template <QtOperatorConcept Op>
-SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
+void prepare_start(const Op& op, std::vector<double>& x, double lambda, double* residual) {
+    for (double& v : x) {
+        v = std::max(v, 0.0);
+    }
+    if constexpr (PipelinedSweepOperator<Op>) {
+        if (residual != nullptr) {
+            const double sum = std::accumulate(x.begin(), x.end(), 0.0);
+            *residual = op.fused_normalize_residual(x.data(), sum, lambda);
+            return;
+        }
+    }
+    normalize(x);
+    if (residual != nullptr) {
+        *residual = scaled_residual(op, x, lambda);
+    }
+}
+
+/// choose_start with the operator's uniformization rate already known.
+template <QtOperatorConcept Op>
+int choose_start(const Op& op, std::span<std::vector<double>> candidates, double margin,
+                 double lambda) {
+    if (margin <= 0.0 || margin > 1.0) {
+        throw std::invalid_argument("solve_steady_state: candidate_margin must be in (0, 1]");
+    }
+    int selected = -1;
+    double incumbent_residual = 0.0;
+    for (std::size_t c = 0; c < candidates.size(); ++c) {
+        if (static_cast<index_type>(candidates[c].size()) != op.size()) {
+            throw std::invalid_argument("solve_steady_state: initial candidate size mismatch");
+        }
+        double residual = 0.0;
+        prepare_start(op, candidates[c], lambda, &residual);
+        if (selected < 0 || residual < margin * incumbent_residual) {
+            incumbent_residual = residual;
+            selected = static_cast<int>(c);
+        }
+    }
+    return selected;
+}
+
+}  // namespace detail
+
+template <QtOperatorConcept Op>
+int choose_start(const Op& op, std::span<std::vector<double>> candidates, double margin) {
+    return detail::choose_start(op, candidates, margin, detail::max_exit_rate(op));
+}
+
+template <QtOperatorConcept Op>
+SolveResult SolverEngine::solve(const Op& op, SolveOptions options) {
     if constexpr (TeamSweepOperator<Op>) {
         // One seat per sweep group of a batch at most: more have nothing
         // to claim.
@@ -100,17 +169,19 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
                                  detail::GroupSplit(options.check_interval, true).groups()));
         if (seats > 1 && op.size() >= kTeamMinStates && !common::Crew::seated()) {
             SolveResult result;
-            const std::function<void()> task = [&] { result = solve_here(op, options); };
+            const std::function<void()> task = [&] {
+                result = solve_here(op, std::move(options));
+            };
             common::Crew::run_tasks(pool(seats), std::span(&task, 1), seats);
             result.threads_used = seats;
             return result;
         }
     }
-    return solve_here(op, options);
+    return solve_here(op, std::move(options));
 }
 
 template <QtOperatorConcept Op>
-SolveResult SolverEngine::solve_here(const Op& op, const SolveOptions& options) {
+SolveResult SolverEngine::solve_here(const Op& op, SolveOptions options) {
     const auto t0 = std::chrono::steady_clock::now();
     const index_type n = op.size();
     if (n <= 0) {
@@ -134,57 +205,25 @@ SolveResult SolverEngine::solve_here(const Op& op, const SolveOptions& options) 
     // crew and a batch is long enough to repay a wake-up.
     const bool team = n >= kTeamMinStates && common::Crew::seated();
 
-    // A start, clamped to non-negative and normalized; for a candidate also
-    // its scaled residual, which a pipelined operator fuses into the division.
-    const auto prepared = [&](const std::vector<double>& raw, double* residual) {
-        std::vector<double> x = raw;
-        for (double& v : x) {
-            v = std::max(v, 0.0);
-        }
-        if constexpr (PipelinedSweepOperator<Op>) {
-            if (residual != nullptr) {
-                const double sum = std::accumulate(x.begin(), x.end(), 0.0);
-                *residual = op.fused_normalize_residual(x.data(), sum, lambda);
-                return x;
-            }
-        }
-        detail::normalize(x);
-        if (residual != nullptr) {
-            *residual = detail::scaled_residual(op, x, lambda);
-        }
-        return x;
-    };
-    result.distribution.assign(static_cast<std::size_t>(n), 1.0 / static_cast<double>(n));
+    // The start becomes the iterate in place; the uniform distribution
+    // only when none is given.
     if (!options.initial.empty()) {
-        result.distribution = prepared(options.initial, nullptr);
+        result.distribution = std::move(options.initial);
+        detail::prepare_start(op, result.distribution, lambda, nullptr);
     } else if (!options.initial_candidates.empty()) {
         // Competitive warm starts: one residual evaluation per candidate
         // (an O(nnz) pass, far cheaper than the sweeps a bad start costs),
-        // then iterate from the winner. A later candidate only displaces
-        // the incumbent when it undercuts margin * incumbent — see the
-        // candidate_margin documentation for why near-ties go to the
-        // earlier (preferred) candidate.
-        if (options.candidate_margin <= 0.0 || options.candidate_margin > 1.0) {
-            throw std::invalid_argument(
-                "solve_steady_state: candidate_margin must be in (0, 1]");
-        }
-        double incumbent_residual = 0.0;
-        for (std::size_t c = 0; c < options.initial_candidates.size(); ++c) {
-            const std::vector<double>& raw = options.initial_candidates[c];
-            if (static_cast<index_type>(raw.size()) != n) {
-                throw std::invalid_argument(
-                    "solve_steady_state: initial candidate size mismatch");
-            }
-            double residual = 0.0;
-            std::vector<double> x = prepared(raw, &residual);
-            ++result.residual_evaluations;
-            if (result.initial_selected < 0 ||
-                residual < options.candidate_margin * incumbent_residual) {
-                incumbent_residual = residual;
-                result.initial_selected = static_cast<int>(c);
-                result.distribution = std::move(x);
-            }
-        }
+        // then iterate from the winner (choose_start; see candidate_margin
+        // for why near-ties go to the earlier, preferred candidate).
+        result.initial_selected =
+            detail::choose_start(op, std::span(options.initial_candidates),
+                                 options.candidate_margin, lambda);
+        result.residual_evaluations += static_cast<index_type>(options.initial_candidates.size());
+        result.distribution = std::move(
+            options.initial_candidates[static_cast<std::size_t>(result.initial_selected)]);
+        options.initial_candidates.clear();
+    } else {
+        result.distribution.assign(static_cast<std::size_t>(n), 1.0 / static_cast<double>(n));
     }
     std::vector<double>& x = result.distribution;
 

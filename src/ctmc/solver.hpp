@@ -19,8 +19,8 @@ namespace gprsim::ctmc {
 /// engine: the exact serial arithmetic of the original solver at every
 /// options.num_threads; see engine.hpp for what more threads do.
 template <QtOperatorConcept Op>
-SolveResult solve_steady_state(const Op& op, const SolveOptions& options = {}) {
-    return default_engine().solve(op, options);
+SolveResult solve_steady_state(const Op& op, SolveOptions options = {}) {
+    return default_engine().solve(op, std::move(options));
 }
 
 }  // namespace gprsim::ctmc

@@ -178,14 +178,16 @@ struct SolveOptions {
     /// of the engine's pool run a large chain's sweep groups. The result is
     /// bitwise identical at every width.
     int num_threads = 1;
-    /// Warm start; empty means the uniform distribution. Non-negative,
-    /// renormalized internally.
+    /// Warm start; empty means the uniform distribution. Clamped to
+    /// non-negative and renormalized in place: the solve takes the options
+    /// by value and iterates in this vector, so move it in to avoid a copy.
     std::vector<double> initial;
     /// Competing warm starts, in preference order: when non-empty the
-    /// engine evaluates the scaled residual of every candidate (one O(nnz)
-    /// pass each, no iterations consumed) and starts from the winner;
+    /// engine prepares every candidate in place, evaluates its scaled
+    /// residual (one O(nnz) pass each, no iterations consumed) and iterates
+    /// in the winner (ctmc::choose_start is the same rule without a solve);
     /// SolveResult::initial_selected reports the choice. Mutually
-    /// exclusive with `initial`.
+    /// exclusive with `initial`; moved in like it.
     std::vector<std::vector<double>> initial_candidates;
     /// Preference margin for the candidate comparison: a later candidate
     /// replaces the incumbent only when its residual is strictly below

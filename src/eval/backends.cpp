@@ -7,12 +7,15 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "core/handover.hpp"
 #include "core/initial_guess.hpp"
 #include "core/model.hpp"
 #include "eval/backend_util.hpp"
+#include "eval/batch.hpp"
 #include "queueing/mm1k.hpp"
 #include "sim/experiment.hpp"
 
@@ -172,7 +175,7 @@ public:
     }
 
     common::Result<PointEvaluation> evaluate(const ScenarioQuery& query) override {
-        return guarded(query, [&] { return solve_point(query, -1, {}, nullptr); });
+        return guarded(query, [&] { return solve_point(query, -1, {}, nullptr, nullptr); });
     }
 
     /// Grid planning with the deterministic bisection warm-start transfer:
@@ -184,8 +187,18 @@ public:
     /// parallelism), and idle seats of the wave help with its sweep groups;
     /// every query shares one wave structure (the schedule
     /// depends only on the grid size), so level-L points of ALL queries
-    /// carry wave L and solve concurrently under the executor. Output is
-    /// bitwise invariant to num_threads and to merging.
+    /// carry wave L and solve concurrently under the executor.
+    ///
+    /// Speculative starts fill the seats a wave leaves empty. With the
+    /// executor's width w (execution_width: num_threads when a pool is
+    /// given, else 1), each wave L below the last gets max(0, w - its task
+    /// count) extra tasks: root solves, from the product form, of the first
+    /// level-(L+1) points in (query, schedule) order. Such a point's own
+    /// task in wave L+1 applies the engine's candidate rule to its two
+    /// starts; when the product form wins it adopts the speculative solve,
+    /// which is bitwise the solve it would run, and otherwise solves as
+    /// without one. At one thread the plan has no speculative starts.
+    /// Output is bitwise invariant to num_threads and to merging.
     GridPlan plan_grids(std::span<const ScenarioQuery> queries,
                         std::span<const double> rates,
                         const GridOptions& options) override {
@@ -198,6 +211,8 @@ public:
             std::vector<std::vector<PointEvaluation>> points;    ///< [q][i]
             std::vector<std::vector<std::unique_ptr<EvalError>>> errors;
             std::vector<std::unique_ptr<WarmStartCache>> caches;
+            /// [q][i]: the point's speculative start, if one was planned.
+            std::vector<std::vector<std::unique_ptr<Speculation>>> speculations;
             /// Wave of query q's first failure; later-wave tasks of q skip.
             std::vector<std::atomic<long long>> poisoned;
             std::vector<double> rates;
@@ -210,6 +225,7 @@ public:
         state->base.assign(queries.begin(), queries.end());
         state->points.assign(nq, std::vector<PointEvaluation>(n));
         state->errors.resize(nq);
+        state->speculations.resize(nq);
         state->rates.assign(rates.begin(), rates.end());
         state->schedule = bisection_schedule(n);
         std::vector<std::atomic<long long>> poisoned(nq);
@@ -225,27 +241,38 @@ public:
             if (planned[q]) {
                 state->caches[q] =
                     std::make_unique<WarmStartCache>(n, state->schedule.parent);
+                state->speculations[q].resize(n);
             }
         }
 
-        const auto solve_task = [this, state, progress = options.progress](
-                                    std::size_t q, std::size_t index, std::size_t wave) {
+        // Query q at grid point `index`, unless an earlier wave of q failed.
+        const auto live_query = [state](std::size_t q, std::size_t index,
+                                        std::size_t wave) -> std::optional<ScenarioQuery> {
             if (state->poisoned[q].load(std::memory_order_acquire) <
                 static_cast<long long>(wave)) {
-                return;  // a parent wave of this query already failed
+                return std::nullopt;  // a parent wave of this query already failed
             }
             ScenarioQuery query = state->base[q];
             query.call_arrival_rate = state->rates[index];
+            return query;
+        };
+        const auto solve_task = [this, state, live_query, progress = options.progress](
+                                    std::size_t q, std::size_t index, std::size_t wave) {
+            const std::optional<ScenarioQuery> query = live_query(q, index, wave);
+            if (!query) {
+                return;
+            }
             WarmStartCache& cache = *state->caches[q];
             const int parent = state->schedule.parent[index];
-            const bool has_dependents = cache.has_dependents(index);
+            const std::unique_ptr<Speculation> speculation =
+                std::move(state->speculations[q][index]);
             std::vector<double> deviation;
-            common::Result<PointEvaluation> point = guarded(query, [&] {
+            common::Result<PointEvaluation> point = guarded(*query, [&] {
                 return solve_point(
-                    query, parent,
+                    *query, parent,
                     parent >= 0 ? cache.claim(static_cast<std::size_t>(parent))
                                 : std::vector<double>(),
-                    has_dependents ? &deviation : nullptr);
+                    cache.has_dependents(index) ? &deviation : nullptr, speculation.get());
             });
             if (!point.ok()) {
                 state->errors[q][index] = std::make_unique<EvalError>(point.error());
@@ -259,17 +286,57 @@ public:
                 progress(q * state->rates.size() + index, state->points[q][index]);
             }
         };
+        // A speculative start keeps what it computed for the point's own
+        // task and nothing else: a failure is that task's to find again.
+        const auto speculate_task = [this, state, live_query](std::size_t q, std::size_t index,
+                                                              std::size_t wave) {
+            const std::optional<ScenarioQuery> query = live_query(q, index, wave);
+            if (!query) {
+                return;
+            }
+            Speculation& speculation = *state->speculations[q][index];
+            common::Result<PointEvaluation> point = guarded(*query, [&] {
+                return solve_point(
+                    *query, -1, {},
+                    state->caches[q]->has_dependents(index) ? &speculation.deviation : nullptr,
+                    nullptr);
+            });
+            if (point.ok()) {
+                speculation.point = point.take();
+            }
+        };
 
+        const auto width = static_cast<std::size_t>(execution_width(options));
+        const std::vector<std::vector<int>>& levels = state->schedule.levels;
         GridPlan plan;
-        for (std::size_t level = 0; level < state->schedule.levels.size(); ++level) {
+        for (std::size_t level = 0; level < levels.size(); ++level) {
+            const std::size_t wave_begin = plan.tasks.size();
             for (std::size_t q = 0; q < nq; ++q) {
                 if (!planned[q]) {
                     continue;
                 }
-                for (const int index : state->schedule.levels[level]) {
+                for (const int index : levels[level]) {
                     plan.tasks.push_back({level, [solve_task, q, index, level] {
                                               solve_task(q, static_cast<std::size_t>(index),
                                                          level);
+                                          }});
+                }
+            }
+            std::size_t empty_seats = width - std::min(width, plan.tasks.size() - wave_begin);
+            for (std::size_t q = 0; q < nq && level + 1 < levels.size() && empty_seats > 0; ++q) {
+                if (!planned[q]) {
+                    continue;
+                }
+                for (const int index : levels[level + 1]) {
+                    if (empty_seats == 0) {
+                        break;
+                    }
+                    --empty_seats;
+                    state->speculations[q][static_cast<std::size_t>(index)] =
+                        std::make_unique<Speculation>();
+                    plan.tasks.push_back({level, [speculate_task, q, index, level] {
+                                              speculate_task(
+                                                  q, static_cast<std::size_t>(index), level);
                                           }});
                 }
             }
@@ -291,6 +358,16 @@ public:
     }
 
 private:
+    /// A dependent point's root solve, run a wave early on an empty seat.
+    struct Speculation {
+        std::optional<PointEvaluation> point;  ///< empty when the solve failed
+        std::vector<double> deviation;         ///< for the point's own dependents
+    };
+
+    /// A transferred start must undercut half the product form's initial
+    /// residual: near-ties mispredict the iteration count.
+    static constexpr double kTransferMargin = 0.5;
+
     /// The one chain-point computation behind evaluate() and every task of
     /// the grid plan: builds the model and its product-form guess, solves
     /// on the calling thread (the points of a grid are the parallelism;
@@ -300,44 +377,74 @@ private:
     /// deviation from the parent's own product form — grafted onto this
     /// point's product form as a second candidate, which the engine keeps
     /// only when it undercuts half the product form's initial residual.
-    /// When `deviation` is non-null it receives the solved distribution
-    /// divided by the product form, for this point's own dependents.
+    /// A dependent with a successful `speculation` first applies that rule
+    /// alone (ctmc::choose_start) and, when the product form wins, returns
+    /// the speculative evaluation: the candidate path iterates from the
+    /// product form prepared exactly as a root's start, so it would repeat
+    /// the speculative solve bit for bit. When `deviation` is non-null it
+    /// receives the solved distribution divided by the product form, for
+    /// this point's own dependents.
     common::Result<PointEvaluation> solve_point(const ScenarioQuery& query, int parent,
                                                 std::vector<double> transferred,
-                                                std::vector<double>* deviation) const {
+                                                std::vector<double>* deviation,
+                                                Speculation* speculation) const {
         const core::Parameters p = query.resolved_parameters();
         core::GprsModel model(p);
-        std::vector<double> product =
-            core::product_form_initial(p, model.balanced(), model.space());
+        const auto product_form = [&] {
+            return core::product_form_initial(p, model.balanced(), model.space());
+        };
         ctmc::SolveOptions solve;
         solve.tolerance = query.solver.tolerance;
         solve.max_iterations = query.solver.max_iterations;
         // validated() (via guarded) already vetted the spelling. One
         // thread: idle seats of the wave may still help with the sweeps.
-        solve.method = *ctmc::method_from_name(query.solver.method);
+        const ctmc::SolveMethod method = *ctmc::method_from_name(query.solver.method);
+        solve.method = method;
         solve.num_threads = 1;
         if (parent >= 0) {
+            std::vector<double> product = product_form();
+            if (speculation != nullptr && speculation->point) {
+                // The rule prepares its candidates in place, so the
+                // transfer is grafted into a vector of its own here.
+                std::vector<std::vector<double>> candidates(2);
+                candidates[1].resize(product.size());
+                for (std::size_t s = 0; s < product.size(); ++s) {
+                    candidates[1][s] = transferred[s] * product[s];
+                }
+                candidates[0] = std::move(product);
+                if (ctmc::choose_start(model.generator(), std::span(candidates),
+                                       kTransferMargin) == 0) {
+                    if (deviation != nullptr) {
+                        *deviation = std::move(speculation->deviation);
+                    }
+                    PointEvaluation adopted = std::move(*speculation->point);
+                    adopted.warm_parent = parent;
+                    return adopted;
+                }
+                candidates = {};
+                product = product_form();
+            }
             for (std::size_t s = 0; s < transferred.size(); ++s) {
                 transferred[s] *= product[s];
             }
             // Candidate 0 (preferred): the plain product form.
-            solve.initial_candidates.push_back(deviation != nullptr ? product
-                                                                    : std::move(product));
+            solve.initial_candidates.push_back(std::move(product));
             solve.initial_candidates.push_back(std::move(transferred));
-            solve.candidate_margin = 0.5;
+            solve.candidate_margin = kTransferMargin;
         } else {
-            solve.initial = deviation != nullptr ? product : std::move(product);
+            solve.initial = product_form();
         }
-        auto solved = model.try_solve(solve, ctmc::default_engine());
+        auto solved = model.try_solve(std::move(solve), ctmc::default_engine());
         if (!solved.ok()) {
             return solved.error();
         }
         const ctmc::SolveResult& result = solved.value().get();
         if (deviation != nullptr) {
-            deviation->resize(result.distribution.size());
+            // The product form again (a few ms): the solve consumed its start.
+            *deviation = product_form();
             for (std::size_t s = 0; s < deviation->size(); ++s) {
-                (*deviation)[s] =
-                    product[s] > 0.0 ? result.distribution[s] / product[s] : 0.0;
+                double& d = (*deviation)[s];
+                d = d > 0.0 ? result.distribution[s] / d : 0.0;
             }
         }
         PointEvaluation point;
@@ -347,7 +454,7 @@ private:
                                                 result.distribution);
         point.iterations = static_cast<long long>(result.iterations);
         point.residual = result.residual;
-        point.solver_method = ctmc::method_name(solve.method);
+        point.solver_method = ctmc::method_name(method);
         point.warm_parent = parent;
         point.warm_started = result.initial_selected == 1;
         point.wall_seconds = result.seconds;

@@ -11,6 +11,12 @@
 
 namespace gprsim::eval {
 
+int execution_width(const GridOptions& options) {
+    return options.pool != nullptr
+               ? common::ThreadPool::resolve_thread_count(options.num_threads)
+               : 1;
+}
+
 BatchStats execute_plans(std::span<GridPlan> plans, const GridOptions& options) {
     BatchStats stats;
     for (const GridPlan& plan : plans) {
@@ -35,10 +41,10 @@ BatchStats execute_plans(std::span<GridPlan> plans, const GridOptions& options) 
         plan.tasks.clear();
     }
 
-    const int width = common::ThreadPool::resolve_thread_count(options.num_threads);
+    const int width = execution_width(options);
     for (const std::vector<std::function<void()>>& wave : waves) {
         stats.max_wave_width = std::max(stats.max_wave_width, wave.size());
-        if (width <= 1 || options.pool == nullptr) {
+        if (width <= 1) {
             for (const std::function<void()>& task : wave) {
                 task();
             }

@@ -37,7 +37,9 @@ namespace gprsim::eval {
 /// Execution accounting of a merged batch — the numbers the campaign
 /// summary prints.
 struct BatchStats {
-    /// Total tasks executed across every merged plan.
+    /// Total tasks executed across every merged plan, speculative ones
+    /// included (the ctmc plan adds starts on seats its waves leave
+    /// empty), so above one thread the count depends on the width.
     std::size_t tasks = 0;
     /// Pool dispatches actually executed: the DEEPEST merged plan's wave
     /// count, because global wave w runs every plan's wave-w tasks at once.
@@ -48,6 +50,10 @@ struct BatchStats {
     /// Sweep groups that helper seats ran: timing-dependent, only printed.
     std::size_t helped_groups = 0;
 };
+
+/// Seats execute_plans runs each wave on: the resolved num_threads when a
+/// pool is given, else 1 (serial). Plans may size their waves to it.
+int execution_width(const GridOptions& options);
 
 /// Executes the plans' tasks as one flat wave-ordered task set on
 /// options.pool (serially when the pool is absent or num_threads <= 1) and

@@ -1,10 +1,10 @@
 // CampaignRunner: the bisection warm-start schedule, warm-started grids
 // against pointwise cold evaluations (agreement within solver tolerance,
 // strictly fewer total iterations), bitwise thread-count invariance of full
-// campaign output, bitwise agreement between the merged batch and
-// per-(backend, variant) grids, and model-vs-sim deltas of a ctmc + des
-// campaign. Cells are kept tiny (N = 5..8 channels, small M and buffer) so
-// a full campaign solves in well under a second.
+// campaign output, speculative starts included, bitwise agreement between
+// the merged batch and per-(backend, variant) grids, and model-vs-sim
+// deltas of a ctmc + des campaign. Cells are kept tiny (N = 5..8 channels,
+// small M and buffer) so a full campaign solves in well under a second.
 #include "campaign/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,8 @@
 #include <cstring>
 #include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "campaign/sink.hpp"
 #include "eval/backends.hpp"
@@ -224,6 +226,60 @@ TEST(CampaignRunner, HelpedSolvesKeepTheCsvBytes) {
     EXPECT_GT(helped, 0u);
 }
 
+TEST(CampaignRunner, SpeculativeStartsKeepTheCsvBytesAndTheWarmCounts) {
+    // A grid whose transfers win at two points and lose at two, one of
+    // them the middle point, whose deviation its own dependent then takes
+    // (and wins with). Each wave holds one solve, so two threads give each
+    // of the first three waves one speculative start and four threads give
+    // every dependent one: a start is adopted where the transfer loses and
+    // discarded where it wins. Neither may show in the output: the CSV,
+    // the warm-start counts and the one progress call per point are the
+    // one-thread run's.
+    ScenarioSpec spec;
+    spec.named("speculative")
+        .with_methods({"ctmc"})
+        .over_reserved_pdch({1})
+        .over_gprs_fractions({0.02})
+        .with_rate_grid(0.3, 1.0, 5)
+        .with_tolerance(1e-10);
+    spec.total_channels = 8;
+    spec.buffer_capacity = 25;
+    spec.max_gprs_sessions = {10};
+
+    ctmc::SolverEngine engine;
+    CampaignRunner runner(engine);
+    std::string serial_csv;
+    BackendTotals serial_totals;
+    for (const int threads : {1, 2, 4}) {
+        CampaignOptions options;
+        options.num_threads = threads;
+        std::vector<int> seen(spec.point_count(), 0);
+        options.solve_progress = [&](std::size_t flat, const eval::PointEvaluation&) {
+            ASSERT_LT(flat, seen.size());
+            ++seen[flat];
+        };
+        const CampaignResult result = runner.run(spec, options);
+        std::ostringstream csv;
+        write_campaign_csv(result, csv);
+        const BackendTotals& totals = result.summary.backends.front();
+        EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](int n) { return n == 1; }))
+            << threads << " threads";
+        // 5 solves, plus 0 / 3 / 4 speculative starts.
+        EXPECT_EQ(result.summary.batch_tasks, threads == 1 ? 5u : threads == 2 ? 8u : 9u);
+        if (threads == 1) {
+            serial_csv = csv.str();
+            serial_totals = totals;
+            EXPECT_EQ(totals.warm_offered, 4u);
+            EXPECT_EQ(totals.warm_won, 2u);
+            continue;
+        }
+        EXPECT_EQ(csv.str(), serial_csv) << threads << " threads";
+        EXPECT_EQ(totals.warm_offered, serial_totals.warm_offered) << threads << " threads";
+        EXPECT_EQ(totals.warm_won, serial_totals.warm_won) << threads << " threads";
+        EXPECT_EQ(totals.iterations, serial_totals.iterations) << threads << " threads";
+    }
+}
+
 TEST(CampaignRunner, BothMethodFillsDeltasAndCis) {
     ctmc::SolverEngine engine;
     CampaignRunner runner(engine);
@@ -401,8 +457,13 @@ TEST(CampaignRunner, BatchedDispatchMatchesSequentialBitwiseAtEveryWidth) {
     EXPECT_EQ(wide.summary.batch_waves, ctmc_depth);
     EXPECT_EQ(sequential_waves, 3 * ctmc_depth + 3);  // + 3 des grids
     EXPECT_LT(wide.summary.batch_waves, sequential_waves);
-    // 27 solves + 27 points x 2 replications of simulator tasks.
-    EXPECT_EQ(wide.summary.batch_tasks, 27u + 54u);
+    // 27 solves + 27 points x 2 replications of simulator tasks, plus
+    // ctmc's speculative starts on the seats its waves leave empty: the
+    // 9-point schedule's levels hold 1, 1, 1, 2, 4 points, so with 3
+    // variants its waves hold 3, 3, 3, 6, 12 solves, and each of the first
+    // three gets 4 - 3 = 1 start (the last wave gets none).
+    EXPECT_EQ(wide.summary.batch_tasks, 27u + 54u + 3u);
+    EXPECT_EQ(serial.summary.batch_tasks, 27u + 54u);
 }
 
 TEST(CampaignRunner, ProgressCallbackSeesEverySolve) {

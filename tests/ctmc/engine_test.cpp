@@ -1,5 +1,6 @@
 // SolverEngine tests: the serial solve against the free-function facade,
-// warm-start candidates, the pool, degenerate inputs, the method spellings,
+// warm-start candidates and the candidate rule on its own (choose_start),
+// moved-in starts, the pool, degenerate inputs, the method spellings,
 // and that a width above one leaves an operator without a team pass (the
 // CSR) on the calling thread, bitwise the serial solve. The stencil's team
 // is tested in tests/core/generator_test.cpp, the crew in
@@ -10,6 +11,8 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "ctmc/solver.hpp"
@@ -46,6 +49,18 @@ QtMatrix qt_from_triplets(index_type n, const std::vector<Triplet>& triplets) {
         }
     });
 }
+
+/// The CSR without its pipelined pass: the engine's generic kernels.
+struct GenericView {
+    const QtMatrix* qt;
+
+    index_type size() const { return qt->size(); }
+    double diagonal(index_type i) const { return qt->diagonal(i); }
+    template <typename F>
+    void for_each_incoming(index_type i, F&& f) const {
+        qt->for_each_incoming(i, std::forward<F>(f));
+    }
+};
 
 TEST(SolverEngine, CsrSolveStaysOnTheCallingThreadAtAnyWidth) {
     SolverEngine engine;
@@ -154,6 +169,106 @@ TEST(SolverEngine, InitialCandidatesPickTheLowestResidualStart) {
     SolveOptions missized;
     missized.initial_candidates = {std::vector<double>(7, 0.1)};
     EXPECT_THROW(engine.solve(qt, missized), std::invalid_argument);
+}
+
+TEST(SolverEngine, MovedInStartsMatchCopiedInStartsBitwise) {
+    // The engine iterates in the start it is given: a moved-in start or
+    // candidate set solves exactly like a copied-in one, and an lvalue's
+    // vectors are left to the caller.
+    SolverEngine engine;
+    const index_type n = 50;
+    const QtMatrix qt = qt_from_triplets(n, random_chain(n, 11));
+    std::vector<double> start(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < start.size(); ++i) {
+        start[i] = 1.0 + static_cast<double>(i % 7);
+    }
+    const std::vector<double> uniform(static_cast<std::size_t>(n), 1.0);
+
+    SolveOptions copied;
+    copied.tolerance = 1e-12;
+    copied.initial = start;
+    const SolveResult from_copy = engine.solve(qt, copied);
+    EXPECT_EQ(copied.initial, start);
+    SolveOptions moved = copied;
+    const SolveResult from_move = engine.solve(qt, std::move(moved));
+    ASSERT_TRUE(from_copy.converged);
+    EXPECT_EQ(from_move.distribution, from_copy.distribution);
+    EXPECT_EQ(from_move.iterations, from_copy.iterations);
+    EXPECT_EQ(from_move.residual, from_copy.residual);
+
+    SolveOptions candidates;
+    candidates.tolerance = 1e-12;
+    candidates.candidate_margin = 0.5;
+    candidates.initial_candidates = {uniform, start};
+    const SolveResult chosen_copy = engine.solve(qt, candidates);
+    EXPECT_EQ(candidates.initial_candidates[1], start);
+    SolveOptions moved_candidates = candidates;
+    const SolveResult chosen_move = engine.solve(qt, std::move(moved_candidates));
+    EXPECT_EQ(chosen_move.initial_selected, chosen_copy.initial_selected);
+    EXPECT_EQ(chosen_move.distribution, chosen_copy.distribution);
+    EXPECT_EQ(chosen_move.iterations, chosen_copy.iterations);
+    EXPECT_EQ(chosen_move.residual, chosen_copy.residual);
+}
+
+TEST(SolverEngine, CandidateRuleAgreesWithTheSolveAndPreparesLikeAPlainStart) {
+    // choose_start is the rule a solve with initial_candidates applies: it
+    // names the same winner for every order and margin. A winning candidate
+    // is prepared by the same steps as a plain start, so a solve from the
+    // winner alone is the candidate solve bit for bit, on the pipelined
+    // (fused-residual) operator and on the generic one alike.
+    SolverEngine engine;
+    const index_type n = 60;
+    const QtMatrix qt = qt_from_triplets(n, random_chain(n, 5));
+    SolveOptions cold;
+    cold.tolerance = 1e-12;
+    const SolveResult reference = engine.solve(qt, cold);
+    std::vector<double> near = reference.distribution;
+    for (std::size_t i = 0; i < near.size(); ++i) {
+        near[i] *= 1.0 + 0.01 * static_cast<double>(i % 3);
+    }
+    const std::vector<double> uniform(static_cast<std::size_t>(n), 1.0);
+
+    const std::vector<std::vector<std::vector<double>>> sets = {
+        {uniform, near}, {near, uniform}, {uniform, uniform}, {near, reference.distribution}};
+    const auto check = [&](const auto& op, const char* path) {
+        for (const double margin : {1.0, 0.5, 0.01}) {
+            for (std::size_t k = 0; k < sets.size(); ++k) {
+                SolveOptions options;
+                options.tolerance = 1e-12;
+                options.candidate_margin = margin;
+                options.initial_candidates = sets[k];
+                const SolveResult solved = engine.solve(op, options);
+                std::vector<std::vector<double>> prepared = sets[k];
+                const int chosen = choose_start(op, std::span(prepared), margin);
+                EXPECT_EQ(chosen, solved.initial_selected)
+                    << path << " margin " << margin << " set " << k;
+
+                SolveOptions plain;
+                plain.tolerance = 1e-12;
+                plain.initial = std::vector<double>(sets[k][static_cast<std::size_t>(chosen)]);
+                const SolveResult alone = engine.solve(op, plain);
+                EXPECT_EQ(alone.distribution, solved.distribution) << path << " " << k;
+                EXPECT_EQ(alone.iterations, solved.iterations) << path << " " << k;
+                EXPECT_EQ(alone.residual, solved.residual) << path << " " << k;
+                // Sweeps damp a last-bit difference of the start away; one
+                // sweep still shows it.
+                plain.max_iterations = 1;
+                options.max_iterations = 1;
+                options.initial_candidates = sets[k];
+                EXPECT_EQ(engine.solve(op, plain).distribution,
+                          engine.solve(op, options).distribution)
+                    << path << " one sweep, set " << k;
+            }
+        }
+    };
+    check(qt, "pipelined");
+    check(GenericView{&qt}, "generic");
+
+    // Sizes and the margin are validated like the solve's.
+    std::vector<std::vector<double>> missized = {std::vector<double>(7, 0.1)};
+    EXPECT_THROW(choose_start(qt, std::span(missized), 0.5), std::invalid_argument);
+    std::vector<std::vector<double>> one = {uniform};
+    EXPECT_THROW(choose_start(qt, std::span(one), 0.0), std::invalid_argument);
 }
 
 TEST(MethodNames, RoundTripThroughTheStringMapping) {

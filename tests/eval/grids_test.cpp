@@ -7,8 +7,10 @@
 // milliseconds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -215,6 +217,119 @@ TEST(PlanGrids, CtmcSharesWavesAcrossVariantsAndDesIsFlat) {
         for (const GridOutcome& outcome : outcomes) {
             ASSERT_TRUE(outcome.ok());
             EXPECT_EQ(outcome.value().size(), rates.size());
+        }
+    }
+}
+
+TEST(PlanGrids, CtmcFillsEmptySeatsWithSpeculativeStarts) {
+    // At the executor's width (num_threads, when a pool is given) every
+    // ctmc wave below the last holds its solves, then speculative starts
+    // of next-level points on the seats the solves leave empty. A start
+    // reports no progress; the point reports once, in its own wave, and
+    // the grids are the width-1 plan's. Width 1 plans one task per point.
+    const std::vector<double> rates{0.3, 0.4, 0.5, 0.6, 0.7};  // levels 1, 1, 1, 2
+    common::ThreadPool pool(4);
+    for (const std::size_t variants : {2u, 3u}) {
+        const std::vector<ScenarioQuery> all = tiny_variants();
+        const std::vector<ScenarioQuery> queries(all.begin(), all.begin() + variants);
+        const std::size_t points = rates.size() * variants;
+        GridOptions serial;
+        EXPECT_EQ(backend("ctmc").plan_grids(queries, rates, serial).tasks.size(), points);
+        GridOptions no_pool;
+        no_pool.num_threads = 4;
+        EXPECT_EQ(backend("ctmc").plan_grids(queries, rates, no_pool).tasks.size(), points);
+
+        std::vector<int> reported(points, 0);
+        GridOptions wide;
+        wide.num_threads = 4;
+        wide.pool = &pool;
+        wide.progress = [&](std::size_t flat, const PointEvaluation&) {
+            ASSERT_LT(flat, reported.size());
+            ++reported[flat];
+        };
+        GridPlan plan = backend("ctmc").plan_grids(queries, rates, wide);
+        // Waves of `variants` solves; the first three get 4 - variants
+        // starts each (the third level's two points per variant cover them).
+        EXPECT_EQ(plan.tasks.size(), points + 3 * (4 - variants)) << variants;
+        ASSERT_EQ(plan.waves, 4u);
+        std::vector<std::size_t> wave_sizes(plan.waves, 0);
+        for (const BatchTask& task : plan.tasks) {
+            ++wave_sizes[task.wave];
+        }
+        EXPECT_EQ(wave_sizes, (std::vector<std::size_t>{4, 4, 4, 2 * variants}));
+        // Wave 0 in plan order: the roots report, the starts after them do not.
+        std::size_t task = 0;
+        for (; task < plan.tasks.size() && plan.tasks[task].wave == 0; ++task) {
+            plan.tasks[task].run();
+            const int reports = std::accumulate(reported.begin(), reported.end(), 0);
+            EXPECT_EQ(static_cast<std::size_t>(reports), std::min(task + 1, variants))
+                << variants << " variants, task " << task;
+        }
+        for (std::size_t wave = 1; wave < plan.waves; ++wave) {
+            for (BatchTask& later : plan.tasks) {
+                if (later.wave == wave) {
+                    later.run();
+                }
+            }
+        }
+        EXPECT_TRUE(std::all_of(reported.begin(), reported.end(), [](int n) { return n == 1; }));
+        const std::vector<GridOutcome> outcomes = plan.collect();
+        const std::vector<GridOutcome> expected =
+            backend("ctmc").evaluate_grids(queries, rates, serial);
+        ASSERT_EQ(outcomes.size(), variants);
+        for (std::size_t q = 0; q < variants; ++q) {
+            ASSERT_TRUE(outcomes[q].ok());
+            ASSERT_TRUE(expected[q].ok());
+            for (std::size_t i = 0; i < rates.size(); ++i) {
+                expect_bitwise_equal(outcomes[q].value()[i], expected[q].value()[i]);
+            }
+        }
+    }
+}
+
+TEST(EvaluateGrids, FailingSpeculativeStartsLeaveTheSerialOutcomes) {
+    // At a sweep limit equal to the root's own sweep count, the dependent's
+    // product-form solve, which its speculative start runs, fails to
+    // converge, while its own warm-started solve converges (on this
+    // 12,012-state cell: root 310 sweeps, dependent 320 cold and 300 from
+    // its transfer). A limit of 3 fails every solve. Neither may show: at
+    // width 4 every grid reports the width-1 errors, or the width-1 points
+    // bit for bit.
+    const std::vector<double> rates{0.7, 0.9};
+    ScenarioQuery query = tiny_query();
+    query.parameters.total_channels = 8;
+    query.parameters.buffer_capacity = 25;
+    query.parameters.max_gprs_sessions = 10;
+    const auto solve_alone = [&](double rate, long long limit) {
+        ScenarioQuery point = query;
+        point.call_arrival_rate = rate;
+        point.solver.max_iterations = limit;
+        return backend("ctmc").evaluate(point);
+    };
+    const auto root = solve_alone(rates[0], query.solver.max_iterations);
+    ASSERT_TRUE(root.ok());
+    const long long limit = root.value().iterations;
+    ASSERT_FALSE(solve_alone(rates[1], limit).ok()) << "the speculative start would converge";
+
+    common::ThreadPool pool(4);
+    GridOptions wide;
+    wide.num_threads = 4;
+    wide.pool = &pool;
+    for (const long long sweeps : {limit, 3LL}) {
+        query.solver.max_iterations = sweeps;
+        const std::span<const ScenarioQuery> one(&query, 1);
+        const std::vector<GridOutcome> serial = backend("ctmc").evaluate_grids(one, rates);
+        const std::vector<GridOutcome> speculated =
+            backend("ctmc").evaluate_grids(one, rates, wide);
+        ASSERT_EQ(serial.front().ok(), sweeps == limit) << sweeps;
+        ASSERT_EQ(speculated.front().ok(), serial.front().ok()) << sweeps;
+        if (!serial.front().ok()) {
+            EXPECT_EQ(speculated.front().error().code, serial.front().error().code);
+            EXPECT_EQ(speculated.front().error().message, serial.front().error().message);
+            continue;
+        }
+        for (std::size_t i = 0; i < rates.size(); ++i) {
+            expect_bitwise_equal(speculated.front().value()[i], serial.front().value()[i]);
         }
     }
 }
