@@ -82,7 +82,7 @@ struct CampaignSummary {
     /// One entry per backend, parallel to CampaignResult::methods.
     std::vector<BackendTotals> backends;
     /// Merged task set: tasks executed (eval::BatchStats::tasks, which
-    /// counts speculative starts) and the waves they ran in.
+    /// counts the speculative starts that ran) and the waves they ran in.
     std::size_t batch_tasks = 0;
     std::size_t batch_waves = 0;
     /// Chain-solve sweep groups that idle seats ran (timing-dependent).

@@ -46,8 +46,8 @@ bool write_campaign_csv(const CampaignResult& result, const std::string& path);
 /// "rows": [...]} with one object per CSV row (empty cells omitted, network
 /// rows adding their per-cell "cells" detail) and the summary's
 /// per-backend totals. Unlike the rows, the summary's execution counts
-/// depend on the thread count: "batch_tasks" includes ctmc's speculative
-/// starts, and "batch_helped_groups" is timing-dependent.
+/// depend on the thread count: "batch_tasks" includes the ctmc speculative
+/// starts that ran, and "batch_helped_groups" is timing-dependent.
 void write_campaign_json(const CampaignResult& result, std::ostream& out);
 bool write_campaign_json(const CampaignResult& result, const std::string& path);
 

@@ -199,7 +199,9 @@ struct SolveOptions {
     /// cost 2x the sweeps, while every candidate below 0.5x converged
     /// faster). Must be in (0, 1].
     double candidate_margin = 1.0;
-    /// Optional progress callback: (sweeps done, current residual).
+    /// Optional progress callback, run at each residual checkpoint:
+    /// (sweeps done, current residual). An exception it throws ends the
+    /// solve and propagates to the caller.
     std::function<void(index_type, double)> progress;
 };
 

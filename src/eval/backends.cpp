@@ -85,7 +85,7 @@ using detail::probe_queries;
 class WarmStartCache {
 public:
     WarmStartCache(std::size_t grid, const std::vector<int>& parent)
-        : slots_(grid), remaining_(grid), children_(grid, 0) {
+        : slots_(grid), stored_(grid), remaining_(grid), children_(grid, 0) {
         for (const int p : parent) {
             if (p >= 0) {
                 ++children_[static_cast<std::size_t>(p)];
@@ -104,7 +104,16 @@ public:
     void store(std::size_t index, std::vector<double> deviation) {
         if (children_[index] > 0) {
             slots_[index] = std::move(deviation);
+            stored_[index].store(true, std::memory_order_release);
         }
+    }
+
+    /// The stored deviation, or nullptr before store(). A dependent may
+    /// read it before its own claim, beside a store or other claims of the
+    /// slot: while it has not claimed, no claim moves the vector out or
+    /// frees it.
+    const std::vector<double>* stored(std::size_t index) const {
+        return stored_[index].load(std::memory_order_acquire) ? &slots_[index] : nullptr;
     }
 
     /// Returns the parent's deviation and releases one claim. A count of 1
@@ -126,6 +135,7 @@ public:
 
 private:
     std::vector<std::vector<double>> slots_;
+    std::vector<std::atomic<bool>> stored_;
     std::vector<std::atomic<int>> remaining_;
     std::vector<int> children_;  ///< dependents per grid index
 };
@@ -189,15 +199,17 @@ public:
     /// depends only on the grid size), so level-L points of ALL queries
     /// carry wave L and solve concurrently under the executor.
     ///
-    /// Speculative starts fill the seats a wave leaves empty. With the
-    /// executor's width w (execution_width: num_threads when a pool is
-    /// given, else 1), each wave L below the last gets max(0, w - its task
-    /// count) extra tasks: root solves, from the product form, of the first
-    /// level-(L+1) points in (query, schedule) order. Such a point's own
-    /// task in wave L+1 applies the engine's candidate rule to its two
-    /// starts; when the product form wins it adopts the speculative solve,
-    /// which is bitwise the solve it would run, and otherwise solves as
-    /// without one. At one thread the plan has no speculative starts.
+    /// Above one thread (execution_width) each wave L below the last also
+    /// offers speculative starts of the level-(L+1) points, in (query,
+    /// schedule) order, as optional tasks: the executor runs them only on
+    /// seats the merged wave leaves empty. A start solves its point from
+    /// the product form. Once the parent's deviation is stored, before the
+    /// solve or at one of its residual checkpoints, the start applies the
+    /// engine's candidate rule to the point's two starts, and stops where
+    /// the transfer wins. The point's own task in wave L+1 adopts a start
+    /// that finished and whose product form won (applying the rule itself
+    /// if the start finished before the parent): the speculative solve is
+    /// bitwise the solve it would run. Otherwise it solves as without one.
     /// Output is bitwise invariant to num_threads and to merging.
     GridPlan plan_grids(std::span<const ScenarioQuery> queries,
                         std::span<const double> rates,
@@ -211,8 +223,8 @@ public:
             std::vector<std::vector<PointEvaluation>> points;    ///< [q][i]
             std::vector<std::vector<std::unique_ptr<EvalError>>> errors;
             std::vector<std::unique_ptr<WarmStartCache>> caches;
-            /// [q][i]: the point's speculative start, if one was planned.
-            std::vector<std::vector<std::unique_ptr<Speculation>>> speculations;
+            /// [q][i]: what the point's speculative start left, if one ran.
+            std::vector<std::vector<Speculation>> speculations;
             /// Wave of query q's first failure; later-wave tasks of q skip.
             std::vector<std::atomic<long long>> poisoned;
             std::vector<double> rates;
@@ -264,15 +276,14 @@ public:
             }
             WarmStartCache& cache = *state->caches[q];
             const int parent = state->schedule.parent[index];
-            const std::unique_ptr<Speculation> speculation =
-                std::move(state->speculations[q][index]);
+            Speculation speculation = std::move(state->speculations[q][index]);
             std::vector<double> deviation;
             common::Result<PointEvaluation> point = guarded(*query, [&] {
                 return solve_point(
                     *query, parent,
                     parent >= 0 ? cache.claim(static_cast<std::size_t>(parent))
                                 : std::vector<double>(),
-                    cache.has_dependents(index) ? &deviation : nullptr, speculation.get());
+                    cache.has_dependents(index) ? &deviation : nullptr, &speculation);
             });
             if (!point.ok()) {
                 state->errors[q][index] = std::make_unique<EvalError>(point.error());
@@ -294,23 +305,41 @@ public:
             if (!query) {
                 return;
             }
-            Speculation& speculation = *state->speculations[q][index];
-            common::Result<PointEvaluation> point = guarded(*query, [&] {
-                return solve_point(
-                    *query, -1, {},
-                    state->caches[q]->has_dependents(index) ? &speculation.deviation : nullptr,
-                    nullptr);
-            });
-            if (point.ok()) {
-                speculation.point = point.take();
+            Speculation& speculation = state->speculations[q][index];
+            const WarmStartCache& cache = *state->caches[q];
+            const auto parent = static_cast<std::size_t>(state->schedule.parent[index]);
+            const Checkpoint decide = [&](const core::GprsModel& model) {
+                if (speculation.product_form_wins) {
+                    return;
+                }
+                const std::vector<double>* transferred = cache.stored(parent);
+                if (transferred == nullptr) {
+                    return;
+                }
+                speculation.product_form_wins = product_form_wins(model, *transferred);
+                if (!*speculation.product_form_wins) {
+                    throw StartAbandoned{};
+                }
+            };
+            try {
+                common::Result<PointEvaluation> point = guarded(*query, [&] {
+                    return solve_point(
+                        *query, -1, {},
+                        cache.has_dependents(index) ? &speculation.deviation : nullptr, nullptr,
+                        decide);
+                });
+                if (point.ok()) {
+                    speculation.point = point.take();
+                }
+            } catch (const StartAbandoned&) {
+                // The transfer wins: the point's own task solves from it.
             }
         };
 
-        const auto width = static_cast<std::size_t>(execution_width(options));
+        const bool speculate = execution_width(options) > 1;
         const std::vector<std::vector<int>>& levels = state->schedule.levels;
         GridPlan plan;
         for (std::size_t level = 0; level < levels.size(); ++level) {
-            const std::size_t wave_begin = plan.tasks.size();
             for (std::size_t q = 0; q < nq; ++q) {
                 if (!planned[q]) {
                     continue;
@@ -322,22 +351,17 @@ public:
                                           }});
                 }
             }
-            std::size_t empty_seats = width - std::min(width, plan.tasks.size() - wave_begin);
-            for (std::size_t q = 0; q < nq && level + 1 < levels.size() && empty_seats > 0; ++q) {
+            for (std::size_t q = 0; q < nq && speculate && level + 1 < levels.size(); ++q) {
                 if (!planned[q]) {
                     continue;
                 }
                 for (const int index : levels[level + 1]) {
-                    if (empty_seats == 0) {
-                        break;
-                    }
-                    --empty_seats;
-                    state->speculations[q][static_cast<std::size_t>(index)] =
-                        std::make_unique<Speculation>();
-                    plan.tasks.push_back({level, [speculate_task, q, index, level] {
+                    plan.tasks.push_back({level,
+                                          [speculate_task, q, index, level] {
                                               speculate_task(
                                                   q, static_cast<std::size_t>(index), level);
-                                          }});
+                                          },
+                                          true});
                 }
             }
         }
@@ -358,15 +382,42 @@ public:
     }
 
 private:
-    /// A dependent point's root solve, run a wave early on an empty seat.
+    /// A dependent point's product-form solve, run a wave early on an
+    /// empty seat.
     struct Speculation {
-        std::optional<PointEvaluation> point;  ///< empty when the solve failed
+        std::optional<PointEvaluation> point;  ///< empty unless the solve finished
         std::vector<double> deviation;         ///< for the point's own dependents
+        /// The candidate rule's verdict, once the start has applied it.
+        std::optional<bool> product_form_wins;
     };
+
+    /// Thrown by a speculative start's checkpoint to stop its solve; not a
+    /// std::exception, so no error fence on the way converts it.
+    struct StartAbandoned {};
+
+    /// Runs with the point's model before its solve and at each residual
+    /// checkpoint of it; may throw to abandon the solve.
+    using Checkpoint = std::function<void(const core::GprsModel&)>;
 
     /// A transferred start must undercut half the product form's initial
     /// residual: near-ties mispredict the iteration count.
     static constexpr double kTransferMargin = 0.5;
+
+    /// The engine's candidate rule on a dependent's two starts, without a
+    /// solve: whether its product form beats `transferred` (the parent's
+    /// deviation) grafted onto it.
+    static bool product_form_wins(const core::GprsModel& model,
+                                  const std::vector<double>& transferred) {
+        std::vector<std::vector<double>> candidates(2);
+        candidates[0] = core::product_form_initial(model.parameters(), model.balanced(),
+                                                   model.space());
+        candidates[1].resize(candidates[0].size());
+        for (std::size_t s = 0; s < candidates[1].size(); ++s) {
+            candidates[1][s] = transferred[s] * candidates[0][s];
+        }
+        return ctmc::choose_start(model.generator(), std::span(candidates), kTransferMargin) ==
+               0;
+    }
 
     /// The one chain-point computation behind evaluate() and every task of
     /// the grid plan: builds the model and its product-form guess, solves
@@ -377,9 +428,9 @@ private:
     /// deviation from the parent's own product form — grafted onto this
     /// point's product form as a second candidate, which the engine keeps
     /// only when it undercuts half the product form's initial residual.
-    /// A dependent with a successful `speculation` first applies that rule
-    /// alone (ctmc::choose_start) and, when the product form wins, returns
-    /// the speculative evaluation: the candidate path iterates from the
+    /// A dependent with a finished `speculation` adopts its evaluation when
+    /// that rule (ctmc::choose_start, applied here unless the start did)
+    /// prefers the product form: the candidate path iterates from the
     /// product form prepared exactly as a root's start, so it would repeat
     /// the speculative solve bit for bit. When `deviation` is non-null it
     /// receives the solved distribution divided by the product form, for
@@ -387,7 +438,8 @@ private:
     common::Result<PointEvaluation> solve_point(const ScenarioQuery& query, int parent,
                                                 std::vector<double> transferred,
                                                 std::vector<double>* deviation,
-                                                Speculation* speculation) const {
+                                                Speculation* speculation,
+                                                const Checkpoint& checkpoint = {}) const {
         const core::Parameters p = query.resolved_parameters();
         core::GprsModel model(p);
         const auto product_form = [&] {
@@ -401,19 +453,16 @@ private:
         const ctmc::SolveMethod method = *ctmc::method_from_name(query.solver.method);
         solve.method = method;
         solve.num_threads = 1;
+        if (checkpoint) {
+            checkpoint(model);
+            solve.progress = [&](common::index_type, double) { checkpoint(model); };
+        }
         if (parent >= 0) {
-            std::vector<double> product = product_form();
             if (speculation != nullptr && speculation->point) {
-                // The rule prepares its candidates in place, so the
-                // transfer is grafted into a vector of its own here.
-                std::vector<std::vector<double>> candidates(2);
-                candidates[1].resize(product.size());
-                for (std::size_t s = 0; s < product.size(); ++s) {
-                    candidates[1][s] = transferred[s] * product[s];
+                if (!speculation->product_form_wins) {
+                    speculation->product_form_wins = product_form_wins(model, transferred);
                 }
-                candidates[0] = std::move(product);
-                if (ctmc::choose_start(model.generator(), std::span(candidates),
-                                       kTransferMargin) == 0) {
+                if (*speculation->product_form_wins) {
                     if (deviation != nullptr) {
                         *deviation = std::move(speculation->deviation);
                     }
@@ -421,9 +470,8 @@ private:
                     adopted.warm_parent = parent;
                     return adopted;
                 }
-                candidates = {};
-                product = product_form();
             }
+            std::vector<double> product = product_form();
             for (std::size_t s = 0; s < transferred.size(); ++s) {
                 transferred[s] *= product[s];
             }

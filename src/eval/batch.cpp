@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -20,7 +21,6 @@ int execution_width(const GridOptions& options) {
 BatchStats execute_plans(std::span<GridPlan> plans, const GridOptions& options) {
     BatchStats stats;
     for (const GridPlan& plan : plans) {
-        stats.tasks += plan.tasks.size();
         // Trust the tasks' wave tags over the plan's self-reported depth:
         // a third-party plan that forgets to set `waves` must not index
         // past the bucket array.
@@ -34,15 +34,24 @@ BatchStats execute_plans(std::span<GridPlan> plans, const GridOptions& options) 
     // Bucket by wave, keeping (plan, insertion) order inside each bucket so
     // the serial path executes in one deterministic order.
     std::vector<std::vector<std::function<void()>>> waves(stats.waves);
+    std::vector<std::vector<std::function<void()>>> optional(stats.waves);
     for (GridPlan& plan : plans) {
         for (BatchTask& task : plan.tasks) {
-            waves[task.wave].push_back(std::move(task.run));
+            (task.optional ? optional : waves)[task.wave].push_back(std::move(task.run));
         }
         plan.tasks.clear();
     }
 
     const int width = execution_width(options);
-    for (const std::vector<std::function<void()>>& wave : waves) {
+    for (std::size_t w = 0; w < waves.size(); ++w) {
+        std::vector<std::function<void()>>& wave = waves[w];
+        // Optional tasks take only the seats the wave's own tasks leave empty.
+        const auto seats = static_cast<std::size_t>(width);
+        const std::size_t empty = width > 1 ? seats - std::min(seats, wave.size()) : 0;
+        const auto fill = static_cast<std::ptrdiff_t>(std::min(empty, optional[w].size()));
+        wave.insert(wave.end(), std::make_move_iterator(optional[w].begin()),
+                    std::make_move_iterator(optional[w].begin() + fill));
+        stats.tasks += wave.size();
         stats.max_wave_width = std::max(stats.max_wave_width, wave.size());
         if (width <= 1) {
             for (const std::function<void()>& task : wave) {

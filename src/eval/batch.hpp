@@ -37,9 +37,10 @@ namespace gprsim::eval {
 /// Execution accounting of a merged batch — the numbers the campaign
 /// summary prints.
 struct BatchStats {
-    /// Total tasks executed across every merged plan, speculative ones
-    /// included (the ctmc plan adds starts on seats its waves leave
-    /// empty), so above one thread the count depends on the width.
+    /// Total tasks executed across every merged plan, the optional ones
+    /// that ran included (the ctmc plan's speculative starts fill seats a
+    /// merged wave leaves empty), so above one thread the count depends on
+    /// the width and on the other merged plans.
     std::size_t tasks = 0;
     /// Pool dispatches actually executed: the DEEPEST merged plan's wave
     /// count, because global wave w runs every plan's wave-w tasks at once.
@@ -52,7 +53,7 @@ struct BatchStats {
 };
 
 /// Seats execute_plans runs each wave on: the resolved num_threads when a
-/// pool is given, else 1 (serial). Plans may size their waves to it.
+/// pool is given, else 1 (serial).
 int execution_width(const GridOptions& options);
 
 /// Executes the plans' tasks as one flat wave-ordered task set on
@@ -60,7 +61,10 @@ int execution_width(const GridOptions& options);
 /// returns the accounting. Wave w of every plan runs in one dispatch on
 /// num_threads seats, ordered (plan, insertion order) so the serial path is
 /// deterministic; a wave-w task observes every earlier wave of every plan
-/// completed.
+/// completed. Optional tasks of wave w run only on the seats its other
+/// tasks, of every plan, leave empty: the first max(0, width - those
+/// tasks) of them in (plan, insertion) order, none at width 1; the rest
+/// are dropped.
 /// Tasks are consumed (moved out of the plans); the plans' collect
 /// closures are NOT invoked — callers do that per plan afterwards.
 BatchStats execute_plans(std::span<GridPlan> plans, const GridOptions& options);

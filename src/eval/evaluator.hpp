@@ -226,6 +226,10 @@ using GridOutcome = common::Result<std::vector<PointEvaluation>>;
 struct BatchTask {
     std::size_t wave = 0;
     std::function<void()> run;
+    /// Work the plan can do without: the executor runs it only on a seat
+    /// the merged wave's other tasks leave empty, and never at one thread,
+    /// so the plan's outcomes must not depend on whether it ran.
+    bool optional = false;
 };
 
 /// A backend's contribution to a (possibly multi-backend) batch, produced

@@ -458,11 +458,12 @@ TEST(CampaignRunner, BatchedDispatchMatchesSequentialBitwiseAtEveryWidth) {
     EXPECT_EQ(sequential_waves, 3 * ctmc_depth + 3);  // + 3 des grids
     EXPECT_LT(wide.summary.batch_waves, sequential_waves);
     // 27 solves + 27 points x 2 replications of simulator tasks, plus
-    // ctmc's speculative starts on the seats its waves leave empty: the
-    // 9-point schedule's levels hold 1, 1, 1, 2, 4 points, so with 3
-    // variants its waves hold 3, 3, 3, 6, 12 solves, and each of the first
-    // three gets 4 - 3 = 1 start (the last wave gets none).
-    EXPECT_EQ(wide.summary.batch_tasks, 27u + 54u + 3u);
+    // ctmc's speculative starts on the seats the merged waves leave empty:
+    // the 9-point schedule's levels hold 1, 1, 1, 2, 4 points, so with 3
+    // variants its waves hold 3, 3, 3, 6, 12 solves. Wave 0 also holds the
+    // 54 simulator tasks, so only waves 1 and 2 have an empty seat, and
+    // each runs 4 - 3 = 1 start.
+    EXPECT_EQ(wide.summary.batch_tasks, 27u + 54u + 2u);
     EXPECT_EQ(serial.summary.batch_tasks, 27u + 54u);
 }
 

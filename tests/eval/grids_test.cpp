@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -222,11 +223,11 @@ TEST(PlanGrids, CtmcSharesWavesAcrossVariantsAndDesIsFlat) {
 }
 
 TEST(PlanGrids, CtmcFillsEmptySeatsWithSpeculativeStarts) {
-    // At the executor's width (num_threads, when a pool is given) every
-    // ctmc wave below the last holds its solves, then speculative starts
-    // of next-level points on the seats the solves leave empty. A start
-    // reports no progress; the point reports once, in its own wave, and
-    // the grids are the width-1 plan's. Width 1 plans one task per point.
+    // Above one thread every ctmc wave below the last holds its solves and,
+    // as optional tasks, speculative starts of the next level's points; the
+    // executor runs a start only on a seat the wave's solves leave empty. A
+    // start reports no progress; the point reports once, in its own wave,
+    // and the grids are the width-1 plan's. Width 1 plans one task per point.
     const std::vector<double> rates{0.3, 0.4, 0.5, 0.6, 0.7};  // levels 1, 1, 1, 2
     common::ThreadPool pool(4);
     for (const std::size_t variants : {2u, 3u}) {
@@ -238,6 +239,8 @@ TEST(PlanGrids, CtmcFillsEmptySeatsWithSpeculativeStarts) {
         GridOptions no_pool;
         no_pool.num_threads = 4;
         EXPECT_EQ(backend("ctmc").plan_grids(queries, rates, no_pool).tasks.size(), points);
+        const std::vector<GridOutcome> expected =
+            backend("ctmc").evaluate_grids(queries, rates, serial);
 
         std::vector<int> reported(points, 0);
         GridOptions wide;
@@ -248,16 +251,16 @@ TEST(PlanGrids, CtmcFillsEmptySeatsWithSpeculativeStarts) {
             ++reported[flat];
         };
         GridPlan plan = backend("ctmc").plan_grids(queries, rates, wide);
-        // Waves of `variants` solves; the first three get 4 - variants
-        // starts each (the third level's two points per variant cover them).
-        EXPECT_EQ(plan.tasks.size(), points + 3 * (4 - variants)) << variants;
         ASSERT_EQ(plan.waves, 4u);
-        std::vector<std::size_t> wave_sizes(plan.waves, 0);
+        std::vector<std::size_t> solves(plan.waves, 0);
+        std::vector<std::size_t> starts(plan.waves, 0);
         for (const BatchTask& task : plan.tasks) {
-            ++wave_sizes[task.wave];
+            ++(task.optional ? starts : solves)[task.wave];
         }
-        EXPECT_EQ(wave_sizes, (std::vector<std::size_t>{4, 4, 4, 2 * variants}));
-        // Wave 0 in plan order: the roots report, the starts after them do not.
+        EXPECT_EQ(solves, (std::vector<std::size_t>{variants, variants, variants, 2 * variants}));
+        EXPECT_EQ(starts, (std::vector<std::size_t>{variants, variants, 2 * variants, 0}));
+        // Every task in plan order, starts included: in wave 0 the roots
+        // report and the starts after them do not.
         std::size_t task = 0;
         for (; task < plan.tasks.size() && plan.tasks[task].wave == 0; ++task) {
             plan.tasks[task].run();
@@ -274,8 +277,6 @@ TEST(PlanGrids, CtmcFillsEmptySeatsWithSpeculativeStarts) {
         }
         EXPECT_TRUE(std::all_of(reported.begin(), reported.end(), [](int n) { return n == 1; }));
         const std::vector<GridOutcome> outcomes = plan.collect();
-        const std::vector<GridOutcome> expected =
-            backend("ctmc").evaluate_grids(queries, rates, serial);
         ASSERT_EQ(outcomes.size(), variants);
         for (std::size_t q = 0; q < variants; ++q) {
             ASSERT_TRUE(outcomes[q].ok());
@@ -284,7 +285,122 @@ TEST(PlanGrids, CtmcFillsEmptySeatsWithSpeculativeStarts) {
                 expect_bitwise_equal(outcomes[q].value()[i], expected[q].value()[i]);
             }
         }
+
+        // The executor fills the first three waves' empty seats with
+        // 4 - variants starts each; the last wave holds 2 * variants solves.
+        GridPlan executed = backend("ctmc").plan_grids(queries, rates, wide);
+        const BatchStats stats = execute_plans(std::span(&executed, 1), wide);
+        EXPECT_EQ(stats.tasks, points + 3 * (4 - variants)) << variants;
+        EXPECT_EQ(stats.max_wave_width, std::max<std::size_t>(4, 2 * variants)) << variants;
+        const std::vector<GridOutcome> merged = executed.collect();
+        for (std::size_t q = 0; q < variants; ++q) {
+            ASSERT_TRUE(merged[q].ok());
+            for (std::size_t i = 0; i < rates.size(); ++i) {
+                expect_bitwise_equal(merged[q].value()[i], expected[q].value()[i]);
+            }
+        }
     }
+}
+
+TEST(PlanGrids, SpeculativeStartsBeforeOrAfterTheirParentKeepTheSerialGrid) {
+    // A grid whose transfers win at two points and lose at two. A start run
+    // after its parent applies the candidate rule before solving, and stops
+    // or solves; a start run before its parent in the same wave solves to
+    // the end, and the point's own task applies the rule. Either way each
+    // point is the width-1 point, bit for bit.
+    const std::vector<double> rates{0.3, 0.475, 0.65, 0.825, 1.0};
+    ScenarioQuery query = tiny_query();
+    query.parameters.gprs_fraction = 0.02;
+    query.parameters.total_channels = 8;
+    query.parameters.buffer_capacity = 25;
+    query.parameters.max_gprs_sessions = 10;
+    const std::span<const ScenarioQuery> one(&query, 1);
+    const std::vector<GridOutcome> expected = backend("ctmc").evaluate_grids(one, rates);
+    ASSERT_TRUE(expected.front().ok());
+    const std::vector<PointEvaluation>& serial = expected.front().value();
+    EXPECT_EQ(std::count_if(serial.begin(), serial.end(),
+                            [](const PointEvaluation& p) { return p.warm_started; }),
+              2);
+
+    common::ThreadPool pool(4);
+    GridOptions wide;
+    wide.num_threads = 4;
+    wide.pool = &pool;
+    for (const bool starts_first : {false, true}) {
+        GridPlan plan = backend("ctmc").plan_grids(one, rates, wide);
+        for (std::size_t wave = 0; wave < plan.waves; ++wave) {
+            for (const bool optional : {starts_first, !starts_first}) {
+                for (BatchTask& task : plan.tasks) {
+                    if (task.wave == wave && task.optional == optional) {
+                        task.run();
+                    }
+                }
+            }
+        }
+        const std::vector<GridOutcome> outcomes = plan.collect();
+        ASSERT_TRUE(outcomes.front().ok()) << starts_first;
+        for (std::size_t i = 0; i < rates.size(); ++i) {
+            expect_bitwise_equal(outcomes.front().value()[i], serial[i]);
+        }
+    }
+}
+
+TEST(ExecutePlans, OptionalTasksTakeOnlyTheSeatsTheMergedWaveLeavesEmpty) {
+    // Plan a: wave 0 holds 1 task and 5 optional ones, wave 1 holds 2 and
+    // 3. Plan b: wave 0 holds 3 tasks. Optional tasks run in plan order on
+    // the empty seats of the merged wave, and never at one thread.
+    std::vector<std::atomic<int>> runs(14);
+    const auto plans = [&] {
+        std::vector<GridPlan> made(2);
+        int id = 0;
+        const auto add = [&](GridPlan& plan, std::size_t wave, bool optional) {
+            plan.tasks.push_back({wave, [&runs, i = id++] { ++runs[i]; }, optional});
+            plan.waves = std::max(plan.waves, wave + 1);
+        };
+        add(made[0], 0, false);
+        for (int i = 0; i < 5; ++i) {
+            add(made[0], 0, true);  // ids 1-5
+        }
+        add(made[0], 1, false);
+        add(made[0], 1, false);
+        for (int i = 0; i < 3; ++i) {
+            add(made[0], 1, true);  // ids 8-10
+        }
+        for (int i = 0; i < 3; ++i) {
+            add(made[1], 0, false);  // ids 11-13
+        }
+        return made;
+    };
+    const auto ran = [&] {
+        std::vector<int> ids;
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            if (runs[i].exchange(0) == 1) {
+                ids.push_back(static_cast<int>(i));
+            }
+        }
+        return ids;
+    };
+    common::ThreadPool pool(4);
+    GridOptions wide;
+    wide.num_threads = 4;
+    wide.pool = &pool;
+
+    std::vector<GridPlan> alone = plans();
+    alone.pop_back();
+    BatchStats stats = execute_plans(alone, wide);
+    EXPECT_EQ(ran(), (std::vector<int>{0, 1, 2, 3, 6, 7, 8, 9}));
+    EXPECT_EQ(stats.tasks, 8u);
+    EXPECT_EQ(stats.max_wave_width, 4u);
+
+    std::vector<GridPlan> merged = plans();
+    stats = execute_plans(merged, wide);
+    EXPECT_EQ(ran(), (std::vector<int>{0, 6, 7, 8, 9, 11, 12, 13}));
+    EXPECT_EQ(stats.tasks, 8u);
+
+    std::vector<GridPlan> serial = plans();
+    stats = execute_plans(serial, GridOptions{});
+    EXPECT_EQ(ran(), (std::vector<int>{0, 6, 7, 11, 12, 13}));
+    EXPECT_EQ(stats.tasks, 6u);
 }
 
 TEST(EvaluateGrids, FailingSpeculativeStartsLeaveTheSerialOutcomes) {
