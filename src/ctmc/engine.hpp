@@ -9,23 +9,24 @@
 // One engine should live as long as the workload: its pool is spawned once
 // and reused across every solve.
 //
-// The solve loop runs forward Gauss-Seidel sweeps in batches of
-// check_interval. An operator with its own pipelined pass (the CSR
-// QtMatrix, the GPRS stencil) runs each batch as wavefront groups and fuses
-// the normalization sum into the final sweep and the residual into the
-// normalizing division: bitwise the one-sweep-at-a-time schedule, about 2x
-// faster. With adaptive_checks the residual is evaluated only when the
-// observed convergence rate predicts it could matter; normalization stays
-// on the fixed every-interval schedule, so the iterate trajectory is
-// unchanged.
+// The solve loop runs forward Gauss-Seidel sweeps straight through from one
+// residual checkpoint to the next, then normalizes the iterate and
+// evaluates its residual there. Checkpoints are multiples of check_interval
+// that the observed convergence rate picks, so the residual is evaluated
+// only when it could matter. A sweep is linear in the iterate, so leaving
+// it unnormalized between checkpoints changes it only by rounding. An
+// operator with its own pipelined pass (the CSR QtMatrix, the GPRS stencil)
+// runs each run of sweeps as wavefront groups and fuses the normalization
+// sum into the final sweep and the residual into the normalizing division:
+// bitwise the one-sweep-at-a-time schedule, about 2x faster.
 //
 // Threads never change the answer: it is bitwise the serial solve at every
-// width. The stencil's batches of a chain of kTeamMinStates states or more
-// run as a team (kernels.hpp) whose sweep groups idle threads may claim:
+// width. The stencil's runs on a chain of kTeamMinStates states or more
+// go as a team (kernels.hpp) whose sweep groups idle threads may claim:
 // the other seats of the campaign wave the solve runs in, or, with
 // SolveOptions::num_threads > 1 (0 = all hardware threads) outside a wave,
 // this engine's pool, where the solve (and its progress callback) runs on
-// one seat and one more seat per further sweep group helps.
+// one seat and the others help.
 #pragma once
 
 #include <algorithm>
@@ -162,11 +163,7 @@ int choose_start(const Op& op, std::span<std::vector<double>> candidates, double
 template <QtOperatorConcept Op>
 SolveResult SolverEngine::solve(const Op& op, SolveOptions options) {
     if constexpr (TeamSweepOperator<Op>) {
-        // One seat per sweep group of a batch at most: more have nothing
-        // to claim.
-        const auto seats = static_cast<int>(
-            std::min<index_type>(resolve_thread_count(options.num_threads),
-                                 detail::GroupSplit(options.check_interval, true).groups()));
+        const int seats = resolve_thread_count(options.num_threads);
         if (seats > 1 && op.size() >= kTeamMinStates && !common::Crew::seated()) {
             SolveResult result;
             const std::function<void()> task = [&] {
@@ -202,7 +199,7 @@ SolveResult SolverEngine::solve_here(const Op& op, SolveOptions options) {
     SolveResult result;
     const double lambda = detail::max_exit_rate(op);
     // Sweep groups go to idle threads only when the calling thread has a
-    // crew and a batch is long enough to repay a wake-up.
+    // crew and a group is long enough to repay a wake-up.
     const bool team = n >= kTeamMinStates && common::Crew::seated();
 
     // The start becomes the iterate in place; the uniform distribution
@@ -227,12 +224,12 @@ SolveResult SolverEngine::solve_here(const Op& op, SolveOptions options) {
     }
     std::vector<double>& x = result.distribution;
 
-    // One batch: `count` sweeps, then the checkpoint's normalization and,
-    // when asked, its residual. An operator with its own pipelined pass
-    // takes that pass, which also returns the normalization sum and fuses
-    // the residual into the division; any other operator runs the generic
-    // one-sweep-at-a-time kernels.
-    const auto run_batch = [&](index_type count, bool want_residual) {
+    // One run: `count` sweeps, then the checkpoint's normalization and
+    // residual. An operator with its own pipelined pass takes that pass,
+    // which also returns the normalization sum and fuses the residual into
+    // the division; any other operator runs the generic one-sweep-at-a-time
+    // kernels.
+    const auto run_to_checkpoint = [&](index_type count) {
         if constexpr (PipelinedSweepOperator<Op>) {
             double sum = 0.0;
             if constexpr (TeamSweepOperator<Op>) {
@@ -240,65 +237,41 @@ SolveResult SolverEngine::solve_here(const Op& op, SolveOptions options) {
             } else {
                 sum = op.gauss_seidel_sweeps(x.data(), count, true);
             }
-            if (want_residual) {
-                result.residual = op.fused_normalize_residual(x.data(), sum, lambda);
-                ++result.residual_evaluations;
-                return;
-            }
-            if (sum <= 0.0) {
-                throw std::runtime_error("steady-state solve collapsed to the zero vector");
-            }
-            for (double& v : x) {
-                v /= sum;
-            }
+            result.residual = op.fused_normalize_residual(x.data(), sum, lambda);
         } else {
             for (index_type s = 0; s < count; ++s) {
                 detail::gauss_seidel_forward(op, x);
             }
             detail::normalize(x);
-            if (want_residual) {
-                result.residual = detail::scaled_residual(op, x, lambda);
-                ++result.residual_evaluations;
-            }
+            result.residual = detail::scaled_residual(op, x, lambda);
         }
+        ++result.residual_evaluations;
     };
 
-    // Batched sweep loop. Checkpoints land at every multiple of
-    // check_interval (and at max_iterations) exactly as in the
-    // sweep-at-a-time schedule; normalization happens at every checkpoint,
-    // the residual only where the adaptive schedule (or a fixed schedule
-    // with adaptive_checks off) asks for it.
-    bool have_residual = false;
+    // Sweep loop: one run per residual checkpoint. Checkpoints land at
+    // multiples of check_interval chosen below, and at max_iterations.
     index_type next_residual = options.check_interval;
     index_type prev_sweep = 0;
     double prev_residual = -1.0;
     index_type sweep = 0;
     while (sweep < options.max_iterations) {
-        const index_type target = std::min(sweep + options.check_interval,
-                                           options.max_iterations);
-        const bool want_residual = !options.adaptive_checks || target >= next_residual ||
-                                   target == options.max_iterations;
-        run_batch(target - sweep, want_residual);
+        const index_type target = std::min(next_residual, options.max_iterations);
+        run_to_checkpoint(target - sweep);
         sweep = target;
         result.iterations = sweep;
-        have_residual = want_residual;
-        if (!want_residual) {
-            continue;
-        }
         if (options.progress) {
             options.progress(sweep, result.residual);
         }
         if (result.residual <= options.tolerance) {
             break;
         }
-        // Schedule the next residual evaluation. With two residuals on
-        // record, extrapolate the per-sweep decay and skip ahead — but only
-        // half the predicted remaining distance, in whole intervals, capped
-        // at 16 intervals, so decelerating convergence cannot overshoot the
-        // sweep where the fixed schedule would have stopped.
+        // Schedule the next checkpoint. With two residuals on record,
+        // extrapolate the per-sweep decay and skip ahead — but only half
+        // the predicted remaining distance, in whole intervals, capped at
+        // 16 intervals, so decelerating convergence cannot overshoot the
+        // sweep where an every-interval check would have stopped.
         index_type gap = options.check_interval;
-        if (options.adaptive_checks && prev_residual > 0.0 && result.residual > 0.0 &&
-            result.residual < prev_residual) {
+        if (prev_residual > 0.0 && result.residual > 0.0 && result.residual < prev_residual) {
             const double f = std::pow(result.residual / prev_residual,
                                       1.0 / static_cast<double>(sweep - prev_sweep));
             if (f > 0.0 && f < 1.0) {
@@ -316,10 +289,9 @@ SolveResult SolverEngine::solve_here(const Op& op, SolveOptions options) {
         next_residual = sweep + gap;
     }
 
-    // Every loop exit passes through a residual checkpoint (the converged
-    // break, or the forced evaluation at max_iterations), so this fallback
-    // only fires when max_iterations left the loop body unentered.
-    if (!have_residual) {
+    // Every run ends at a residual checkpoint, so this fallback only fires
+    // when max_iterations left the loop body unentered.
+    if (sweep == 0) {
         detail::normalize(x);
         result.residual = detail::scaled_residual(op, x, lambda);
         ++result.residual_evaluations;

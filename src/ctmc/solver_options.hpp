@@ -156,23 +156,14 @@ struct SolveOptions {
     /// Lambda = max_i |Q_ii| (a dimensionless residual).
     double tolerance = 1e-12;
     index_type max_iterations = 200000;
-    /// Normalization interval in sweeps. The iterate is renormalized at
-    /// every multiple of `check_interval` (a fixed schedule — the division
-    /// changes the iterate, so it must not depend on anything adaptive for
-    /// results to stay reproducible); the residual is evaluated there too,
-    /// unless adaptive_checks thins the residual schedule.
+    /// Checkpoint unit in sweeps. The solve sweeps straight through to a
+    /// checkpoint, then normalizes the iterate and evaluates its residual
+    /// there. Checkpoints are multiples of check_interval: the next is one
+    /// interval on until two falling residuals are on record, then half
+    /// the sweeps their decay predicts are left, in whole intervals, 1 to
+    /// 16 of them. A solve that reaches max_iterations stops there, at a
+    /// checkpoint of its own.
     index_type check_interval = 10;
-    /// Derive the residual-evaluation interval from the observed
-    /// convergence rate: once two residuals have been seen, checks are
-    /// scheduled at conservative multiples of check_interval (at most half
-    /// the predicted remaining sweeps, capped at 16 intervals), skipping
-    /// the O(nnz) residual passes a long solve would otherwise burn every
-    /// interval. Normalization stays on the fixed every-interval schedule,
-    /// so the iterate trajectory — and the converged distribution — is
-    /// bitwise identical to adaptive_checks = false; only
-    /// SolveResult::residual_evaluations (and the progress callback
-    /// cadence) changes. Disable to force a residual at every interval.
-    bool adaptive_checks = true;
     /// Execution width, see engine.hpp. 1 (default) runs on the calling
     /// thread; 0 means "all hardware threads"; N > 1 lets up to N threads
     /// of the engine's pool run a large chain's sweep groups. The result is
@@ -199,9 +190,9 @@ struct SolveOptions {
     /// cost 2x the sweeps, while every candidate below 0.5x converged
     /// faster). Must be in (0, 1].
     double candidate_margin = 1.0;
-    /// Optional progress callback, run at each residual checkpoint:
-    /// (sweeps done, current residual). An exception it throws ends the
-    /// solve and propagates to the caller.
+    /// Optional progress callback, run at each checkpoint (see
+    /// check_interval): (sweeps done, residual of the normalized iterate).
+    /// An exception it throws ends the solve and propagates to the caller.
     std::function<void(index_type, double)> progress;
 };
 
@@ -219,7 +210,7 @@ struct SolveResult {
     /// -1 when no candidate list was supplied.
     int initial_selected = -1;
     /// Number of scaled-residual evaluations the solve performed (each is
-    /// an O(nnz) pass; adaptive_checks exists to shrink this).
+    /// an O(nnz) pass): one per checkpoint, plus one per initial candidate.
     index_type residual_evaluations = 0;
 };
 

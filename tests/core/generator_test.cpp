@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <ostream>
 #include <string>
@@ -230,31 +231,47 @@ TEST_P(GeneratorStencil, SweepsMatchCsrKernel) {
 }
 
 TEST_P(GeneratorStencil, TeamSweepsMatchCsrKernel) {
-    // The team pass with 1, 2 and 3 seats, and with a helper whose seat
-    // first sleeps through a task of its own, so that it joins mid-batch
-    // (on the larger cells; on the small ones the batch is over by then).
-    common::ThreadPool pool(3);
-    for (common::index_type count = 1; count <= 9; ++count) {
+    // The team pass against the CSR kernel, iterate and final-sweep sum bit
+    // for bit. A late helper's seat first sleeps through a task of its own,
+    // so that it joins mid-pass (on the larger cells; on the small ones the
+    // pass is over by then).
+    struct Seating {
+        int seats;
+        bool late;
+    };
+    common::ThreadPool pool(4);
+    const auto expect_team_matches_csr = [&](common::index_type count,
+                                             std::initializer_list<Seating> seatings) {
         std::vector<double> csr = start();
         const double csr_sum = qt_.gauss_seidel_sweeps(csr.data(), count, true);
-        for (const int seats : {1, 2, 3, 0}) {
+        for (const Seating& seating : seatings) {
             std::vector<double> team = start();
             double team_sum = 0.0;
             std::vector<std::function<void()>> tasks{[&] {
                 team_sum = gen_.gauss_seidel_sweeps(team.data(), count, true, true);
             }};
-            if (seats == 0) {
+            if (seating.late) {
                 tasks.emplace_back(
                     [] { std::this_thread::sleep_for(std::chrono::microseconds(200)); });
             }
-            common::Crew::run_tasks(pool, tasks, seats == 0 ? 2 : seats);
+            common::Crew::run_tasks(pool, tasks, seating.seats);
             SCOPED_TRACE("count " + std::to_string(count) + ", " +
-                         (seats == 0 ? std::string("a late helper")
-                                     : std::to_string(seats) + " seats"));
+                         std::to_string(seating.seats) + " seats" +
+                         (seating.late ? ", one late" : ""));
             EXPECT_EQ(std::bit_cast<std::uint64_t>(team_sum),
                       std::bit_cast<std::uint64_t>(csr_sum));
             expect_bitwise_equal(team, csr);
         }
+    };
+    // Runs of up to three groups on 1, 2 and 3 seats, and with a late helper.
+    for (common::index_type count = 1; count <= 9; ++count) {
+        expect_team_matches_csr(count, {{1, false}, {2, false}, {3, false}, {2, true}});
+    }
+    // A solve sweeps straight through from one residual checkpoint to the
+    // next, so a run is up to 40 groups long and a seat claims several
+    // groups of one pass, each waiting on a group another seat runs.
+    for (const common::index_type count : {16, 37, 160}) {
+        expect_team_matches_csr(count, {{2, false}, {4, false}, {4, true}});
     }
 }
 
@@ -285,10 +302,9 @@ TEST_P(GeneratorStencil, ModelSolveMatchesCsrSolve) {
         options.tolerance = 1e-11;
         GprsModel model(p);
         const ctmc::SolveResult& stencil = model.solve(options, engine);
-        // A large chain runs a wide solve as a team of at most one seat per
-        // sweep group (three for the default 10-sweep batch).
+        // A large chain runs a wide solve as a team on all its seats.
         const bool team = gen_.size() >= ctmc::kTeamMinStates;
-        EXPECT_EQ(stencil.threads_used, team ? std::min(threads, 3) : 1);
+        EXPECT_EQ(stencil.threads_used, team ? threads : 1);
 
         ctmc::SolveOptions reference = options;
         reference.initial = product_form_initial(p, model.balanced(), model.space());
