@@ -38,7 +38,7 @@ common::Result<std::reference_wrapper<const ctmc::SolveResult>> GprsModel::try_s
     const double tolerance = options.tolerance;
     ctmc::SolveResult result;
     try {
-        if (options.initial.empty() && options.initial_candidates.empty()) {
+        if (options.initial.empty()) {
             // Warm-start from the closed-form product approximation;
             // typically several times fewer sweeps than a uniform start.
             options.initial = product_form_initial(parameters_, balanced_, space());

@@ -34,11 +34,12 @@ public:
     const GprsGenerator& generator() const { return generator_; }
 
     /// Solves for the stationary distribution (cached) on the process-wide
-    /// default engine. Without a start in the options it starts from the
-    /// product form; a given start (initial or initial_candidates) is
-    /// consumed like the engine's, so move it in. Returns solver
-    /// statistics; throws std::runtime_error — with the scenario's key
-    /// parameters in the message — if the solve did not converge.
+    /// default engine. Without SolveOptions::initial it starts from the
+    /// product form; a given start is consumed like the engine's, so move
+    /// it in (the ctmc backend's transfer rule, src/eval/backends.cpp,
+    /// picks a warm-started point's one start). Returns solver statistics;
+    /// throws std::runtime_error — with the scenario's key parameters in
+    /// the message — if the solve did not converge.
     const ctmc::SolveResult& solve(ctmc::SolveOptions options = {});
 
     /// Same, but on a caller-managed engine — the route every sweep and

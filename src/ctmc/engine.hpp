@@ -11,7 +11,7 @@
 //
 // The solve loop runs forward Gauss-Seidel sweeps straight through from one
 // residual checkpoint to the next, then normalizes the iterate and
-// evaluates its residual there. Checkpoints are multiples of check_interval
+// evaluates its residual there. Checkpoints are multiples of kCheckInterval
 // that the observed convergence rate picks, so the residual is evaluated
 // only when it could matter. A sweep is linear in the iterate, so leaving
 // it unnormalized between checkpoints changes it only by rounding. An
@@ -51,6 +51,15 @@ namespace gprsim::ctmc {
 /// chains of up to 40,299 states and won from 53,732 up (docs/benchmarks.md).
 inline constexpr index_type kTeamMinStates = index_type{1} << 16;
 
+/// Checkpoint unit in sweeps. The solve sweeps straight through to a
+/// checkpoint, then normalizes the iterate and evaluates its residual
+/// there. Checkpoints are multiples of kCheckInterval: the next is one
+/// interval on until two falling residuals are on record, then half the
+/// sweeps their decay predicts are left, in whole intervals, 1 to 16 of
+/// them. A solve that reaches max_iterations stops there, at a checkpoint
+/// of its own.
+inline constexpr index_type kCheckInterval = 10;
+
 class SolverEngine {
 public:
     /// The pool is created on the first wide solve (or pool() call).
@@ -70,9 +79,9 @@ public:
 
     /// Solves pi Q = 0, sum(pi) = 1 for the operator's chain.
     ///
-    /// The solve owns its options: a start (SolveOptions::initial or the
-    /// winning initial_candidates entry) becomes the iterate in place, so
-    /// pass it with std::move to avoid copying a state-space-sized vector.
+    /// The solve owns its options: its one start (SolveOptions::initial,
+    /// else the uniform distribution) becomes the iterate in place, so pass
+    /// it with std::move to avoid copying a state-space-sized vector.
     /// Throws std::invalid_argument for degenerate generators. A
     /// non-converged result (result.converged == false) is returned rather
     /// than thrown so callers can decide whether the residual is
@@ -94,16 +103,15 @@ private:
 /// and by model-layer callers that do not manage their own engine.
 SolverEngine& default_engine();
 
-/// The candidate rule of SolveOptions::initial_candidates, callable without
-/// a solve: prepares every candidate in place exactly as a solve prepares
-/// its start (clamped to non-negative, divided by its left-to-right sum)
-/// with its scaled residual, and returns the index of the start a solve
-/// with these candidates iterates from: the first, displaced only by a
-/// later one whose residual is strictly below `margin` times the
-/// incumbent's. Throws std::invalid_argument on a size mismatch or a
-/// margin outside (0, 1].
+/// Prepares `x` in place exactly as a solve prepares SolveOptions::initial
+/// (clamped to non-negative, divided by its left-to-right sum) and returns
+/// its scaled residual max_i |(x Q)_i| / Lambda: one O(nnz) pass, no sweep.
+/// A caller choosing between starts ranks prepared copies with it and hands
+/// the raw winner to the solve, which iterates from the same vector bit for
+/// bit (the ctmc backend's transfer rule, src/eval/backends.cpp). Throws
+/// std::invalid_argument on a size mismatch.
 template <QtOperatorConcept Op>
-int choose_start(const Op& op, std::span<std::vector<double>> candidates, double margin);
+double prepare_start(const Op& op, std::vector<double>& x);
 
 // --- implementation -----------------------------------------------------
 
@@ -130,34 +138,16 @@ void prepare_start(const Op& op, std::vector<double>& x, double lambda, double* 
     }
 }
 
-/// choose_start with the operator's uniformization rate already known.
-template <QtOperatorConcept Op>
-int choose_start(const Op& op, std::span<std::vector<double>> candidates, double margin,
-                 double lambda) {
-    if (margin <= 0.0 || margin > 1.0) {
-        throw std::invalid_argument("solve_steady_state: candidate_margin must be in (0, 1]");
-    }
-    int selected = -1;
-    double incumbent_residual = 0.0;
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-        if (static_cast<index_type>(candidates[c].size()) != op.size()) {
-            throw std::invalid_argument("solve_steady_state: initial candidate size mismatch");
-        }
-        double residual = 0.0;
-        prepare_start(op, candidates[c], lambda, &residual);
-        if (selected < 0 || residual < margin * incumbent_residual) {
-            incumbent_residual = residual;
-            selected = static_cast<int>(c);
-        }
-    }
-    return selected;
-}
-
 }  // namespace detail
 
 template <QtOperatorConcept Op>
-int choose_start(const Op& op, std::span<std::vector<double>> candidates, double margin) {
-    return detail::choose_start(op, candidates, margin, detail::max_exit_rate(op));
+double prepare_start(const Op& op, std::vector<double>& x) {
+    if (static_cast<index_type>(x.size()) != op.size()) {
+        throw std::invalid_argument("prepare_start: start vector size mismatch");
+    }
+    double residual = 0.0;
+    detail::prepare_start(op, x, detail::max_exit_rate(op), &residual);
+    return residual;
 }
 
 template <QtOperatorConcept Op>
@@ -188,13 +178,6 @@ SolveResult SolverEngine::solve_here(const Op& op, SolveOptions options) {
         static_cast<index_type>(options.initial.size()) != n) {
         throw std::invalid_argument("solve_steady_state: initial vector size mismatch");
     }
-    if (!options.initial_candidates.empty() && !options.initial.empty()) {
-        throw std::invalid_argument(
-            "solve_steady_state: initial and initial_candidates are mutually exclusive");
-    }
-    if (options.check_interval <= 0) {
-        throw std::invalid_argument("solve_steady_state: check_interval must be positive");
-    }
 
     SolveResult result;
     const double lambda = detail::max_exit_rate(op);
@@ -207,18 +190,6 @@ SolveResult SolverEngine::solve_here(const Op& op, SolveOptions options) {
     if (!options.initial.empty()) {
         result.distribution = std::move(options.initial);
         detail::prepare_start(op, result.distribution, lambda, nullptr);
-    } else if (!options.initial_candidates.empty()) {
-        // Competitive warm starts: one residual evaluation per candidate
-        // (an O(nnz) pass, far cheaper than the sweeps a bad start costs),
-        // then iterate from the winner (choose_start; see candidate_margin
-        // for why near-ties go to the earlier, preferred candidate).
-        result.initial_selected =
-            detail::choose_start(op, std::span(options.initial_candidates),
-                                 options.candidate_margin, lambda);
-        result.residual_evaluations += static_cast<index_type>(options.initial_candidates.size());
-        result.distribution = std::move(
-            options.initial_candidates[static_cast<std::size_t>(result.initial_selected)]);
-        options.initial_candidates.clear();
     } else {
         result.distribution.assign(static_cast<std::size_t>(n), 1.0 / static_cast<double>(n));
     }
@@ -249,8 +220,8 @@ SolveResult SolverEngine::solve_here(const Op& op, SolveOptions options) {
     };
 
     // Sweep loop: one run per residual checkpoint. Checkpoints land at
-    // multiples of check_interval chosen below, and at max_iterations.
-    index_type next_residual = options.check_interval;
+    // multiples of kCheckInterval chosen below, and at max_iterations.
+    index_type next_residual = kCheckInterval;
     index_type prev_sweep = 0;
     double prev_residual = -1.0;
     index_type sweep = 0;
@@ -270,7 +241,7 @@ SolveResult SolverEngine::solve_here(const Op& op, SolveOptions options) {
         // the predicted remaining distance, in whole intervals, capped at
         // 16 intervals, so decelerating convergence cannot overshoot the
         // sweep where an every-interval check would have stopped.
-        index_type gap = options.check_interval;
+        index_type gap = kCheckInterval;
         if (prev_residual > 0.0 && result.residual > 0.0 && result.residual < prev_residual) {
             const double f = std::pow(result.residual / prev_residual,
                                       1.0 / static_cast<double>(sweep - prev_sweep));
@@ -278,10 +249,10 @@ SolveResult SolverEngine::solve_here(const Op& op, SolveOptions options) {
                 const double remaining =
                     std::log(options.tolerance / result.residual) / std::log(f);
                 const double half_intervals =
-                    remaining / 2.0 / static_cast<double>(options.check_interval);
+                    remaining / 2.0 / static_cast<double>(kCheckInterval);
                 const index_type mult = std::clamp<index_type>(
                     static_cast<index_type>(half_intervals), 1, 16);
-                gap = mult * options.check_interval;
+                gap = mult * kCheckInterval;
             }
         }
         prev_sweep = sweep;

@@ -156,43 +156,21 @@ struct SolveOptions {
     /// Lambda = max_i |Q_ii| (a dimensionless residual).
     double tolerance = 1e-12;
     index_type max_iterations = 200000;
-    /// Checkpoint unit in sweeps. The solve sweeps straight through to a
-    /// checkpoint, then normalizes the iterate and evaluates its residual
-    /// there. Checkpoints are multiples of check_interval: the next is one
-    /// interval on until two falling residuals are on record, then half
-    /// the sweeps their decay predicts are left, in whole intervals, 1 to
-    /// 16 of them. A solve that reaches max_iterations stops there, at a
-    /// checkpoint of its own.
-    index_type check_interval = 10;
     /// Execution width, see engine.hpp. 1 (default) runs on the calling
     /// thread; 0 means "all hardware threads"; N > 1 lets up to N threads
     /// of the engine's pool run a large chain's sweep groups. The result is
     /// bitwise identical at every width.
     int num_threads = 1;
-    /// Warm start; empty means the uniform distribution. Clamped to
+    /// The one start; empty means the uniform distribution. Clamped to
     /// non-negative and renormalized in place: the solve takes the options
     /// by value and iterates in this vector, so move it in to avoid a copy.
+    /// Choosing between starts is the caller's (ctmc::prepare_start ranks
+    /// one without a solve; the ctmc backend's transfer rule uses it).
     std::vector<double> initial;
-    /// Competing warm starts, in preference order: when non-empty the
-    /// engine prepares every candidate in place, evaluates its scaled
-    /// residual (one O(nnz) pass each, no iterations consumed) and iterates
-    /// in the winner (ctmc::choose_start is the same rule without a solve);
-    /// SolveResult::initial_selected reports the choice. Mutually
-    /// exclusive with `initial`; moved in like it.
-    std::vector<std::vector<double>> initial_candidates;
-    /// Preference margin for the candidate comparison: a later candidate
-    /// replaces the incumbent only when its residual is strictly below
-    /// margin * incumbent residual. 1.0 is a plain argmin with ties to the
-    /// earlier candidate; smaller values demand a decisive advantage —
-    /// the initial residual is only a proxy for iterations-to-converge,
-    /// and near-ties routinely mispredict (measured on the paper's Fig. 6
-    /// cell: a transfer candidate at 0.92x the product form's residual
-    /// cost 2x the sweeps, while every candidate below 0.5x converged
-    /// faster). Must be in (0, 1].
-    double candidate_margin = 1.0;
-    /// Optional progress callback, run at each checkpoint (see
-    /// check_interval): (sweeps done, residual of the normalized iterate).
-    /// An exception it throws ends the solve and propagates to the caller.
+    /// Optional progress callback, run at each residual checkpoint (see
+    /// kCheckInterval in engine.hpp): (sweeps done, residual of the
+    /// normalized iterate). An exception it throws ends the solve and
+    /// propagates to the caller.
     std::function<void(index_type, double)> progress;
 };
 
@@ -206,11 +184,8 @@ struct SolveResult {
     /// calling thread alone, as a campaign task does (idle seats of the
     /// campaign's crew may still run its sweep groups).
     int threads_used = 1;
-    /// Index of the winning SolveOptions::initial_candidates entry;
-    /// -1 when no candidate list was supplied.
-    int initial_selected = -1;
     /// Number of scaled-residual evaluations the solve performed (each is
-    /// an O(nnz) pass): one per checkpoint, plus one per initial candidate.
+    /// an O(nnz) pass): one per checkpoint.
     index_type residual_evaluations = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "ctmc/sparse_matrix.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 
@@ -157,39 +156,6 @@ double SparseMatrix::at(index_type i, index_type j) const {
         return 0.0;
     }
     return row_values(i)[static_cast<std::size_t>(it - cols.begin())];
-}
-
-void SparseMatrix::multiply(std::span<const double> x, std::span<double> y) const {
-    assert(static_cast<index_type>(x.size()) == cols_);
-    assert(static_cast<index_type>(y.size()) == rows_);
-    for (index_type i = 0; i < rows_; ++i) {
-        double acc = 0.0;
-        const index_type begin = row_ptr_[static_cast<std::size_t>(i)];
-        const index_type end = row_ptr_[static_cast<std::size_t>(i) + 1];
-        for (index_type p = begin; p < end; ++p) {
-            acc += values_[static_cast<std::size_t>(p)] *
-                   x[static_cast<std::size_t>(cols_idx_[static_cast<std::size_t>(p)])];
-        }
-        y[static_cast<std::size_t>(i)] = acc;
-    }
-}
-
-void SparseMatrix::multiply_transposed(std::span<const double> x, std::span<double> y) const {
-    assert(static_cast<index_type>(x.size()) == rows_);
-    assert(static_cast<index_type>(y.size()) == cols_);
-    std::fill(y.begin(), y.end(), 0.0);
-    for (index_type i = 0; i < rows_; ++i) {
-        const double xi = x[static_cast<std::size_t>(i)];
-        if (xi == 0.0) {
-            continue;
-        }
-        const index_type begin = row_ptr_[static_cast<std::size_t>(i)];
-        const index_type end = row_ptr_[static_cast<std::size_t>(i) + 1];
-        for (index_type p = begin; p < end; ++p) {
-            y[static_cast<std::size_t>(cols_idx_[static_cast<std::size_t>(p)])] +=
-                xi * values_[static_cast<std::size_t>(p)];
-        }
-    }
 }
 
 SparseMatrix SparseMatrix::transpose() const {

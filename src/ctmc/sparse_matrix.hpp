@@ -79,12 +79,6 @@ public:
     /// Value at (i, j); zero when the entry is not stored.
     double at(index_type i, index_type j) const;
 
-    /// y = A * x  (x has cols() entries, y has rows() entries).
-    void multiply(std::span<const double> x, std::span<double> y) const;
-
-    /// x^T * A accumulated into y (y must have cols() entries).
-    void multiply_transposed(std::span<const double> x, std::span<double> y) const;
-
     SparseMatrix transpose() const;
 
 private:

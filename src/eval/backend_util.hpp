@@ -307,7 +307,6 @@ GridPlan replication_plan(std::span<const ScenarioQuery> queries,
         }
         return outcomes;
     };
-    plan.waves = plan.tasks.empty() ? 0 : 1;
     return plan;
 }
 

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <utility>
 
 #include "core/handover.hpp"
@@ -56,6 +57,24 @@ SolveSchedule bisection_schedule(std::size_t count) {
         segments = std::move(next);
     }
     return schedule;
+}
+
+bool transfer_wins(const core::GprsModel& model, const std::vector<double>& product,
+                   const std::vector<double>& deviation) {
+    // Near-ties mispredict the sweep count: on the paper's Fig. 6 cell a
+    // transfer at 0.92x the product form's residual cost 2x the sweeps,
+    // while every one below 0.5x converged faster.
+    constexpr double kMargin = 0.5;
+    if (deviation.size() != product.size()) {
+        throw std::invalid_argument("transfer_wins: deviation size mismatch");
+    }
+    std::vector<double> scratch(product.size());
+    for (std::size_t s = 0; s < scratch.size(); ++s) {
+        scratch[s] = deviation[s] * product[s];
+    }
+    const double transfer = ctmc::prepare_start(model.generator(), scratch);
+    scratch = product;
+    return transfer < kMargin * ctmc::prepare_start(model.generator(), scratch);
 }
 
 namespace {
@@ -190,27 +209,27 @@ public:
 
     /// Grid planning with the deterministic bisection warm-start transfer:
     /// the solved/product-form deviation of each parent point is grafted
-    /// onto its dependents' product form and offered to the engine as a
-    /// competing initial (adopted only when it undercuts HALF the product
-    /// form's initial residual — near-ties mispredict the iteration
-    /// count). Each point solves on its task's thread (the points are the
-    /// parallelism), and idle seats of the wave help with its sweep groups;
-    /// every query shares one wave structure (the schedule
-    /// depends only on the grid size), so level-L points of ALL queries
-    /// carry wave L and solve concurrently under the executor.
+    /// onto its dependents' product form, and transfer_wins decides which
+    /// of the two is the point's one start. Each point solves on its
+    /// task's thread (the points are the parallelism), and idle seats of
+    /// the wave help with its sweep groups; every query shares one wave
+    /// structure (the schedule depends only on the grid size), so level-L
+    /// points of ALL queries carry wave L and solve concurrently under the
+    /// executor.
     ///
     /// Above one thread (execution_width) each wave L below the last also
     /// offers speculative starts of the level-(L+1) points, in (query,
     /// schedule) order, as optional tasks: the executor runs them only on
     /// seats the merged wave leaves empty. A start solves its point from
     /// the product form. Once the parent's deviation is stored, before the
-    /// solve or at one of its residual checkpoints, the start applies the
-    /// engine's candidate rule to the point's two starts, and stops where
-    /// the transfer wins. The point's own task in wave L+1 adopts a start
-    /// that finished and whose product form won (applying the rule itself
-    /// if the start finished before the parent): the speculative solve is
-    /// bitwise the solve it would run. Otherwise it solves as without one.
-    /// Output is bitwise invariant to num_threads and to merging.
+    /// solve or at one of its residual checkpoints, the start applies
+    /// transfer_wins and stores the verdict, stopping where the transfer
+    /// wins. The point's own task in wave L+1 takes a stored verdict
+    /// (applying the rule itself if the start finished before the parent)
+    /// and adopts a finished start whose product form won: the speculative
+    /// solve is bitwise the solve it would run. Otherwise it solves from
+    /// the winner. Output is bitwise invariant to num_threads and to
+    /// merging.
     GridPlan plan_grids(std::span<const ScenarioQuery> queries,
                         std::span<const double> rates,
                         const GridOptions& options) override {
@@ -309,15 +328,19 @@ public:
             const WarmStartCache& cache = *state->caches[q];
             const auto parent = static_cast<std::size_t>(state->schedule.parent[index]);
             const Checkpoint decide = [&](const core::GprsModel& model) {
-                if (speculation.product_form_wins) {
+                if (speculation.transfer_wins) {
                     return;
                 }
                 const std::vector<double>* transferred = cache.stored(parent);
                 if (transferred == nullptr) {
                     return;
                 }
-                speculation.product_form_wins = product_form_wins(model, *transferred);
-                if (!*speculation.product_form_wins) {
+                speculation.transfer_wins = transfer_wins(
+                    model,
+                    core::product_form_initial(model.parameters(), model.balanced(),
+                                               model.space()),
+                    *transferred);
+                if (*speculation.transfer_wins) {
                     throw StartAbandoned{};
                 }
             };
@@ -377,7 +400,6 @@ public:
             }
             return outcomes;
         };
-        plan.waves = plan.tasks.empty() ? 0 : state->schedule.levels.size();
         return plan;
     }
 
@@ -387,8 +409,8 @@ private:
     struct Speculation {
         std::optional<PointEvaluation> point;  ///< empty unless the solve finished
         std::vector<double> deviation;         ///< for the point's own dependents
-        /// The candidate rule's verdict, once the start has applied it.
-        std::optional<bool> product_form_wins;
+        /// transfer_wins' verdict, once the start has applied it.
+        std::optional<bool> transfer_wins;
     };
 
     /// Thrown by a speculative start's checkpoint to stop its solve; not a
@@ -399,40 +421,19 @@ private:
     /// checkpoint of it; may throw to abandon the solve.
     using Checkpoint = std::function<void(const core::GprsModel&)>;
 
-    /// A transferred start must undercut half the product form's initial
-    /// residual: near-ties mispredict the iteration count.
-    static constexpr double kTransferMargin = 0.5;
-
-    /// The engine's candidate rule on a dependent's two starts, without a
-    /// solve: whether its product form beats `transferred` (the parent's
-    /// deviation) grafted onto it.
-    static bool product_form_wins(const core::GprsModel& model,
-                                  const std::vector<double>& transferred) {
-        std::vector<std::vector<double>> candidates(2);
-        candidates[0] = core::product_form_initial(model.parameters(), model.balanced(),
-                                                   model.space());
-        candidates[1].resize(candidates[0].size());
-        for (std::size_t s = 0; s < candidates[1].size(); ++s) {
-            candidates[1][s] = transferred[s] * candidates[0][s];
-        }
-        return ctmc::choose_start(model.generator(), std::span(candidates), kTransferMargin) ==
-               0;
-    }
-
     /// The one chain-point computation behind evaluate() and every task of
     /// the grid plan: builds the model and its product-form guess, solves
     /// on the calling thread (the points of a grid are the parallelism;
     /// idle seats of its wave may help with the sweeps), and fills
     /// the evaluation. A root point (parent < 0) starts from the product
-    /// form. A dependent point is offered `transferred` — its parent's
+    /// form. A dependent point starts from `transferred` — its parent's
     /// deviation from the parent's own product form — grafted onto this
-    /// point's product form as a second candidate, which the engine keeps
-    /// only when it undercuts half the product form's initial residual.
-    /// A dependent with a finished `speculation` adopts its evaluation when
-    /// that rule (ctmc::choose_start, applied here unless the start did)
-    /// prefers the product form: the candidate path iterates from the
-    /// product form prepared exactly as a root's start, so it would repeat
-    /// the speculative solve bit for bit. When `deviation` is non-null it
+    /// point's product form when transfer_wins says so (the verdict its
+    /// `speculation`, required for a dependent, stored, else decided
+    /// here), and from the product form
+    /// otherwise. A dependent whose product form wins adopts a finished
+    /// speculation's evaluation: that start is a root's start, so the solve
+    /// would repeat it bit for bit. When `deviation` is non-null it
     /// receives the solved distribution divided by the product form, for
     /// this point's own dependents.
     common::Result<PointEvaluation> solve_point(const ScenarioQuery& query, int parent,
@@ -457,31 +458,35 @@ private:
             checkpoint(model);
             solve.progress = [&](common::index_type, double) { checkpoint(model); };
         }
+        std::vector<double> start;
+        bool warm_started = false;
         if (parent >= 0) {
-            if (speculation != nullptr && speculation->point) {
-                if (!speculation->product_form_wins) {
-                    speculation->product_form_wins = product_form_wins(model, transferred);
-                }
-                if (*speculation->product_form_wins) {
-                    if (deviation != nullptr) {
-                        *deviation = std::move(speculation->deviation);
-                    }
-                    PointEvaluation adopted = std::move(*speculation->point);
-                    adopted.warm_parent = parent;
-                    return adopted;
-                }
+            std::optional<bool>& wins = speculation->transfer_wins;
+            if (!wins) {
+                start = product_form();
+                wins = transfer_wins(model, start, transferred);
             }
-            std::vector<double> product = product_form();
-            for (std::size_t s = 0; s < transferred.size(); ++s) {
-                transferred[s] *= product[s];
+            if (!*wins && speculation->point) {
+                if (deviation != nullptr) {
+                    *deviation = std::move(speculation->deviation);
+                }
+                PointEvaluation adopted = std::move(*speculation->point);
+                adopted.warm_parent = parent;
+                return adopted;
             }
-            // Candidate 0 (preferred): the plain product form.
-            solve.initial_candidates.push_back(std::move(product));
-            solve.initial_candidates.push_back(std::move(transferred));
-            solve.candidate_margin = kTransferMargin;
-        } else {
-            solve.initial = product_form();
+            warm_started = *wins;
         }
+        if (start.empty()) {
+            start = product_form();
+        }
+        if (warm_started) {
+            for (std::size_t s = 0; s < start.size(); ++s) {
+                transferred[s] *= start[s];
+            }
+            start.swap(transferred);
+        }
+        transferred = std::vector<double>();  // the start not taken
+        solve.initial = std::move(start);
         auto solved = model.try_solve(std::move(solve), ctmc::default_engine());
         if (!solved.ok()) {
             return solved.error();
@@ -504,7 +509,7 @@ private:
         point.residual = result.residual;
         point.solver_method = ctmc::method_name(method);
         point.warm_parent = parent;
-        point.warm_started = result.initial_selected == 1;
+        point.warm_started = warm_started;
         point.wall_seconds = result.seconds;
         return point;
     }

@@ -44,6 +44,10 @@
 
 #include "eval/registry.hpp"
 
+namespace gprsim::core {
+class GprsModel;
+}
+
 namespace gprsim::eval {
 
 /// Deterministic warm-start schedule of an iterative backend's grid
@@ -62,6 +66,18 @@ struct SolveSchedule {
 /// sets are a pure function of the grid size, which keeps grid output
 /// bitwise invariant to the thread count.
 SolveSchedule bisection_schedule(std::size_t count);
+
+/// The ctmc backend's warm-start transfer rule (exposed for tests): whether
+/// a dependent point starts from `deviation` (its parent's solved
+/// distribution divided by the parent's product form, elementwise) grafted
+/// onto the point's raw `product` form rather than from that product form.
+/// The transfer wins only when its scaled residual undercuts half the
+/// product form's. Both starts are prepared as a solve prepares its start
+/// (ctmc::prepare_start), on one scratch vector, so the inputs stay raw and
+/// the winner goes to the solve as its SolveOptions::initial. Throws
+/// std::invalid_argument when a vector's size is not the chain's.
+bool transfer_wins(const core::GprsModel& model, const std::vector<double>& product,
+                   const std::vector<double>& deviation);
 
 namespace detail {
 

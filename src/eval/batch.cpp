@@ -20,15 +20,11 @@ int execution_width(const GridOptions& options) {
 
 BatchStats execute_plans(std::span<GridPlan> plans, const GridOptions& options) {
     BatchStats stats;
+    // The merged depth is 1 + the largest wave tag of any plan's tasks.
     for (const GridPlan& plan : plans) {
-        // Trust the tasks' wave tags over the plan's self-reported depth:
-        // a third-party plan that forgets to set `waves` must not index
-        // past the bucket array.
-        std::size_t depth = plan.waves;
         for (const BatchTask& task : plan.tasks) {
-            depth = std::max(depth, task.wave + 1);
+            stats.waves = std::max(stats.waves, task.wave + 1);
         }
-        stats.waves = std::max(stats.waves, depth);
     }
 
     // Bucket by wave, keeping (plan, insertion) order inside each bucket so

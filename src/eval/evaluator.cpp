@@ -188,7 +188,6 @@ GridPlan Evaluator::plan_grids(std::span<const ScenarioQuery> queries,
         }
         return outcomes;
     };
-    plan.waves = plan.tasks.empty() ? 0 : 1;
     return plan;
 }
 

@@ -246,9 +246,6 @@ struct GridPlan {
     /// order-sensitive reductions (replication pooling, first-error-in-
     /// grid-order selection) so results stay thread-count-invariant.
     std::function<std::vector<GridOutcome>()> collect;
-    /// Dependency depth of this plan: 1 + the largest task wave (0 when
-    /// the plan has no tasks).
-    std::size_t waves = 0;
 };
 
 /// "rate=0.5 calls/s, N=20 channels (1 PDCH reserved), M=50, K=100, ..." —

@@ -269,7 +269,6 @@ public:
             }
             return outcomes;
         };
-        plan.waves = plan.tasks.empty() ? 0 : max_waves;
         return plan;
     }
 

@@ -404,6 +404,11 @@ TEST(CampaignRunner, BatchedDispatchMatchesSequentialBitwiseAtEveryWidth) {
     CampaignRunner runner(engine);
     ScenarioSpec spec = tiny_ctmc_des_spec();
     spec.over_reserved_pdch({1, 2, 3});
+    // A short simulated horizon: the paths must agree on every replication
+    // whatever its length, and under ThreadSanitizer this is the slowest
+    // test, where a longer one costs minutes.
+    spec.simulation.warmup_time = 10.0;
+    spec.simulation.batch_duration = 20.0;
 
     const CampaignWorkload workload = build_campaign_workload(spec);
     std::vector<std::vector<eval::GridOutcome>> outcomes;
@@ -416,11 +421,15 @@ TEST(CampaignRunner, BatchedDispatchMatchesSequentialBitwiseAtEveryWidth) {
             grid.grid_offset = workload.grid_offset(v);
             per_variant.push_back(
                 backend.evaluate_grid(workload.queries[v], workload.effective.rates, grid));
-            sequential_waves +=
-                backend
-                    .plan_grids(std::span<const eval::ScenarioQuery>(&workload.queries[v], 1),
-                                workload.effective.rates, grid)
-                    .waves;
+            // The grid's depth, from its tasks' wave tags.
+            const eval::GridPlan plan =
+                backend.plan_grids(std::span<const eval::ScenarioQuery>(&workload.queries[v], 1),
+                                   workload.effective.rates, grid);
+            std::size_t depth = 0;
+            for (const eval::BatchTask& task : plan.tasks) {
+                depth = std::max(depth, task.wave + 1);
+            }
+            sequential_waves += depth;
         }
         outcomes.push_back(std::move(per_variant));
     }

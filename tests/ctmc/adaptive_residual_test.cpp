@@ -1,7 +1,7 @@
 // Adaptive residual-check scheduling tests. A solve sweeps straight
 // through from one residual checkpoint to the next and normalizes the
 // iterate only there; the convergence-rate extrapolation picks the
-// checkpoints (multiples of check_interval, plus max_iterations). The
+// checkpoints (multiples of kCheckInterval, plus max_iterations). The
 // contract is therefore strong: replaying the checkpoints a solve reports
 // with the generic kernels (sweeps, then normalize and residual at each)
 // gives its distribution, iteration count, residual and residual count bit
@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <random>
-#include <stdexcept>
 #include <vector>
 
 #include "ctmc/engine.hpp"
@@ -28,6 +27,30 @@ std::vector<Triplet> random_chain(index_type n, std::uint64_t seed) {
         triplets.push_back({i, (i + 1) % n, rate(rng)});
     }
     for (index_type e = 0; e < 3 * n; ++e) {
+        const index_type i = pick(rng);
+        const index_type j = pick(rng);
+        if (i != j) {
+            triplets.push_back({i, j, rate(rng)});
+        }
+    }
+    return triplets;
+}
+
+/// A slowly mixing chain: a random birth-death path closed by one weak
+/// edge, plus n / 10 random shortcuts. Gauss-Seidel needs hundreds of
+/// sweeps on it, so the checkpoint schedule skips ahead by several
+/// intervals.
+std::vector<Triplet> slow_chain(index_type n, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> rate(0.5, 1.5);
+    std::uniform_int_distribution<index_type> pick(0, n - 1);
+    std::vector<Triplet> triplets;
+    for (index_type i = 0; i + 1 < n; ++i) {
+        triplets.push_back({i, i + 1, rate(rng)});
+        triplets.push_back({i + 1, i, rate(rng)});
+    }
+    triplets.push_back({n - 1, 0, 0.01});
+    for (index_type e = 0; e < n / 10; ++e) {
         const index_type i = pick(rng);
         const index_type j = pick(rng);
         if (i != j) {
@@ -67,21 +90,21 @@ struct MatrixFreeView {
 
 TEST(AdaptiveResidual, NormalizesOnlyAtResidualCheckpoints) {
     SolverEngine engine;
-    const index_type n = 250;
-    const QtMatrix qt = qt_from_triplets(n, random_chain(n, 2024));
+    const index_type n = 50;
+    const QtMatrix qt = qt_from_triplets(n, slow_chain(n, 2024));
     const double lambda = detail::max_exit_rate(qt);
 
     const auto solve_and_replay = [&](const auto& op) {
         SolveOptions options;
         options.tolerance = 1e-13;
         options.max_iterations = 500000;
-        options.check_interval = 2;  // small interval => many skipped intervals
         std::vector<index_type> checkpoints;
         options.progress = [&](index_type sweep, double) { checkpoints.push_back(sweep); };
         const SolveResult solved = engine.solve(op, options);
         ASSERT_TRUE(solved.converged);
         // The schedule skipped ahead, so some runs span several intervals.
-        ASSERT_LT(static_cast<index_type>(checkpoints.size()), solved.iterations / 2);
+        ASSERT_LT(static_cast<index_type>(checkpoints.size()),
+                  solved.iterations / kCheckInterval);
 
         // Generic sweeps between checkpoints; normalize and residual at each.
         std::vector<double> x(static_cast<std::size_t>(n), 1.0 / static_cast<double>(n));
@@ -111,25 +134,16 @@ TEST(AdaptiveResidual, NormalizesOnlyAtResidualCheckpoints) {
 
 TEST(AdaptiveResidual, ProgressFiresOnlyAtResidualCheckpoints) {
     SolverEngine engine;
-    const index_type n = 120;
-    const QtMatrix qt = qt_from_triplets(n, random_chain(n, 29));
+    const index_type n = 30;
+    const QtMatrix qt = qt_from_triplets(n, slow_chain(n, 29));
 
     SolveOptions options;
     options.tolerance = 1e-13;
-    options.check_interval = 2;
     long long calls = 0;
     options.progress = [&](index_type, double) { ++calls; };
     const SolveResult result = engine.solve(qt, options);
     ASSERT_TRUE(result.converged);
     EXPECT_EQ(calls, result.residual_evaluations);
-}
-
-TEST(AdaptiveResidual, RejectsNonPositiveCheckInterval) {
-    SolverEngine engine;
-    const QtMatrix qt = qt_from_triplets(10, random_chain(10, 3));
-    SolveOptions options;
-    options.check_interval = 0;
-    EXPECT_THROW(engine.solve(qt, options), std::invalid_argument);
 }
 
 TEST(AdaptiveResidual, MaxIterationsCheckpointAlwaysEvaluates) {
@@ -141,7 +155,6 @@ TEST(AdaptiveResidual, MaxIterationsCheckpointAlwaysEvaluates) {
     SolveOptions options;
     options.tolerance = 1e-300;
     options.max_iterations = 47;  // not a multiple of the interval
-    options.check_interval = 10;
     const SolveResult result = engine.solve(qt, options);
     EXPECT_FALSE(result.converged);
     EXPECT_EQ(result.iterations, 47);

@@ -1,6 +1,6 @@
 // SolverEngine tests: the serial solve against the free-function facade,
-// warm-start candidates and the candidate rule on its own (choose_start),
-// moved-in starts, the pool, degenerate inputs, the method spellings,
+// moved-in starts, prepare_start against the solve's own preparation of
+// its start, the pool, degenerate inputs, the method spellings,
 // and that a width above one leaves an operator without a team pass (the
 // CSR) on the calling thread, bitwise the serial solve. The stencil's team
 // is tested in tests/core/generator_test.cpp, the crew in
@@ -9,9 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -125,56 +125,10 @@ TEST(SolverEngine, RejectsDegenerateInputsLikeTheSerialSolver) {
     EXPECT_THROW(engine.solve(qt, options), std::invalid_argument);
 }
 
-TEST(SolverEngine, InitialCandidatesPickTheLowestResidualStart) {
-    // Candidate selection: offered the converged solution and the uniform
-    // vector, the engine must start from the solution (index 0 reported)
-    // and converge almost immediately; order flipped, it reports index 1.
-    SolverEngine engine;
-    const index_type n = 60;
-    const QtMatrix qt = qt_from_triplets(n, random_chain(n, 5));
-    SolveOptions options;
-    options.tolerance = 1e-12;
-    const SolveResult reference = engine.solve(qt, options);
-    ASSERT_TRUE(reference.converged);
-
-    const std::vector<double> uniform(static_cast<std::size_t>(n), 1.0);
-    SolveOptions with_candidates;
-    with_candidates.tolerance = 1e-12;
-    with_candidates.initial_candidates = {reference.distribution, uniform};
-    const SolveResult from_solution = engine.solve(qt, with_candidates);
-    EXPECT_EQ(from_solution.initial_selected, 0);
-    EXPECT_LE(from_solution.iterations, reference.iterations);
-
-    with_candidates.initial_candidates = {uniform, reference.distribution};
-    EXPECT_EQ(engine.solve(qt, with_candidates).initial_selected, 1);
-
-    // The preference margin keeps near-ties at the earlier candidate: an
-    // identical later candidate never displaces the incumbent, while a
-    // decisively better one still does.
-    with_candidates.candidate_margin = 0.5;
-    with_candidates.initial_candidates = {uniform, uniform};
-    EXPECT_EQ(engine.solve(qt, with_candidates).initial_selected, 0);
-    with_candidates.initial_candidates = {uniform, reference.distribution};
-    EXPECT_EQ(engine.solve(qt, with_candidates).initial_selected, 1);
-    with_candidates.candidate_margin = 1.0;
-
-    // No candidate list: the field stays -1.
-    EXPECT_EQ(reference.initial_selected, -1);
-
-    // Mutually exclusive with a plain initial; sizes are validated.
-    SolveOptions conflicting;
-    conflicting.initial = uniform;
-    conflicting.initial_candidates = {uniform};
-    EXPECT_THROW(engine.solve(qt, conflicting), std::invalid_argument);
-    SolveOptions missized;
-    missized.initial_candidates = {std::vector<double>(7, 0.1)};
-    EXPECT_THROW(engine.solve(qt, missized), std::invalid_argument);
-}
-
 TEST(SolverEngine, MovedInStartsMatchCopiedInStartsBitwise) {
-    // The engine iterates in the start it is given: a moved-in start or
-    // candidate set solves exactly like a copied-in one, and an lvalue's
-    // vectors are left to the caller.
+    // The engine iterates in the start it is given: a moved-in start
+    // solves exactly like a copied-in one, and an lvalue's vector is left
+    // to the caller.
     SolverEngine engine;
     const index_type n = 50;
     const QtMatrix qt = qt_from_triplets(n, random_chain(n, 11));
@@ -182,7 +136,6 @@ TEST(SolverEngine, MovedInStartsMatchCopiedInStartsBitwise) {
     for (std::size_t i = 0; i < start.size(); ++i) {
         start[i] = 1.0 + static_cast<double>(i % 7);
     }
-    const std::vector<double> uniform(static_cast<std::size_t>(n), 1.0);
 
     SolveOptions copied;
     copied.tolerance = 1e-12;
@@ -195,27 +148,16 @@ TEST(SolverEngine, MovedInStartsMatchCopiedInStartsBitwise) {
     EXPECT_EQ(from_move.distribution, from_copy.distribution);
     EXPECT_EQ(from_move.iterations, from_copy.iterations);
     EXPECT_EQ(from_move.residual, from_copy.residual);
-
-    SolveOptions candidates;
-    candidates.tolerance = 1e-12;
-    candidates.candidate_margin = 0.5;
-    candidates.initial_candidates = {uniform, start};
-    const SolveResult chosen_copy = engine.solve(qt, candidates);
-    EXPECT_EQ(candidates.initial_candidates[1], start);
-    SolveOptions moved_candidates = candidates;
-    const SolveResult chosen_move = engine.solve(qt, std::move(moved_candidates));
-    EXPECT_EQ(chosen_move.initial_selected, chosen_copy.initial_selected);
-    EXPECT_EQ(chosen_move.distribution, chosen_copy.distribution);
-    EXPECT_EQ(chosen_move.iterations, chosen_copy.iterations);
-    EXPECT_EQ(chosen_move.residual, chosen_copy.residual);
 }
 
-TEST(SolverEngine, CandidateRuleAgreesWithTheSolveAndPreparesLikeAPlainStart) {
-    // choose_start is the rule a solve with initial_candidates applies: it
-    // names the same winner for every order and margin. A winning candidate
-    // is prepared by the same steps as a plain start, so a solve from the
-    // winner alone is the candidate solve bit for bit, on the pipelined
-    // (fused-residual) operator and on the generic one alike.
+TEST(SolverEngine, PrepareStartLeavesTheVectorASolveIteratesFrom) {
+    // prepare_start prepares a start exactly as a solve prepares
+    // SolveOptions::initial (the pipelined operator's fused division is
+    // the generic normalize bit for bit) and returns the prepared vector's
+    // scaled residual. So a caller that ranks prepared copies and hands the
+    // raw winner to the solve iterates from the vector it ranked: one sweep
+    // from the raw start is one sweep from the prepared copy, on the
+    // pipelined and the generic operator alike.
     SolverEngine engine;
     const index_type n = 60;
     const QtMatrix qt = qt_from_triplets(n, random_chain(n, 5));
@@ -226,49 +168,36 @@ TEST(SolverEngine, CandidateRuleAgreesWithTheSolveAndPreparesLikeAPlainStart) {
     for (std::size_t i = 0; i < near.size(); ++i) {
         near[i] *= 1.0 + 0.01 * static_cast<double>(i % 3);
     }
+    std::vector<double> clamped = near;
+    clamped[7] = -clamped[7];  // a negative entry is clamped to zero
     const std::vector<double> uniform(static_cast<std::size_t>(n), 1.0);
+    const double lambda = detail::max_exit_rate(qt);
 
-    const std::vector<std::vector<std::vector<double>>> sets = {
-        {uniform, near}, {near, uniform}, {uniform, uniform}, {near, reference.distribution}};
     const auto check = [&](const auto& op, const char* path) {
-        for (const double margin : {1.0, 0.5, 0.01}) {
-            for (std::size_t k = 0; k < sets.size(); ++k) {
-                SolveOptions options;
-                options.tolerance = 1e-12;
-                options.candidate_margin = margin;
-                options.initial_candidates = sets[k];
-                const SolveResult solved = engine.solve(op, options);
-                std::vector<std::vector<double>> prepared = sets[k];
-                const int chosen = choose_start(op, std::span(prepared), margin);
-                EXPECT_EQ(chosen, solved.initial_selected)
-                    << path << " margin " << margin << " set " << k;
-
-                SolveOptions plain;
-                plain.tolerance = 1e-12;
-                plain.initial = std::vector<double>(sets[k][static_cast<std::size_t>(chosen)]);
-                const SolveResult alone = engine.solve(op, plain);
-                EXPECT_EQ(alone.distribution, solved.distribution) << path << " " << k;
-                EXPECT_EQ(alone.iterations, solved.iterations) << path << " " << k;
-                EXPECT_EQ(alone.residual, solved.residual) << path << " " << k;
-                // Sweeps damp a last-bit difference of the start away; one
-                // sweep still shows it.
-                plain.max_iterations = 1;
-                options.max_iterations = 1;
-                options.initial_candidates = sets[k];
-                EXPECT_EQ(engine.solve(op, plain).distribution,
-                          engine.solve(op, options).distribution)
-                    << path << " one sweep, set " << k;
+        for (const std::vector<double>& raw : {uniform, near, clamped, reference.distribution}) {
+            std::vector<double> prepared = raw;
+            const double residual = prepare_start(op, prepared);
+            std::vector<double> expected = raw;
+            for (double& v : expected) {
+                v = std::max(v, 0.0);
             }
+            detail::normalize(expected);
+            EXPECT_EQ(prepared, expected) << path;
+            EXPECT_EQ(residual, detail::scaled_residual(op, expected, lambda)) << path;
+
+            SolveOptions one_sweep;
+            one_sweep.max_iterations = 1;
+            one_sweep.initial = raw;
+            detail::gauss_seidel_forward(op, prepared);
+            detail::normalize(prepared);
+            EXPECT_EQ(engine.solve(op, one_sweep).distribution, prepared) << path;
         }
     };
     check(qt, "pipelined");
     check(GenericView{&qt}, "generic");
 
-    // Sizes and the margin are validated like the solve's.
-    std::vector<std::vector<double>> missized = {std::vector<double>(7, 0.1)};
-    EXPECT_THROW(choose_start(qt, std::span(missized), 0.5), std::invalid_argument);
-    std::vector<std::vector<double>> one = {uniform};
-    EXPECT_THROW(choose_start(qt, std::span(one), 0.0), std::invalid_argument);
+    std::vector<double> missized(7, 0.1);
+    EXPECT_THROW(prepare_start(qt, missized), std::invalid_argument);
 }
 
 TEST(MethodNames, RoundTripThroughTheStringMapping) {

@@ -128,11 +128,6 @@ TEST(Solver, RejectsBadInputs) {
     SolveOptions options;
     options.initial = {1.0};  // wrong size
     EXPECT_THROW(solve_steady_state(qt, options), std::invalid_argument);
-
-    SolveOptions both_starts;
-    both_starts.initial = {0.5, 0.5};
-    both_starts.initial_candidates = {{0.5, 0.5}};
-    EXPECT_THROW(solve_steady_state(qt, both_starts), std::invalid_argument);
 }
 
 TEST(Solver, ProgressCallbackIsInvoked) {

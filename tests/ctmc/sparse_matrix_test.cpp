@@ -50,30 +50,6 @@ TEST(SparseMatrix, RejectsOutOfBoundsTriplets) {
     EXPECT_THROW(SparseMatrix::from_triplets(2, 2, {{0, -1, 1.0}}), std::out_of_range);
 }
 
-TEST(SparseMatrix, MultiplyMatchesDenseComputation) {
-    // [1 2; 3 4] * [5, 6] = [17, 39]
-    const SparseMatrix m =
-        SparseMatrix::from_triplets(2, 2, {{0, 0, 1.0}, {0, 1, 2.0}, {1, 0, 3.0}, {1, 1, 4.0}});
-    const std::vector<double> x{5.0, 6.0};
-    std::vector<double> y(2);
-    m.multiply(x, y);
-    EXPECT_DOUBLE_EQ(y[0], 17.0);
-    EXPECT_DOUBLE_EQ(y[1], 39.0);
-}
-
-TEST(SparseMatrix, MultiplyTransposedMatchesTransposeMultiply) {
-    const SparseMatrix m =
-        SparseMatrix::from_triplets(2, 3, {{0, 0, 1.0}, {0, 2, 2.0}, {1, 1, 3.0}});
-    const std::vector<double> x{2.0, -1.0};
-    std::vector<double> y1(3);
-    m.multiply_transposed(x, y1);
-    std::vector<double> y2(3);
-    m.transpose().multiply(x, y2);
-    for (int j = 0; j < 3; ++j) {
-        EXPECT_DOUBLE_EQ(y1[static_cast<std::size_t>(j)], y2[static_cast<std::size_t>(j)]);
-    }
-}
-
 TEST(SparseMatrix, TransposeSwapsEntries) {
     const SparseMatrix m = SparseMatrix::from_triplets(2, 3, {{0, 2, 7.0}, {1, 0, 4.0}});
     const SparseMatrix t = m.transpose();

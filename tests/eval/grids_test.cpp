@@ -54,6 +54,16 @@ std::vector<ScenarioQuery> tiny_variants() {
     return queries;
 }
 
+/// A plan's dependency depth, as the executor reads it: 1 + the largest
+/// wave tag of its tasks (0 without tasks).
+std::size_t waves_of(const GridPlan& plan) {
+    std::size_t waves = 0;
+    for (const BatchTask& task : plan.tasks) {
+        waves = std::max(waves, task.wave + 1);
+    }
+    return waves;
+}
+
 void expect_bitwise_equal(const PointEvaluation& a, const PointEvaluation& b) {
     EXPECT_EQ(std::memcmp(&a.measures, &b.measures, sizeof(core::Measures)), 0);
     EXPECT_EQ(a.iterations, b.iterations);
@@ -196,17 +206,17 @@ TEST(PlanGrids, CtmcSharesWavesAcrossVariantsAndDesIsFlat) {
     GridOptions options;
     GridPlan ctmc_plan = backend("ctmc").plan_grids(queries, rates, options);
     const SolveSchedule schedule = bisection_schedule(rates.size());
-    EXPECT_EQ(ctmc_plan.waves, schedule.levels.size());
+    EXPECT_EQ(waves_of(ctmc_plan), schedule.levels.size());
     EXPECT_EQ(ctmc_plan.tasks.size(), rates.size() * queries.size());
 
     GridPlan des_plan = backend("des").plan_grids(queries, rates, options);
-    EXPECT_EQ(des_plan.waves, 1u);
+    EXPECT_EQ(waves_of(des_plan), 1u);
     EXPECT_EQ(des_plan.tasks.size(),
               rates.size() * queries.size() *
                   static_cast<std::size_t>(queries[0].simulation.replications));
     // Executing our own plans: every task, then collect, yields the grids.
     for (GridPlan* plan : {&ctmc_plan, &des_plan}) {
-        for (std::size_t wave = 0; wave < plan->waves; ++wave) {
+        for (std::size_t wave = 0; wave < waves_of(*plan); ++wave) {
             for (BatchTask& task : plan->tasks) {
                 if (task.wave == wave) {
                     task.run();
@@ -251,9 +261,9 @@ TEST(PlanGrids, CtmcFillsEmptySeatsWithSpeculativeStarts) {
             ++reported[flat];
         };
         GridPlan plan = backend("ctmc").plan_grids(queries, rates, wide);
-        ASSERT_EQ(plan.waves, 4u);
-        std::vector<std::size_t> solves(plan.waves, 0);
-        std::vector<std::size_t> starts(plan.waves, 0);
+        ASSERT_EQ(waves_of(plan), 4u);
+        std::vector<std::size_t> solves(4, 0);
+        std::vector<std::size_t> starts(4, 0);
         for (const BatchTask& task : plan.tasks) {
             ++(task.optional ? starts : solves)[task.wave];
         }
@@ -268,7 +278,7 @@ TEST(PlanGrids, CtmcFillsEmptySeatsWithSpeculativeStarts) {
             EXPECT_EQ(static_cast<std::size_t>(reports), std::min(task + 1, variants))
                 << variants << " variants, task " << task;
         }
-        for (std::size_t wave = 1; wave < plan.waves; ++wave) {
+        for (std::size_t wave = 1; wave < 4; ++wave) {
             for (BatchTask& later : plan.tasks) {
                 if (later.wave == wave) {
                     later.run();
@@ -328,7 +338,7 @@ TEST(PlanGrids, SpeculativeStartsBeforeOrAfterTheirParentKeepTheSerialGrid) {
     wide.pool = &pool;
     for (const bool starts_first : {false, true}) {
         GridPlan plan = backend("ctmc").plan_grids(one, rates, wide);
-        for (std::size_t wave = 0; wave < plan.waves; ++wave) {
+        for (std::size_t wave = 0; wave < waves_of(plan); ++wave) {
             for (const bool optional : {starts_first, !starts_first}) {
                 for (BatchTask& task : plan.tasks) {
                     if (task.wave == wave && task.optional == optional) {
@@ -355,7 +365,6 @@ TEST(ExecutePlans, OptionalTasksTakeOnlyTheSeatsTheMergedWaveLeavesEmpty) {
         int id = 0;
         const auto add = [&](GridPlan& plan, std::size_t wave, bool optional) {
             plan.tasks.push_back({wave, [&runs, i = id++] { ++runs[i]; }, optional});
-            plan.waves = std::max(plan.waves, wave + 1);
         };
         add(made[0], 0, false);
         for (int i = 0; i < 5; ++i) {
@@ -478,10 +487,9 @@ TEST(EvaluateCampaign, MergesBackendsIntoFewerWavesThanSequential) {
     std::size_t sequential_waves = 0;
     for (const std::string& name : request.backends) {
         for (const ScenarioQuery& query : request.queries) {
-            sequential_waves += backend(name.c_str())
-                                    .plan_grids(std::span<const ScenarioQuery>(&query, 1),
-                                                request.rates)
-                                    .waves;
+            sequential_waves += waves_of(backend(name.c_str())
+                                             .plan_grids(std::span<const ScenarioQuery>(&query, 1),
+                                                         request.rates));
         }
     }
     EXPECT_GT(sequential_waves, evaluation.stats.waves);
