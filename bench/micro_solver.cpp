@@ -216,9 +216,9 @@ int main(int argc, char** argv) try {
     }
 
     // Campaign records: the merged cross-variant task set (every variant's
-    // bisection waves interleaved, DES replications backfilling idle
-    // solver threads) of a multi-variant ctmc + des campaign, and the
-    // network-scaling study; each tracks wall time and the wave count.
+    // chain solves and DES replications in one wave) of a multi-variant
+    // ctmc + des campaign, and the network-scaling study; each tracks wall
+    // time and the wave count.
     if (!run_campaign) {
         json.write(args.json.empty() ? "BENCH_solver.json" : args.json);
         return 0;

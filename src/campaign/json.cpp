@@ -2,10 +2,16 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <string>
 
 namespace gprsim::campaign {
 
 namespace {
+
+/// Deepest array/object nesting a document may have. The deepest shipped
+/// spec nests 3 levels; the limit keeps the recursion far from the end of
+/// any thread's stack, whatever the input.
+constexpr int kMaxDepth = 64;
 
 /// Recursive-descent parser over the raw text, tracking 1-based line and
 /// column as it consumes characters.
@@ -70,9 +76,15 @@ private:
         const char c = peek();
         switch (c) {
             case '{':
-                return parse_object();
-            case '[':
-                return parse_array();
+            case '[': {
+                if (depth_ == kMaxDepth) {
+                    fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+                }
+                ++depth_;
+                JsonValue value = c == '{' ? parse_object() : parse_array();
+                --depth_;
+                return value;
+            }
             case '"':
                 return parse_string();
             case 't':
@@ -251,6 +263,7 @@ private:
     std::size_t pos_ = 0;
     int line_ = 1;
     int column_ = 1;
+    int depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 [[noreturn]] void type_mismatch(const JsonValue& value, const char* wanted) {

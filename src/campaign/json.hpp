@@ -108,7 +108,8 @@ private:
 const char* json_type_name(JsonValue::Type type);
 
 /// Parses one JSON document; trailing non-whitespace is an error. Throws
-/// JsonError with line/column on malformed input.
+/// JsonError with line/column on malformed input, arrays and objects
+/// nested more than 64 levels deep included.
 JsonValue parse_json(const std::string& text);
 
 }  // namespace gprsim::campaign

@@ -70,8 +70,8 @@ struct BackendTotals {
     long long replications = 0;  ///< simulator replications (des, network-des)
     std::uint64_t events = 0;    ///< simulator events executed
     /// Grid points offered a transferred warm start (ctmc's bisection
-    /// schedule), and the subset where the transfer won the engine's
-    /// residual comparison.
+    /// schedule), and the subset where the transfer won its residual
+    /// comparison (eval::transfer_wins).
     std::size_t warm_offered = 0;
     std::size_t warm_won = 0;
 };
@@ -81,8 +81,8 @@ struct CampaignSummary {
     std::size_t points = 0;
     /// One entry per backend, parallel to CampaignResult::methods.
     std::vector<BackendTotals> backends;
-    /// Merged task set: tasks executed (eval::BatchStats::tasks, which
-    /// counts the speculative starts that ran) and the waves they ran in.
+    /// Merged task set: tasks executed (eval::BatchStats::tasks) and the
+    /// waves they ran in; neither depends on the thread count.
     std::size_t batch_tasks = 0;
     std::size_t batch_waves = 0;
     /// Chain-solve sweep groups that idle seats ran (timing-dependent).

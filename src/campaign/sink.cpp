@@ -309,8 +309,8 @@ void print_campaign_summary(const CampaignResult& result, std::FILE* out) {
         std::fprintf(out, "\n");
     }
     if (s.batch_waves > 0) {
-        std::fprintf(out, "  task set: %zu tasks in %zu merged waves", s.batch_tasks,
-                     s.batch_waves);
+        std::fprintf(out, "  task set: %zu tasks in %zu merged wave%s", s.batch_tasks,
+                     s.batch_waves, s.batch_waves == 1 ? "" : "s");
         if (s.batch_helped_groups > 0) {
             std::fprintf(out, ", %zu sweep groups run by helper seats",
                          s.batch_helped_groups);

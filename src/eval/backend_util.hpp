@@ -1,13 +1,11 @@
 // Shared scaffolding of the built-in backend implementations: the guarded
 // evaluate fence, grid validation, the per-query probe/error-slot protocol
-// of the batch planners, the wave-poisoning marker, and the replication
-// point/plan of the simulating backends (des, network-des). Internal to
-// src/eval/ and src/network/ — the public surface is
-// evaluator.hpp/backends.hpp.
+// of the batch planners, and the replication point/plan of the simulating
+// backends (des, network-des). Internal to src/eval/ and src/network/ —
+// the public surface is evaluator.hpp/backends.hpp.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -73,7 +71,7 @@ inline GridPlan failed_plan(std::size_t num_queries, common::EvalError error) {
 /// Shared per-query scaffolding of the batch planners: sizes each query's
 /// error-slot vector to the grid and probe-validates the query against the
 /// grid's first rate. planned[q] says whether query q gets tasks; a
-/// failing probe's typed error lands in errors[q][0] and poisons nothing
+/// failing probe's typed error lands in errors[q][0] and touches nothing
 /// else.
 inline std::vector<bool> probe_queries(
     std::span<const ScenarioQuery> queries, std::span<const double> rates,
@@ -107,18 +105,6 @@ inline const common::EvalError* first_error(
         }
     }
     return nullptr;
-}
-
-/// Lowers the "failure at wave w" marker; tasks of LATER waves skip (their
-/// warm-start parent chain is broken), same-wave tasks still run — so the
-/// set of recorded errors, and hence the error collect() reports, is
-/// identical at every thread count.
-inline void poison(std::atomic<long long>& poisoned_wave, long long wave) {
-    long long current = poisoned_wave.load(std::memory_order_relaxed);
-    while (wave < current &&
-           !poisoned_wave.compare_exchange_weak(current, wave,
-                                                std::memory_order_acq_rel)) {
-    }
 }
 
 /// Uncaught-exception fence: every backend body runs inside this so the

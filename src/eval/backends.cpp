@@ -1,8 +1,6 @@
 #include "eval/backends.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <climits>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -16,47 +14,33 @@
 #include "core/initial_guess.hpp"
 #include "core/model.hpp"
 #include "eval/backend_util.hpp"
-#include "eval/batch.hpp"
 #include "queueing/mm1k.hpp"
 #include "sim/experiment.hpp"
 
 namespace gprsim::eval {
 
-SolveSchedule bisection_schedule(std::size_t count) {
-    SolveSchedule schedule;
-    schedule.parent.assign(count, -1);
-    if (count == 0) {
-        return schedule;
-    }
-    schedule.levels.push_back({0});
-    if (count == 1) {
-        return schedule;
+std::vector<int> bisection_schedule(std::size_t count) {
+    std::vector<int> parent(count, -1);
+    if (count < 2) {
+        return parent;
     }
     const int last = static_cast<int>(count) - 1;
-    schedule.parent[static_cast<std::size_t>(last)] = 0;
-    schedule.levels.push_back({last});
+    parent[static_cast<std::size_t>(last)] = 0;
     std::vector<std::pair<int, int>> segments{{0, last}};
     while (!segments.empty()) {
-        std::vector<int> level;
-        std::vector<std::pair<int, int>> next;
-        for (const auto& [a, b] : segments) {
-            if (b - a <= 1) {
-                continue;
-            }
-            const int mid = a + (b - a) / 2;
-            // Nearest solved endpoint: the floor midpoint is never closer
-            // to b, so the lower endpoint always wins ("ties down").
-            schedule.parent[static_cast<std::size_t>(mid)] = a;
-            level.push_back(mid);
-            next.emplace_back(a, mid);
-            next.emplace_back(mid, b);
+        const auto [a, b] = segments.back();
+        segments.pop_back();
+        if (b - a <= 1) {
+            continue;
         }
-        if (!level.empty()) {
-            schedule.levels.push_back(std::move(level));
-        }
-        segments = std::move(next);
+        const int mid = a + (b - a) / 2;
+        // Nearest endpoint: the floor midpoint is never closer to b, so the
+        // lower endpoint always wins ("ties down").
+        parent[static_cast<std::size_t>(mid)] = a;
+        segments.emplace_back(a, mid);
+        segments.emplace_back(mid, b);
     }
-    return schedule;
+    return parent;
 }
 
 bool transfer_wins(const core::GprsModel& model, const std::vector<double>& product,
@@ -82,82 +66,13 @@ namespace {
 using common::EvalError;
 using common::EvalErrorCode;
 // Grid scaffolding shared with the large-population backends
-// (eval/backend_util.hpp); only the warm-start cache stays local.
+// (eval/backend_util.hpp).
 using detail::WallClock;
 using detail::check_grid;
 using detail::failed_plan;
 using detail::first_error;
 using detail::guarded;
-using detail::poison;
 using detail::probe_queries;
-
-/// Deviation vectors (solved distribution / own product form, elementwise)
-/// awaiting their warm-start dependents, one slot per grid index. A slot is
-/// only populated when the schedule has at least one dependent for it, each
-/// dependent copies the vector exactly once (claim), and the claim that
-/// consumes the last reference frees the slot — so peak memory follows the
-/// bisection frontier, not the grid. Thread-safety: stores and claims of
-/// one slot never overlap (the wave barrier separates a point's solve from
-/// its children's solves); claims of one slot from several same-wave
-/// children only race on the atomic reference count, and every copy is
-/// sequenced before its own decrement.
-class WarmStartCache {
-public:
-    WarmStartCache(std::size_t grid, const std::vector<int>& parent)
-        : slots_(grid), stored_(grid), remaining_(grid), children_(grid, 0) {
-        for (const int p : parent) {
-            if (p >= 0) {
-                ++children_[static_cast<std::size_t>(p)];
-            }
-        }
-        for (std::size_t i = 0; i < grid; ++i) {
-            remaining_[i].store(children_[i], std::memory_order_relaxed);
-        }
-    }
-
-    /// Whether the schedule has any dependent for this grid index (callers
-    /// skip building the deviation vector otherwise).
-    bool has_dependents(std::size_t index) const { return children_[index] > 0; }
-
-    /// Keeps the deviation vector iff some later point claims it.
-    void store(std::size_t index, std::vector<double> deviation) {
-        if (children_[index] > 0) {
-            slots_[index] = std::move(deviation);
-            stored_[index].store(true, std::memory_order_release);
-        }
-    }
-
-    /// The stored deviation, or nullptr before store(). A dependent may
-    /// read it before its own claim, beside a store or other claims of the
-    /// slot: while it has not claimed, no claim moves the vector out or
-    /// frees it.
-    const std::vector<double>* stored(std::size_t index) const {
-        return stored_[index].load(std::memory_order_acquire) ? &slots_[index] : nullptr;
-    }
-
-    /// Returns the parent's deviation and releases one claim. A count of 1
-    /// means every other claimant has already decremented, so this claimant
-    /// owns the slot exclusively and can move the vector out instead of
-    /// copying (a ~2x peak-memory saving on multi-million-state chains).
-    std::vector<double> claim(std::size_t parent_index) {
-        if (remaining_[parent_index].load(std::memory_order_acquire) == 1) {
-            std::vector<double> last = std::move(slots_[parent_index]);
-            remaining_[parent_index].store(0, std::memory_order_release);
-            return last;
-        }
-        std::vector<double> copy = slots_[parent_index];
-        if (remaining_[parent_index].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            std::vector<double>().swap(slots_[parent_index]);
-        }
-        return copy;
-    }
-
-private:
-    std::vector<std::vector<double>> slots_;
-    std::vector<std::atomic<bool>> stored_;
-    std::vector<std::atomic<int>> remaining_;
-    std::vector<int> children_;  ///< dependents per grid index
-};
 
 // --- erlang ---------------------------------------------------------------
 
@@ -190,6 +105,21 @@ public:
 
 // --- ctmc -----------------------------------------------------------------
 
+/// A settled point's deviation (its solved distribution divided by its own
+/// product form, elementwise): held once, read-only, by its dependents and
+/// freed with the last of them.
+using Transfer = std::shared_ptr<const std::vector<double>>;
+
+/// Asked by a dependent point before it sweeps and, until it has applied
+/// transfer_wins, at each residual checkpoint: its parent's deviation once
+/// the parent has settled, else nullptr. Throws Skip once the parent has
+/// failed or was skipped.
+using Poll = std::function<Transfer()>;
+
+/// The point's parent failed or was skipped, so the point is skipped too.
+/// Not a std::exception, so no error fence on the way converts it.
+struct Skip {};
+
 class CtmcEvaluator final : public Evaluator {
 public:
     const std::string& name() const override {
@@ -204,316 +134,344 @@ public:
     }
 
     common::Result<PointEvaluation> evaluate(const ScenarioQuery& query) override {
-        return guarded(query, [&] { return solve_point(query, -1, {}, nullptr, nullptr); });
+        return solve_point(query, -1, {}, nullptr, nullptr);
     }
 
     /// Grid planning with the deterministic bisection warm-start transfer:
-    /// the solved/product-form deviation of each parent point is grafted
-    /// onto its dependents' product form, and transfer_wins decides which
-    /// of the two is the point's one start. Each point solves on its
-    /// task's thread (the points are the parallelism), and idle seats of
-    /// the wave help with its sweep groups; every query shares one wave
-    /// structure (the schedule depends only on the grid size), so level-L
-    /// points of ALL queries carry wave L and solve concurrently under the
-    /// executor.
-    ///
-    /// Above one thread (execution_width) each wave L below the last also
-    /// offers speculative starts of the level-(L+1) points, in (query,
-    /// schedule) order, as optional tasks: the executor runs them only on
-    /// seats the merged wave leaves empty. A start solves its point from
-    /// the product form. Once the parent's deviation is stored, before the
-    /// solve or at one of its residual checkpoints, the start applies
-    /// transfer_wins and stores the verdict, stopping where the transfer
-    /// wins. The point's own task in wave L+1 takes a stored verdict
-    /// (applying the rule itself if the start finished before the parent)
-    /// and adopts a finished start whose product form won: the speculative
-    /// solve is bitwise the solve it would run. Otherwise it solves from
-    /// the winner. Output is bitwise invariant to num_threads and to
-    /// merging.
+    /// the deviation of each parent point is grafted onto its dependents'
+    /// product form, and transfer_wins decides which of the two is the
+    /// point's one start. Every (query, point) is one wave-0 task, in grid
+    /// order with the queries interleaved; a parent always has the lower
+    /// index, so at one thread each parent settles before its dependents
+    /// start. Each point solves on its task's thread (the points are the
+    /// parallelism), and idle seats help with its sweep groups. Wider, a
+    /// dependent may start before its parent settles; it still settles to
+    /// the point the serial order gives (GridState), so output is bitwise
+    /// invariant to num_threads, to the task order and to merging.
     GridPlan plan_grids(std::span<const ScenarioQuery> queries,
                         std::span<const double> rates,
-                        const GridOptions& options) override {
-        if (common::Status g = check_grid(rates); !g.ok()) {
-            return failed_plan(queries.size(), g.error());
-        }
+                        const GridOptions& options) override;
 
-        struct State {
-            std::vector<ScenarioQuery> base;                     ///< per query
-            std::vector<std::vector<PointEvaluation>> points;    ///< [q][i]
-            std::vector<std::vector<std::unique_ptr<EvalError>>> errors;
-            std::vector<std::unique_ptr<WarmStartCache>> caches;
-            /// [q][i]: what the point's speculative start left, if one ran.
-            std::vector<std::vector<Speculation>> speculations;
-            /// Wave of query q's first failure; later-wave tasks of q skip.
-            std::vector<std::atomic<long long>> poisoned;
-            std::vector<double> rates;
-            SolveSchedule schedule;
-            std::mutex progress_mutex;
-        };
-        const std::size_t nq = queries.size();
-        const std::size_t n = rates.size();
-        auto state = std::make_shared<State>();
-        state->base.assign(queries.begin(), queries.end());
-        state->points.assign(nq, std::vector<PointEvaluation>(n));
-        state->errors.resize(nq);
-        state->speculations.resize(nq);
-        state->rates.assign(rates.begin(), rates.end());
-        state->schedule = bisection_schedule(n);
-        std::vector<std::atomic<long long>> poisoned(nq);
-        state->poisoned = std::move(poisoned);
-        for (std::size_t q = 0; q < nq; ++q) {
-            state->poisoned[q].store(LLONG_MAX, std::memory_order_relaxed);
-        }
-        // A failing probe only disables ITS query; no tasks are emitted
-        // for it and the other slots plan normally.
-        const std::vector<bool> planned = probe_queries(queries, rates, state->errors);
-        state->caches.resize(nq);
-        for (std::size_t q = 0; q < nq; ++q) {
-            if (planned[q]) {
-                state->caches[q] =
-                    std::make_unique<WarmStartCache>(n, state->schedule.parent);
-                state->speculations[q].resize(n);
-            }
-        }
+private:
+    class GridState;
 
-        // Query q at grid point `index`, unless an earlier wave of q failed.
-        const auto live_query = [state](std::size_t q, std::size_t index,
-                                        std::size_t wave) -> std::optional<ScenarioQuery> {
-            if (state->poisoned[q].load(std::memory_order_acquire) <
-                static_cast<long long>(wave)) {
-                return std::nullopt;  // a parent wave of this query already failed
+    /// The one chain-point computation behind evaluate() and every task of
+    /// the grid plan: builds the model, solves on the calling thread, and
+    /// fills the evaluation. A root point (parent < 0) starts from the
+    /// product form. A dependent applies transfer_wins once `poll` returns
+    /// its parent's deviation, and then sets *decided: before it sweeps,
+    /// when the parent has already settled, it solves once from the winner;
+    /// otherwise it solves from the product form and decides at the first
+    /// residual checkpoint after the parent settles, restarting from the
+    /// transfer where it wins. A solve that ends undecided is the
+    /// product-form outcome. `product`, when given, is such an outcome
+    /// (its deviation already in *deviation): it stands where the transfer
+    /// loses. When `deviation` is non-null it receives the solved
+    /// distribution divided by the product form, for this point's own
+    /// dependents.
+    common::Result<PointEvaluation> solve_point(
+        const ScenarioQuery& query, int parent, const Poll& poll,
+        std::vector<double>* deviation, bool* decided,
+        common::Result<PointEvaluation>* product = nullptr) const {
+        return guarded(query, [&]() -> common::Result<PointEvaluation> {
+            Transfer transfer = parent >= 0 ? poll() : nullptr;
+            const core::Parameters p = query.resolved_parameters();
+            core::GprsModel model(p);
+            const auto product_form = [&] {
+                return core::product_form_initial(p, model.balanced(), model.space());
+            };
+            // The start transfer_wins picks, raw: the product form, with the
+            // parent's deviation grafted into it where the transfer wins.
+            bool warm = false;
+            const auto pick = [&](const std::vector<double>& from) {
+                *decided = true;
+                std::vector<double> start = product_form();
+                warm = transfer_wins(model, start, from);
+                if (warm) {
+                    for (std::size_t s = 0; s < start.size(); ++s) {
+                        start[s] *= from[s];
+                    }
+                }
+                return start;
+            };
+            std::vector<double> start;
+            if (transfer) {
+                start = pick(*transfer);
+                transfer = nullptr;
+                if (product != nullptr && !warm) {
+                    return std::move(*product);
+                }
+                if (deviation != nullptr) {
+                    *deviation = std::vector<double>();  // the stale one
+                }
+            } else {
+                start = product_form();
             }
-            ScenarioQuery query = state->base[q];
-            query.call_arrival_rate = state->rates[index];
-            return query;
-        };
-        const auto solve_task = [this, state, live_query, progress = options.progress](
-                                    std::size_t q, std::size_t index, std::size_t wave) {
-            const std::optional<ScenarioQuery> query = live_query(q, index, wave);
-            if (!query) {
-                return;
-            }
-            WarmStartCache& cache = *state->caches[q];
-            const int parent = state->schedule.parent[index];
-            Speculation speculation = std::move(state->speculations[q][index]);
-            std::vector<double> deviation;
-            common::Result<PointEvaluation> point = guarded(*query, [&] {
-                return solve_point(
-                    *query, parent,
-                    parent >= 0 ? cache.claim(static_cast<std::size_t>(parent))
-                                : std::vector<double>(),
-                    cache.has_dependents(index) ? &deviation : nullptr, &speculation);
-            });
-            if (!point.ok()) {
-                state->errors[q][index] = std::make_unique<EvalError>(point.error());
-                poison(state->poisoned[q], static_cast<long long>(wave));
-                return;
-            }
-            cache.store(index, std::move(deviation));
-            state->points[q][index] = point.take();
-            if (progress) {
-                std::lock_guard<std::mutex> lock(state->progress_mutex);
-                progress(q * state->rates.size() + index, state->points[q][index]);
-            }
-        };
-        // A speculative start keeps what it computed for the point's own
-        // task and nothing else: a failure is that task's to find again.
-        const auto speculate_task = [this, state, live_query](std::size_t q, std::size_t index,
-                                                              std::size_t wave) {
-            const std::optional<ScenarioQuery> query = live_query(q, index, wave);
-            if (!query) {
-                return;
-            }
-            Speculation& speculation = state->speculations[q][index];
-            const WarmStartCache& cache = *state->caches[q];
-            const auto parent = static_cast<std::size_t>(state->schedule.parent[index]);
-            const Checkpoint decide = [&](const core::GprsModel& model) {
-                if (speculation.transfer_wins) {
+            struct Restart {};
+            const auto checkpoint = [&](common::index_type, double) {
+                if (*decided) {
                     return;
                 }
-                const std::vector<double>* transferred = cache.stored(parent);
-                if (transferred == nullptr) {
-                    return;
-                }
-                speculation.transfer_wins = transfer_wins(
-                    model,
-                    core::product_form_initial(model.parameters(), model.balanced(),
-                                               model.space()),
-                    *transferred);
-                if (*speculation.transfer_wins) {
-                    throw StartAbandoned{};
+                if (const Transfer from = poll()) {
+                    std::vector<double> picked = pick(*from);
+                    if (warm) {
+                        start = std::move(picked);
+                        throw Restart{};
+                    }
                 }
             };
-            try {
-                common::Result<PointEvaluation> point = guarded(*query, [&] {
-                    return solve_point(
-                        *query, -1, {},
-                        cache.has_dependents(index) ? &speculation.deviation : nullptr, nullptr,
-                        decide);
-                });
-                if (point.ok()) {
-                    speculation.point = point.take();
+            // validated() (via guarded) already vetted the spelling.
+            const ctmc::SolveMethod method = *ctmc::method_from_name(query.solver.method);
+            while (true) {
+                ctmc::SolveOptions solve;
+                solve.tolerance = query.solver.tolerance;
+                solve.max_iterations = query.solver.max_iterations;
+                solve.method = method;
+                // One thread: idle seats of the wave may still help with
+                // the sweeps.
+                solve.num_threads = 1;
+                solve.initial = std::move(start);
+                if (parent >= 0 && !*decided) {
+                    solve.progress = checkpoint;
                 }
-            } catch (const StartAbandoned&) {
-                // The transfer wins: the point's own task solves from it.
+                try {
+                    auto solved = model.try_solve(std::move(solve), ctmc::default_engine());
+                    if (!solved.ok()) {
+                        return solved.error();
+                    }
+                    const ctmc::SolveResult& result = solved.value().get();
+                    if (deviation != nullptr) {
+                        // The product form again (a few ms): the solve
+                        // consumed its start.
+                        *deviation = product_form();
+                        for (std::size_t s = 0; s < deviation->size(); ++s) {
+                            double& d = (*deviation)[s];
+                            d = d > 0.0 ? result.distribution[s] / d : 0.0;
+                        }
+                    }
+                    PointEvaluation point;
+                    point.backend = name();
+                    point.call_arrival_rate = query.call_arrival_rate;
+                    point.measures = core::compute_measures(p, model.balanced(), model.space(),
+                                                            result.distribution);
+                    point.iterations = static_cast<long long>(result.iterations);
+                    point.residual = result.residual;
+                    point.solver_method = ctmc::method_name(method);
+                    point.warm_parent = parent;
+                    point.warm_started = warm;
+                    point.wall_seconds = result.seconds;
+                    return point;
+                } catch (const Restart&) {
+                    // `start` now holds the transfer: solve again from it.
+                }
             }
-        };
+        });
+    }
+};
 
-        const bool speculate = execution_width(options) > 1;
-        const std::vector<std::vector<int>>& levels = state->schedule.levels;
-        GridPlan plan;
-        for (std::size_t level = 0; level < levels.size(); ++level) {
-            for (std::size_t q = 0; q < nq; ++q) {
-                if (!planned[q]) {
-                    continue;
-                }
-                for (const int index : levels[level]) {
-                    plan.tasks.push_back({level, [solve_task, q, index, level] {
-                                              solve_task(q, static_cast<std::size_t>(index),
-                                                         level);
-                                          }});
-                }
-            }
-            for (std::size_t q = 0; q < nq && speculate && level + 1 < levels.size(); ++q) {
-                if (!planned[q]) {
-                    continue;
-                }
-                for (const int index : levels[level + 1]) {
-                    plan.tasks.push_back({level,
-                                          [speculate_task, q, index, level] {
-                                              speculate_task(
-                                                  q, static_cast<std::size_t>(index), level);
-                                          },
-                                          true});
-                }
+/// One ctmc grid plan's state: every query's points and how they settle. A
+/// point settles once its outcome is final; its dependents then take its
+/// deviation. A dependent whose task starts before that solves from its
+/// product form and decides at a residual checkpoint (solve_point); if its
+/// solve ends first, the task leaves its outcome here, and the parent's
+/// task decides it when the parent settles. A point whose parent failed or
+/// was skipped is skipped and records no error, so the recorded errors,
+/// like every point, are the serial order's whatever order the tasks run
+/// in, and no task ever waits on another. The nodes are guarded by mutex_;
+/// solves run outside it.
+class CtmcEvaluator::GridState {
+public:
+    GridState(const CtmcEvaluator& backend, std::span<const ScenarioQuery> queries,
+              std::span<const double> rates,
+              std::function<void(std::size_t, const PointEvaluation&)> progress)
+        : errors(queries.size()),
+          backend_(backend),
+          base_(queries.begin(), queries.end()),
+          rates_(rates.begin(), rates.end()),
+          parent_(bisection_schedule(rates.size())),
+          children_(rates.size()),
+          nodes_(queries.size(), std::vector<Node>(rates.size())),
+          points_(queries.size(), std::vector<PointEvaluation>(rates.size())),
+          progress_(std::move(progress)) {
+        for (std::size_t i = 0; i < parent_.size(); ++i) {
+            if (parent_[i] >= 0) {
+                children_[static_cast<std::size_t>(parent_[i])].push_back(i);
             }
         }
-        plan.collect = [state, nq] {
-            std::vector<GridOutcome> outcomes;
-            outcomes.reserve(nq);
-            for (std::size_t q = 0; q < nq; ++q) {
-                if (const EvalError* failed = first_error(state->errors[q])) {
-                    outcomes.push_back(*failed);
-                } else {
-                    outcomes.push_back(std::move(state->points[q]));
+    }
+
+    /// [q][i]: the point's error; the probe fills a query's first slot
+    /// before any task runs.
+    std::vector<std::vector<std::unique_ptr<EvalError>>> errors;
+
+    /// The task of query q's point i.
+    void run(std::size_t q, std::size_t i) {
+        Outcome outcome;
+        try {
+            bool decided = false;
+            outcome = solve(q, i, [this, q, i] { return poll(q, i); }, &decided);
+            if (parent_[i] >= 0 && !decided) {
+                Transfer transfer = take_or_leave(q, outcome);
+                if (!transfer) {
+                    return;  // left for the parent's task
                 }
+                outcome = decide(q, std::move(transfer), std::move(outcome));
             }
-            return outcomes;
-        };
-        return plan;
+        } catch (const Skip&) {
+            outcome = Outcome{i, std::nullopt, {}};
+        }
+        settle(q, std::move(outcome));
+    }
+
+    std::vector<GridOutcome> collect() {
+        std::vector<GridOutcome> outcomes;
+        outcomes.reserve(base_.size());
+        for (std::size_t q = 0; q < base_.size(); ++q) {
+            if (const EvalError* failed = first_error(errors[q])) {
+                outcomes.push_back(*failed);
+            } else {
+                outcomes.push_back(std::move(points_[q]));
+            }
+        }
+        return outcomes;
     }
 
 private:
-    /// A dependent point's product-form solve, run a wave early on an
-    /// empty seat.
-    struct Speculation {
-        std::optional<PointEvaluation> point;  ///< empty unless the solve finished
-        std::vector<double> deviation;         ///< for the point's own dependents
-        /// transfer_wins' verdict, once the start has applied it.
-        std::optional<bool> transfer_wins;
+    /// A point's outcome on its way to settling; no point = skipped.
+    struct Outcome {
+        std::size_t index = 0;
+        std::optional<common::Result<PointEvaluation>> point;
+        std::vector<double> deviation;  ///< for the point's dependents
+    };
+    struct Node {
+        bool failed = false;  ///< settled with an error, or skipped
+        Transfer transfer;    ///< the parent's, until the point takes it
+        std::optional<Outcome> left;  ///< an undecided outcome, until the parent settles
     };
 
-    /// Thrown by a speculative start's checkpoint to stop its solve; not a
-    /// std::exception, so no error fence on the way converts it.
-    struct StartAbandoned {};
-
-    /// Runs with the point's model before its solve and at each residual
-    /// checkpoint of it; may throw to abandon the solve.
-    using Checkpoint = std::function<void(const core::GprsModel&)>;
-
-    /// The one chain-point computation behind evaluate() and every task of
-    /// the grid plan: builds the model and its product-form guess, solves
-    /// on the calling thread (the points of a grid are the parallelism;
-    /// idle seats of its wave may help with the sweeps), and fills
-    /// the evaluation. A root point (parent < 0) starts from the product
-    /// form. A dependent point starts from `transferred` — its parent's
-    /// deviation from the parent's own product form — grafted onto this
-    /// point's product form when transfer_wins says so (the verdict its
-    /// `speculation`, required for a dependent, stored, else decided
-    /// here), and from the product form
-    /// otherwise. A dependent whose product form wins adopts a finished
-    /// speculation's evaluation: that start is a root's start, so the solve
-    /// would repeat it bit for bit. When `deviation` is non-null it
-    /// receives the solved distribution divided by the product form, for
-    /// this point's own dependents.
-    common::Result<PointEvaluation> solve_point(const ScenarioQuery& query, int parent,
-                                                std::vector<double> transferred,
-                                                std::vector<double>* deviation,
-                                                Speculation* speculation,
-                                                const Checkpoint& checkpoint = {}) const {
-        const core::Parameters p = query.resolved_parameters();
-        core::GprsModel model(p);
-        const auto product_form = [&] {
-            return core::product_form_initial(p, model.balanced(), model.space());
-        };
-        ctmc::SolveOptions solve;
-        solve.tolerance = query.solver.tolerance;
-        solve.max_iterations = query.solver.max_iterations;
-        // validated() (via guarded) already vetted the spelling. One
-        // thread: idle seats of the wave may still help with the sweeps.
-        const ctmc::SolveMethod method = *ctmc::method_from_name(query.solver.method);
-        solve.method = method;
-        solve.num_threads = 1;
-        if (checkpoint) {
-            checkpoint(model);
-            solve.progress = [&](common::index_type, double) { checkpoint(model); };
+    /// The parent's deviation, if it has settled; mutex_ held.
+    Transfer take(std::size_t q, std::size_t i) {
+        if (nodes_[q][static_cast<std::size_t>(parent_[i])].failed) {
+            throw Skip{};
         }
-        std::vector<double> start;
-        bool warm_started = false;
-        if (parent >= 0) {
-            std::optional<bool>& wins = speculation->transfer_wins;
-            if (!wins) {
-                start = product_form();
-                wins = transfer_wins(model, start, transferred);
-            }
-            if (!*wins && speculation->point) {
-                if (deviation != nullptr) {
-                    *deviation = std::move(speculation->deviation);
-                }
-                PointEvaluation adopted = std::move(*speculation->point);
-                adopted.warm_parent = parent;
-                return adopted;
-            }
-            warm_started = *wins;
-        }
-        if (start.empty()) {
-            start = product_form();
-        }
-        if (warm_started) {
-            for (std::size_t s = 0; s < start.size(); ++s) {
-                transferred[s] *= start[s];
-            }
-            start.swap(transferred);
-        }
-        transferred = std::vector<double>();  // the start not taken
-        solve.initial = std::move(start);
-        auto solved = model.try_solve(std::move(solve), ctmc::default_engine());
-        if (!solved.ok()) {
-            return solved.error();
-        }
-        const ctmc::SolveResult& result = solved.value().get();
-        if (deviation != nullptr) {
-            // The product form again (a few ms): the solve consumed its start.
-            *deviation = product_form();
-            for (std::size_t s = 0; s < deviation->size(); ++s) {
-                double& d = (*deviation)[s];
-                d = d > 0.0 ? result.distribution[s] / d : 0.0;
-            }
-        }
-        PointEvaluation point;
-        point.backend = name();
-        point.call_arrival_rate = query.call_arrival_rate;
-        point.measures = core::compute_measures(p, model.balanced(), model.space(),
-                                                result.distribution);
-        point.iterations = static_cast<long long>(result.iterations);
-        point.residual = result.residual;
-        point.solver_method = ctmc::method_name(method);
-        point.warm_parent = parent;
-        point.warm_started = warm_started;
-        point.wall_seconds = result.seconds;
-        return point;
+        return std::move(nodes_[q][i].transfer);
     }
+
+    Transfer poll(std::size_t q, std::size_t i) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return take(q, i);
+    }
+
+    /// The parent's deviation for an undecided outcome, if the parent has
+    /// settled by now; else leaves the outcome for the parent's task.
+    Transfer take_or_leave(std::size_t q, Outcome& outcome) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        Transfer transfer = take(q, outcome.index);
+        if (!transfer) {
+            nodes_[q][outcome.index].left = std::move(outcome);
+        }
+        return transfer;
+    }
+
+    Outcome solve(std::size_t q, std::size_t i, const Poll& poll, bool* decided,
+                  common::Result<PointEvaluation>* product = nullptr,
+                  std::vector<double> deviation = {}) const {
+        ScenarioQuery query = base_[q];
+        query.call_arrival_rate = rates_[i];
+        Outcome outcome{i, std::nullopt, std::move(deviation)};
+        outcome.point = backend_.solve_point(
+            query, parent_[i], poll, children_[i].empty() ? nullptr : &outcome.deviation,
+            decided, product);
+        return outcome;
+    }
+
+    /// Applies transfer_wins to an undecided outcome: it stands where the
+    /// transfer loses, else the point solves again from the transfer.
+    Outcome decide(std::size_t q, Transfer transfer, Outcome undecided) {
+        bool decided = false;
+        return solve(q, undecided.index, [&transfer] { return std::move(transfer); }, &decided,
+                     &*undecided.point, std::move(undecided.deviation));
+    }
+
+    /// Makes `outcome` its point's final one and hands the point's deviation
+    /// to its dependents. A dependent that left an outcome is decided here,
+    /// on this task's seat, and settles in turn; below a point that failed
+    /// or was skipped, a left outcome is dropped and its point skipped.
+    void settle(std::size_t q, Outcome outcome) {
+        std::vector<Outcome> settling;
+        settling.push_back(std::move(outcome));
+        while (!settling.empty()) {
+            Outcome done = std::move(settling.back());
+            settling.pop_back();
+            const std::size_t i = done.index;
+            const bool ok = done.point && done.point->ok();
+            Transfer transfer;
+            if (ok && !children_[i].empty()) {
+                transfer = std::make_shared<const std::vector<double>>(std::move(done.deviation));
+            }
+            std::vector<Outcome> left;
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                nodes_[q][i].failed = !ok;
+                for (const std::size_t c : children_[i]) {
+                    Node& child = nodes_[q][c];
+                    if (child.left) {
+                        left.push_back(std::move(*child.left));
+                        child.left.reset();
+                    } else {
+                        child.transfer = transfer;
+                    }
+                }
+            }
+            if (ok) {
+                points_[q][i] = done.point->take();
+                if (progress_) {
+                    std::lock_guard<std::mutex> lock(progress_mutex_);
+                    progress_(q * rates_.size() + i, points_[q][i]);
+                }
+            } else if (done.point) {
+                errors[q][i] = std::make_unique<EvalError>(done.point->error());
+            }
+            for (Outcome& undecided : left) {
+                settling.push_back(ok ? decide(q, transfer, std::move(undecided))
+                                      : Outcome{undecided.index, std::nullopt, {}});
+            }
+        }
+    }
+
+    const CtmcEvaluator& backend_;
+    std::vector<ScenarioQuery> base_;
+    std::vector<double> rates_;
+    std::vector<int> parent_;
+    std::vector<std::vector<std::size_t>> children_;  ///< by grid index
+    std::mutex mutex_;                                 ///< guards nodes_
+    std::vector<std::vector<Node>> nodes_;             ///< [q][i]
+    /// [q][i], each written once, by the task that settles the point.
+    std::vector<std::vector<PointEvaluation>> points_;
+    std::mutex progress_mutex_;  ///< serializes progress_ calls
+    std::function<void(std::size_t, const PointEvaluation&)> progress_;
 };
+
+GridPlan CtmcEvaluator::plan_grids(std::span<const ScenarioQuery> queries,
+                                   std::span<const double> rates, const GridOptions& options) {
+    if (common::Status g = check_grid(rates); !g.ok()) {
+        return failed_plan(queries.size(), g.error());
+    }
+    auto state = std::make_shared<GridState>(*this, queries, rates, options.progress);
+    // A failing probe only disables ITS query; no tasks are emitted for it
+    // and the other slots plan normally.
+    const std::vector<bool> planned = probe_queries(queries, rates, state->errors);
+    GridPlan plan;
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+            if (planned[q]) {
+                plan.tasks.push_back({0, [state, q, i] { state->run(q, i); }});
+            }
+        }
+    }
+    plan.collect = [state] { return state->collect(); };
+    return plan;
+}
 
 // --- des ------------------------------------------------------------------
 

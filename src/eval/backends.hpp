@@ -5,9 +5,8 @@
 //                microseconds per point, no chain state
 //   ctmc         stationary solve of the full Markov chain (Table 1);
 //                plan_grids keeps the deterministic bisection warm-start
-//                transfer schedule, with every variant of a batch sharing
-//                one wave structure so level-L points of ALL variants
-//                solve concurrently
+//                transfer schedule in one wave: one task per (variant,
+//                point), a dependent settling once its parent has
 //   des          replications of the detailed network simulator, pooled
 //                into 95% CIs; plan_grids emits one task per (variant,
 //                point, replication) with the same
@@ -50,22 +49,15 @@ class GprsModel;
 
 namespace gprsim::eval {
 
-/// Deterministic warm-start schedule of an iterative backend's grid
-/// (exposed for tests): parent[i] is the grid index point i transfers
-/// information from (-1 = cold), and levels groups the indices into
-/// dependency waves — every parent of a level-k point sits in a level < k.
-struct SolveSchedule {
-    std::vector<int> parent;
-    std::vector<std::vector<int>> levels;
-};
-
-/// The bisection schedule: first point cold from the product form, last
-/// point offered the first's deviation, then recursively every segment
-/// midpoint offered its nearest solved endpoint's ("ties down"). O(log n)
-/// depth, so up to n/2 points of one grid solve concurrently; candidate
-/// sets are a pure function of the grid size, which keeps grid output
-/// bitwise invariant to the thread count.
-SolveSchedule bisection_schedule(std::size_t count);
+/// The ctmc backend's deterministic warm-start schedule (exposed for
+/// tests): element i is the grid index point i transfers information from,
+/// -1 for the one cold point. The first point is cold from the product
+/// form, the last is offered the first's deviation, then recursively every
+/// segment midpoint is offered its nearest endpoint's ("ties down"). Every
+/// parent has a lower index than its dependents, and parent chains have
+/// O(log n) length; the schedule is a pure function of the grid size, which
+/// keeps grid output bitwise invariant to the thread count.
+std::vector<int> bisection_schedule(std::size_t count);
 
 /// The ctmc backend's warm-start transfer rule (exposed for tests): whether
 /// a dependent point starts from `deviation` (its parent's solved

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <iterator>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -11,12 +10,6 @@
 #include "common/thread_pool.hpp"
 
 namespace gprsim::eval {
-
-int execution_width(const GridOptions& options) {
-    return options.pool != nullptr
-               ? common::ThreadPool::resolve_thread_count(options.num_threads)
-               : 1;
-}
 
 BatchStats execute_plans(std::span<GridPlan> plans, const GridOptions& options) {
     BatchStats stats;
@@ -30,23 +23,17 @@ BatchStats execute_plans(std::span<GridPlan> plans, const GridOptions& options) 
     // Bucket by wave, keeping (plan, insertion) order inside each bucket so
     // the serial path executes in one deterministic order.
     std::vector<std::vector<std::function<void()>>> waves(stats.waves);
-    std::vector<std::vector<std::function<void()>>> optional(stats.waves);
     for (GridPlan& plan : plans) {
         for (BatchTask& task : plan.tasks) {
-            (task.optional ? optional : waves)[task.wave].push_back(std::move(task.run));
+            waves[task.wave].push_back(std::move(task.run));
         }
         plan.tasks.clear();
     }
 
-    const int width = execution_width(options);
-    for (std::size_t w = 0; w < waves.size(); ++w) {
-        std::vector<std::function<void()>>& wave = waves[w];
-        // Optional tasks take only the seats the wave's own tasks leave empty.
-        const auto seats = static_cast<std::size_t>(width);
-        const std::size_t empty = width > 1 ? seats - std::min(seats, wave.size()) : 0;
-        const auto fill = static_cast<std::ptrdiff_t>(std::min(empty, optional[w].size()));
-        wave.insert(wave.end(), std::make_move_iterator(optional[w].begin()),
-                    std::make_move_iterator(optional[w].begin() + fill));
+    const int width = options.pool != nullptr
+                          ? common::ThreadPool::resolve_thread_count(options.num_threads)
+                          : 1;
+    for (const std::vector<std::function<void()>>& wave : waves) {
         stats.tasks += wave.size();
         stats.max_wave_width = std::max(stats.max_wave_width, wave.size());
         if (width <= 1) {

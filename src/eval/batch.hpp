@@ -5,11 +5,11 @@
 // backends). execute_plans() merges the wave-tagged task sets of several
 // GridPlans (one per backend, each covering every variant —
 // Evaluator::plan_grids) into ONE flat task set per wave on ONE pool:
-// global wave w runs every backend's wave-w tasks together, so the narrow
-// early waves of one variant's warm-start schedule overlap with the other
-// variants' wide waves and DES replications backfill idle solver threads;
-// the merged depth is the MAXIMUM plan depth. evaluate_campaign() is the
-// registry-level wrapper: resolve backend names, plan, execute merged,
+// global wave w runs every backend's wave-w tasks together, so chain
+// solves, DES replications and network-fp's first outer iteration share
+// wave 0; the merged depth is the MAXIMUM plan depth (network-fp's outer
+// iterations; the other built-ins plan one wave). evaluate_campaign() is
+// the registry-level wrapper: resolve backend names, plan, execute merged,
 // collect per (backend, query). Evaluator::evaluate_grid(s) run a single
 // plan through the same executor.
 //
@@ -17,11 +17,12 @@
 // seat claims tasks first, then helps the solves still running with their
 // sweep groups, so a narrow wave of long solves still uses every seat.
 //
-// Determinism: tasks of one wave write disjoint plan-private state, a
-// helped solve is bitwise the solo solve, and every order-sensitive
-// reduction happens in the plans' serial collect step, so merged results
-// are bitwise identical to executing each (backend, variant) plan on its
-// own and invariant to the thread count.
+// Determinism: every task's outcome is independent of which seat runs it
+// and when (a ctmc dependent settles to its serial outcome whatever the
+// order), a helped solve is bitwise the solo solve, and every
+// order-sensitive reduction happens in the plans' serial collect step, so
+// merged results are bitwise identical to executing each (backend,
+// variant) plan on its own and invariant to the thread count.
 #pragma once
 
 #include <span>
@@ -37,10 +38,8 @@ namespace gprsim::eval {
 /// Execution accounting of a merged batch — the numbers the campaign
 /// summary prints.
 struct BatchStats {
-    /// Total tasks executed across every merged plan, the optional ones
-    /// that ran included (the ctmc plan's speculative starts fill seats a
-    /// merged wave leaves empty), so above one thread the count depends on
-    /// the width and on the other merged plans.
+    /// Total tasks executed across every merged plan: the sum of the plans'
+    /// task counts, whatever the width.
     std::size_t tasks = 0;
     /// Pool dispatches actually executed: the DEEPEST merged plan's wave
     /// count, because global wave w runs every plan's wave-w tasks at once.
@@ -52,19 +51,12 @@ struct BatchStats {
     std::size_t helped_groups = 0;
 };
 
-/// Seats execute_plans runs each wave on: the resolved num_threads when a
-/// pool is given, else 1 (serial).
-int execution_width(const GridOptions& options);
-
 /// Executes the plans' tasks as one flat wave-ordered task set on
 /// options.pool (serially when the pool is absent or num_threads <= 1) and
 /// returns the accounting. Wave w of every plan runs in one dispatch on
 /// num_threads seats, ordered (plan, insertion order) so the serial path is
 /// deterministic; a wave-w task observes every earlier wave of every plan
-/// completed. Optional tasks of wave w run only on the seats its other
-/// tasks, of every plan, leave empty: the first max(0, width - those
-/// tasks) of them in (plan, insertion) order, none at width 1; the rest
-/// are dropped.
+/// completed.
 /// Tasks are consumed (moved out of the plans); the plans' collect
 /// closures are NOT invoked — callers do that per plan afterwards.
 BatchStats execute_plans(std::span<GridPlan> plans, const GridOptions& options);
@@ -89,7 +81,7 @@ struct CampaignRequest {
 struct CampaignEvaluation {
     /// outcomes[b][q] is backend b's GridOutcome for query q — the full
     /// grid or that (backend, query)'s typed error; one failing slot never
-    /// poisons another.
+    /// touches another.
     std::vector<std::vector<GridOutcome>> outcomes;
     BatchStats stats;
 };

@@ -215,30 +215,25 @@ struct GridOptions {
 
 /// Per-query outcome of a multi-grid batch: the query's full rate grid (one
 /// PointEvaluation per rate, grid order) or the typed error that stopped
-/// that query. One query's failure never poisons the others' slots.
+/// that query. One query's failure never reaches the others' slots.
 using GridOutcome = common::Result<std::vector<PointEvaluation>>;
 
 /// One unit of a backend's batched work, contributed to a merged task set.
-/// Tasks carrying the same wave may run concurrently (with any same-wave
-/// task of any backend); a task may assume every task of every earlier
-/// wave has finished. `run` must not throw — failures are recorded in the
-/// plan's shared state and surface from GridPlan::collect.
+/// Tasks carrying the same wave may run concurrently, in any order (with
+/// any same-wave task of any backend); a task may assume every task of
+/// every earlier wave has finished. `run` must not throw — failures are
+/// recorded in the plan's shared state and surface from GridPlan::collect.
 struct BatchTask {
     std::size_t wave = 0;
     std::function<void()> run;
-    /// Work the plan can do without: the executor runs it only on a seat
-    /// the merged wave's other tasks leave empty, and never at one thread,
-    /// so the plan's outcomes must not depend on whether it ran.
-    bool optional = false;
 };
 
 /// A backend's contribution to a (possibly multi-backend) batch, produced
 /// by Evaluator::plan_grids: wave-tagged tasks plus a serial collect step.
 /// The executor (eval/batch.hpp) runs the merged task set wave by wave on
-/// one pool, so the narrow early waves of one grid's dependency schedule
-/// interleave with other grids' wide waves, then invokes each plan's
-/// collect serially. Tasks only write plan-private state captured in their
-/// closures; all cross-plan coordination is the executor's wave barrier.
+/// one pool, then invokes each plan's collect serially. Tasks only write
+/// plan-private state captured in their closures; the plans never
+/// coordinate with each other.
 struct GridPlan {
     std::vector<BatchTask> tasks;
     /// Assembles the per-query outcomes. Called exactly once, serially,
@@ -276,22 +271,23 @@ public:
     /// plan: one dependency-free wave-0 task per (query, point) calling
     /// evaluate(), the first failing point in grid order reported per
     /// query. Backends with internal dependency structure (ctmc's
-    /// warm-start schedule, network-fp's outer waves) or finer task grain
-    /// (des replications) override it. Implementations copy queries and
-    /// rates into the plan's shared state, so the caller's buffers only
-    /// need to outlive this call. GridOptions::pool is ignored at planning
-    /// time: tasks run wherever the executor schedules them. A task must
-    /// never dispatch onto a pool itself; what it may do is hand pieces of
-    /// its own work to the idle seats of its wave through
-    /// common::Crew::run_pieces, as a chain solve does with its sweep
-    /// groups (results bitwise those of running the pieces itself).
+    /// warm-start transfers, settled inside its one wave; network-fp's
+    /// outer waves) or finer task grain (des replications) override it.
+    /// Implementations copy queries and rates into the plan's shared
+    /// state, so the caller's buffers only need to outlive this call.
+    /// GridOptions::pool is ignored at planning time: tasks run wherever
+    /// the executor schedules them. A task must never dispatch onto a pool
+    /// itself; what it may do is hand pieces of its own work to the idle
+    /// seats of its wave through common::Crew::run_pieces, as a chain solve
+    /// does with its sweep groups (results bitwise those of running the
+    /// pieces itself).
     virtual GridPlan plan_grids(std::span<const ScenarioQuery> queries,
                                 std::span<const double> rates,
                                 const GridOptions& options = {});
 
     /// Runs this backend's plan for several scenario variants over one
     /// shared rate grid on options.pool and collects it: one GridOutcome
-    /// per query, one query's failure never poisoning another's slot.
+    /// per query, one query's failure never reaching another's slot.
     /// Results are invariant to the thread count.
     std::vector<GridOutcome> evaluate_grids(std::span<const ScenarioQuery> queries,
                                             std::span<const double> rates,

@@ -1,5 +1,5 @@
-// Shared, refcounted, cross-request warm store: the campaign layer's
-// bisection warm-start cache promoted to service scope.
+// Shared, refcounted, cross-request warm store: a memo of finished grid
+// slices at service scope.
 //
 // Within one request, the ctmc backend already transfers warm-start
 // deviations between grid points (eval/backends.cpp). ACROSS requests that

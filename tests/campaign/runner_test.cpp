@@ -1,9 +1,9 @@
 // CampaignRunner: the bisection warm-start schedule, warm-started grids
 // against pointwise cold evaluations (agreement within solver tolerance,
 // strictly fewer total iterations), bitwise thread-count invariance of full
-// campaign output, speculative starts included, bitwise agreement between
-// the merged batch and per-(backend, variant) grids, and model-vs-sim
-// deltas of a ctmc + des campaign. Cells are kept tiny (N = 5..8 channels,
+// campaign output, dependents solved beside their parents included, bitwise
+// agreement between the merged batch and per-(backend, variant) grids, and
+// model-vs-sim deltas of a ctmc + des campaign. Cells are kept tiny (N = 5..8 channels,
 // small M and buffer) so a full campaign solves in well under a second.
 #include "campaign/runner.hpp"
 
@@ -50,39 +50,37 @@ eval::Evaluator& ctmc_backend() {
 
 TEST(BisectionSchedule, WarmStartCoversEveryPointExactlyOnce) {
     for (const std::size_t count : {1u, 2u, 3u, 8u, 9u, 64u}) {
-        const eval::SolveSchedule schedule = eval::bisection_schedule(count);
-        std::vector<int> seen(count, 0);
-        for (const auto& level : schedule.levels) {
-            for (const int index : level) {
-                ASSERT_GE(index, 0);
-                ASSERT_LT(static_cast<std::size_t>(index), count);
-                ++seen[static_cast<std::size_t>(index)];
-            }
+        const std::vector<int> parent = eval::bisection_schedule(count);
+        ASSERT_EQ(parent.size(), count);
+        // Only the first point is cold; every other is offered one
+        // transfer, from a point of the grid.
+        EXPECT_EQ(parent.front(), -1) << "count = " << count;
+        EXPECT_EQ(std::count(parent.begin(), parent.end(), -1), 1) << "count = " << count;
+        for (const int p : parent) {
+            EXPECT_LT(p, static_cast<int>(count)) << "count = " << count;
         }
-        EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](int n) { return n == 1; }))
-            << "count = " << count;
-        // Only the root is cold.
-        EXPECT_EQ(std::count(schedule.parent.begin(), schedule.parent.end(), -1), 1)
-            << "count = " << count;
     }
 }
 
-TEST(BisectionSchedule, ParentsAreSolvedInEarlierLevels) {
-    const eval::SolveSchedule schedule = eval::bisection_schedule(16);
-    std::vector<int> level_of(16, -1);
-    for (std::size_t level = 0; level < schedule.levels.size(); ++level) {
-        for (const int index : schedule.levels[level]) {
-            level_of[static_cast<std::size_t>(index)] = static_cast<int>(level);
+TEST(BisectionSchedule, ParentsHaveLowerIndicesAndLogDepth) {
+    for (const std::size_t count : {2u, 9u, 16u, 64u, 1000u}) {
+        const std::vector<int> parent = eval::bisection_schedule(count);
+        std::size_t deepest = 0;
+        for (std::size_t i = 1; i < count; ++i) {
+            // A parent precedes its dependents in grid order, so the ctmc
+            // plan's tasks, in grid order, settle every parent first.
+            EXPECT_LT(parent[i], static_cast<int>(i)) << i;
+            std::size_t depth = 0;
+            for (int at = static_cast<int>(i); at > 0; at = parent[static_cast<std::size_t>(at)]) {
+                ++depth;
+            }
+            deepest = std::max(deepest, depth);
         }
+        // The chain from a point to the root is at most ceil(log2(count))
+        // + 1 transfers long.
+        EXPECT_LE(deepest, static_cast<std::size_t>(std::ceil(std::log2(count))) + 1)
+            << "count = " << count;
     }
-    for (std::size_t i = 0; i < 16; ++i) {
-        const int parent = schedule.parent[i];
-        if (parent >= 0) {
-            EXPECT_LT(level_of[static_cast<std::size_t>(parent)], level_of[i]) << i;
-        }
-    }
-    // Log-depth: 16 points need well under 16 levels.
-    EXPECT_LE(schedule.levels.size(), 6u);
 }
 
 TEST(CampaignRunner, WarmStartAgreesWithColdAndSavesIterations) {
@@ -186,7 +184,7 @@ TEST(CampaignRunner, OutputBitwiseInvariantToThreadCount) {
 }
 
 TEST(CampaignRunner, HelpedSolvesKeepTheCsvBytes) {
-    // Waves of one and two solves on four seats: the idle seats take sweep
+    // One wave of three solves on four seats: the idle seats take sweep
     // groups of the running solves, whose chain (69,632 states) is above
     // ctmc::kTeamMinStates. The CSV is the one-thread CSV, byte for byte.
     ScenarioSpec spec;
@@ -226,17 +224,17 @@ TEST(CampaignRunner, HelpedSolvesKeepTheCsvBytes) {
     EXPECT_GT(helped, 0u);
 }
 
-TEST(CampaignRunner, SpeculativeStartsKeepTheCsvBytesAndTheWarmCounts) {
+TEST(CampaignRunner, DependentsBesideTheirParentsKeepTheCsvBytesAndTheWarmCounts) {
     // A grid whose transfers win at two points and lose at two, one of
     // them the middle point, whose deviation its own dependent then takes
-    // (and wins with). Each wave holds one solve, so two threads give each
-    // of the first three waves one speculative start and four threads give
-    // every dependent one: a start is adopted where the transfer loses and
-    // discarded where it wins. Neither may show in the output: the CSV,
-    // the warm-start counts and the one progress call per point are the
+    // (and wins with). At two and four threads dependents start beside
+    // their parents from the product form: one keeps that solve where the
+    // transfer loses, and solves again from the transfer where it wins.
+    // Neither may show in the output: the CSV, the task count, the
+    // warm-start counts and the one progress call per point are the
     // one-thread run's.
     ScenarioSpec spec;
-    spec.named("speculative")
+    spec.named("beside")
         .with_methods({"ctmc"})
         .over_reserved_pdch({1})
         .over_gprs_fractions({0.02})
@@ -264,8 +262,9 @@ TEST(CampaignRunner, SpeculativeStartsKeepTheCsvBytesAndTheWarmCounts) {
         const BackendTotals& totals = result.summary.backends.front();
         EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](int n) { return n == 1; }))
             << threads << " threads";
-        // 5 solves, plus 0 / 3 / 4 speculative starts.
-        EXPECT_EQ(result.summary.batch_tasks, threads == 1 ? 5u : threads == 2 ? 8u : 9u);
+        // One task per point, in one wave, at every width.
+        EXPECT_EQ(result.summary.batch_tasks, 5u);
+        EXPECT_EQ(result.summary.batch_waves, 1u);
         if (threads == 1) {
             serial_csv = csv.str();
             serial_totals = totals;
@@ -404,9 +403,13 @@ TEST(CampaignRunner, BatchedDispatchMatchesSequentialBitwiseAtEveryWidth) {
     CampaignRunner runner(engine);
     ScenarioSpec spec = tiny_ctmc_des_spec();
     spec.over_reserved_pdch({1, 2, 3});
-    // A short simulated horizon: the paths must agree on every replication
-    // whatever its length, and under ThreadSanitizer this is the slowest
-    // test, where a longer one costs minutes.
+    // A small chain cell (1,848-2,464 states) and a short simulated
+    // horizon: the paths must agree on every solve and every replication
+    // whatever their size, and under ThreadSanitizer this is the slowest
+    // test, where the shared cell's 27 solves per path (10,296-13,728
+    // states) cost minutes.
+    spec.buffer_capacity = 10;
+    spec.max_gprs_sessions = {6};
     spec.simulation.warmup_time = 10.0;
     spec.simulation.batch_duration = 20.0;
 
@@ -459,20 +462,16 @@ TEST(CampaignRunner, BatchedDispatchMatchesSequentialBitwiseAtEveryWidth) {
         }
     }
 
-    // Cross-variant interleaving: the merged task set's wave count is the
-    // DEEPEST plan (ctmc's bisection schedule), far below the sum over
-    // every (backend, variant) grid run on its own.
-    const std::size_t ctmc_depth = eval::bisection_schedule(9).levels.size();
-    EXPECT_EQ(wide.summary.batch_waves, ctmc_depth);
-    EXPECT_EQ(sequential_waves, 3 * ctmc_depth + 3);  // + 3 des grids
+    // Cross-variant interleaving: both plans are one wave, so the merged
+    // task set runs in one, where the 6 (backend, variant) grids run on
+    // their own take 6.
+    EXPECT_EQ(wide.summary.batch_waves, 1u);
+    EXPECT_EQ(serial.summary.batch_waves, 1u);
+    EXPECT_EQ(sequential_waves, 3u + 3u);  // 3 ctmc + 3 des grids
     EXPECT_LT(wide.summary.batch_waves, sequential_waves);
-    // 27 solves + 27 points x 2 replications of simulator tasks, plus
-    // ctmc's speculative starts on the seats the merged waves leave empty:
-    // the 9-point schedule's levels hold 1, 1, 1, 2, 4 points, so with 3
-    // variants its waves hold 3, 3, 3, 6, 12 solves. Wave 0 also holds the
-    // 54 simulator tasks, so only waves 1 and 2 have an empty seat, and
-    // each runs 4 - 3 = 1 start.
-    EXPECT_EQ(wide.summary.batch_tasks, 27u + 54u + 2u);
+    // 27 solves + 27 points x 2 replications of simulator tasks, at every
+    // width.
+    EXPECT_EQ(wide.summary.batch_tasks, 27u + 54u);
     EXPECT_EQ(serial.summary.batch_tasks, 27u + 54u);
 }
 

@@ -168,6 +168,15 @@ void expect_rejected_at_line(const std::string& text, int line,
 TEST(ParseSpecErrors, SyntaxErrorCarriesLineNumber) {
     expect_rejected_at_line("{\n  \"name\": \"x\",\n  \"rates\": [0.1,,\n}", 3,
                             "unexpected character");
+    // Nesting past the parser's limit is a syntax error where it crosses the
+    // limit, however deep the input goes.
+    expect_rejected_at_line("{\n  \"rates\": " + std::string(50000, '['), 2,
+                            "nesting deeper than");
+    std::string deep_object = "{\n  \"name\": \"x\",\n  \"a\": ";
+    for (int i = 0; i < 50000; ++i) {
+        deep_object += "{\"a\": ";
+    }
+    expect_rejected_at_line(deep_object, 3, "nesting deeper than");
 }
 
 TEST(ParseSpecErrors, UnknownMethodRejectedWithLineAndKnownBackends) {

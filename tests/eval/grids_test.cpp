@@ -1,18 +1,18 @@
 // Multi-grid batches through the unified API: evaluate_grids slot
-// isolation (one variant's typed error never poisons another's grid),
+// isolation (one variant's typed error never reaches another's grid),
 // bitwise agreement between batched, looped, and single-grid evaluation at
-// every thread count, the des substream discipline across batched
-// variants, and the registry-level evaluate_campaign merge (fewer waves
-// than running each grid alone). Cells are tiny so every chain solves in
-// milliseconds.
+// every thread count, the ctmc plan's one wave and its grids in any task
+// order, the des substream discipline across batched variants, and the
+// registry-level evaluate_campaign merge (fewer waves than running each
+// grid alone). Cells are tiny so every chain solves in milliseconds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -201,12 +201,13 @@ TEST(EvaluateGrids, BatchRejectsUnsortedRatesInEverySlot) {
 }
 
 TEST(PlanGrids, CtmcSharesWavesAcrossVariantsAndDesIsFlat) {
+    // Both plans are one wave: ctmc holds one task per (variant, point), in
+    // grid order with the variants interleaved, des one per replication.
     const std::vector<double> rates{0.3, 0.4, 0.5, 0.6, 0.7};
     const std::vector<ScenarioQuery> queries = tiny_variants();
     GridOptions options;
     GridPlan ctmc_plan = backend("ctmc").plan_grids(queries, rates, options);
-    const SolveSchedule schedule = bisection_schedule(rates.size());
-    EXPECT_EQ(waves_of(ctmc_plan), schedule.levels.size());
+    EXPECT_EQ(waves_of(ctmc_plan), 1u);
     EXPECT_EQ(ctmc_plan.tasks.size(), rates.size() * queries.size());
 
     GridPlan des_plan = backend("des").plan_grids(queries, rates, options);
@@ -216,12 +217,8 @@ TEST(PlanGrids, CtmcSharesWavesAcrossVariantsAndDesIsFlat) {
                   static_cast<std::size_t>(queries[0].simulation.replications));
     // Executing our own plans: every task, then collect, yields the grids.
     for (GridPlan* plan : {&ctmc_plan, &des_plan}) {
-        for (std::size_t wave = 0; wave < waves_of(*plan); ++wave) {
-            for (BatchTask& task : plan->tasks) {
-                if (task.wave == wave) {
-                    task.run();
-                }
-            }
+        for (BatchTask& task : plan->tasks) {
+            task.run();
         }
         auto outcomes = plan->collect();
         ASSERT_EQ(outcomes.size(), queries.size());
@@ -232,79 +229,60 @@ TEST(PlanGrids, CtmcSharesWavesAcrossVariantsAndDesIsFlat) {
     }
 }
 
-TEST(PlanGrids, CtmcFillsEmptySeatsWithSpeculativeStarts) {
-    // Above one thread every ctmc wave below the last holds its solves and,
-    // as optional tasks, speculative starts of the next level's points; the
-    // executor runs a start only on a seat the wave's solves leave empty. A
-    // start reports no progress; the point reports once, in its own wave,
-    // and the grids are the width-1 plan's. Width 1 plans one task per point.
-    const std::vector<double> rates{0.3, 0.4, 0.5, 0.6, 0.7};  // levels 1, 1, 1, 2
+TEST(PlanGrids, CtmcPlansOneWaveZeroTaskPerPoint) {
+    // At every width, with or without a pool, the ctmc plan holds exactly
+    // one wave-0 task per (variant, point). Run serially in plan order,
+    // each task settles its own point at once (its parent, lower in the
+    // grid, has settled), so the reports count up one per task; executed
+    // on four seats, the grids are the serial ones, reported once a point.
+    const std::vector<double> rates{0.3, 0.4, 0.5, 0.6, 0.7};
     common::ThreadPool pool(4);
     for (const std::size_t variants : {2u, 3u}) {
         const std::vector<ScenarioQuery> all = tiny_variants();
         const std::vector<ScenarioQuery> queries(all.begin(), all.begin() + variants);
         const std::size_t points = rates.size() * variants;
         GridOptions serial;
-        EXPECT_EQ(backend("ctmc").plan_grids(queries, rates, serial).tasks.size(), points);
         GridOptions no_pool;
         no_pool.num_threads = 4;
-        EXPECT_EQ(backend("ctmc").plan_grids(queries, rates, no_pool).tasks.size(), points);
+        GridOptions wide;
+        wide.num_threads = 4;
+        wide.pool = &pool;
+        for (const GridOptions* options : {&serial, &no_pool, &wide}) {
+            const GridPlan plan = backend("ctmc").plan_grids(queries, rates, *options);
+            EXPECT_EQ(plan.tasks.size(), points);
+            EXPECT_EQ(waves_of(plan), 1u);
+        }
         const std::vector<GridOutcome> expected =
             backend("ctmc").evaluate_grids(queries, rates, serial);
 
         std::vector<int> reported(points, 0);
-        GridOptions wide;
-        wide.num_threads = 4;
-        wide.pool = &pool;
-        wide.progress = [&](std::size_t flat, const PointEvaluation&) {
+        const auto count = [&](std::size_t flat, const PointEvaluation&) {
             ASSERT_LT(flat, reported.size());
             ++reported[flat];
         };
-        GridPlan plan = backend("ctmc").plan_grids(queries, rates, wide);
-        ASSERT_EQ(waves_of(plan), 4u);
-        std::vector<std::size_t> solves(4, 0);
-        std::vector<std::size_t> starts(4, 0);
-        for (const BatchTask& task : plan.tasks) {
-            ++(task.optional ? starts : solves)[task.wave];
-        }
-        EXPECT_EQ(solves, (std::vector<std::size_t>{variants, variants, variants, 2 * variants}));
-        EXPECT_EQ(starts, (std::vector<std::size_t>{variants, variants, 2 * variants, 0}));
-        // Every task in plan order, starts included: in wave 0 the roots
-        // report and the starts after them do not.
-        std::size_t task = 0;
-        for (; task < plan.tasks.size() && plan.tasks[task].wave == 0; ++task) {
+        GridOptions counted = serial;
+        counted.progress = count;
+        GridPlan plan = backend("ctmc").plan_grids(queries, rates, counted);
+        for (std::size_t task = 0; task < plan.tasks.size(); ++task) {
             plan.tasks[task].run();
             const int reports = std::accumulate(reported.begin(), reported.end(), 0);
-            EXPECT_EQ(static_cast<std::size_t>(reports), std::min(task + 1, variants))
+            EXPECT_EQ(static_cast<std::size_t>(reports), task + 1)
                 << variants << " variants, task " << task;
         }
-        for (std::size_t wave = 1; wave < 4; ++wave) {
-            for (BatchTask& later : plan.tasks) {
-                if (later.wave == wave) {
-                    later.run();
-                }
-            }
-        }
         EXPECT_TRUE(std::all_of(reported.begin(), reported.end(), [](int n) { return n == 1; }));
-        const std::vector<GridOutcome> outcomes = plan.collect();
-        ASSERT_EQ(outcomes.size(), variants);
-        for (std::size_t q = 0; q < variants; ++q) {
-            ASSERT_TRUE(outcomes[q].ok());
-            ASSERT_TRUE(expected[q].ok());
-            for (std::size_t i = 0; i < rates.size(); ++i) {
-                expect_bitwise_equal(outcomes[q].value()[i], expected[q].value()[i]);
-            }
-        }
 
-        // The executor fills the first three waves' empty seats with
-        // 4 - variants starts each; the last wave holds 2 * variants solves.
+        std::fill(reported.begin(), reported.end(), 0);
+        wide.progress = count;
         GridPlan executed = backend("ctmc").plan_grids(queries, rates, wide);
         const BatchStats stats = execute_plans(std::span(&executed, 1), wide);
-        EXPECT_EQ(stats.tasks, points + 3 * (4 - variants)) << variants;
-        EXPECT_EQ(stats.max_wave_width, std::max<std::size_t>(4, 2 * variants)) << variants;
+        EXPECT_EQ(stats.tasks, points) << variants;
+        EXPECT_EQ(stats.waves, 1u) << variants;
+        EXPECT_EQ(stats.max_wave_width, points) << variants;
+        EXPECT_TRUE(std::all_of(reported.begin(), reported.end(), [](int n) { return n == 1; }));
         const std::vector<GridOutcome> merged = executed.collect();
         for (std::size_t q = 0; q < variants; ++q) {
             ASSERT_TRUE(merged[q].ok());
+            ASSERT_TRUE(expected[q].ok());
             for (std::size_t i = 0; i < rates.size(); ++i) {
                 expect_bitwise_equal(merged[q].value()[i], expected[q].value()[i]);
             }
@@ -312,149 +290,163 @@ TEST(PlanGrids, CtmcFillsEmptySeatsWithSpeculativeStarts) {
     }
 }
 
-TEST(PlanGrids, SpeculativeStartsBeforeOrAfterTheirParentKeepTheSerialGrid) {
-    // A grid whose transfers win at two points and lose at two. A start run
-    // after its parent applies the candidate rule before solving, and stops
-    // or solves; a start run before its parent in the same wave solves to
-    // the end, and the point's own task applies the rule. Either way each
-    // point is the width-1 point, bit for bit.
+/// The plan's tasks run one at a time in the given order (task t is query
+/// t % queries, point t / queries) and collected.
+std::vector<GridOutcome> run_in_order(std::span<const ScenarioQuery> queries,
+                                      std::span<const double> rates,
+                                      const std::vector<std::size_t>& order,
+                                      const GridOptions& options = {}) {
+    GridPlan plan = backend("ctmc").plan_grids(queries, rates, options);
+    EXPECT_EQ(plan.tasks.size(), order.size());
+    for (const std::size_t task : order) {
+        plan.tasks[task].run();
+    }
+    return plan.collect();
+}
+
+TEST(PlanGrids, TasksInAnyOrderKeepTheSerialGrid) {
+    // A grid whose transfers win at two points and lose at two (parents 0,
+    // 0, 2 and 0 of points 1-4; points 1 and 3 win). Run in grid order,
+    // every dependent finds its parent settled; run in reverse, or leaves
+    // first, every dependent solves from its product form first and leaves
+    // that outcome for its parent's task, which decides it and solves
+    // again from the transfer where the transfer wins; on two or four
+    // seats either may happen, or a dependent decides at a residual
+    // checkpoint. Every point, its warm-start provenance and its one
+    // report are the serial grid's. The cell (5,824 states) gives the
+    // verdicts of the 10-session cell of TransferRule.* at a third of the
+    // sweeps, which matters under ThreadSanitizer.
     const std::vector<double> rates{0.3, 0.475, 0.65, 0.825, 1.0};
     ScenarioQuery query = tiny_query();
     query.parameters.gprs_fraction = 0.02;
     query.parameters.total_channels = 8;
     query.parameters.buffer_capacity = 25;
-    query.parameters.max_gprs_sessions = 10;
+    query.parameters.max_gprs_sessions = 6;
     const std::span<const ScenarioQuery> one(&query, 1);
-    const std::vector<GridOutcome> expected = backend("ctmc").evaluate_grids(one, rates);
+    EXPECT_EQ(bisection_schedule(rates.size()), (std::vector<int>{-1, 0, 0, 2, 0}));
+
+    std::vector<int> reported(rates.size(), 0);
+    GridOptions counted;
+    counted.progress = [&](std::size_t flat, const PointEvaluation&) {
+        ASSERT_LT(flat, reported.size());
+        ++reported[flat];
+    };
+    const auto reported_once = [&] {
+        const bool once =
+            std::all_of(reported.begin(), reported.end(), [](int n) { return n == 1; });
+        std::fill(reported.begin(), reported.end(), 0);
+        return once;
+    };
+    // The tasks in grid order are what a one-thread executor runs.
+    const std::vector<GridOutcome> expected = run_in_order(one, rates, {0, 1, 2, 3, 4}, counted);
     ASSERT_TRUE(expected.front().ok());
+    EXPECT_TRUE(reported_once());
     const std::vector<PointEvaluation>& serial = expected.front().value();
     EXPECT_EQ(std::count_if(serial.begin(), serial.end(),
                             [](const PointEvaluation& p) { return p.warm_started; }),
               2);
 
-    common::ThreadPool pool(4);
-    GridOptions wide;
-    wide.num_threads = 4;
-    wide.pool = &pool;
-    for (const bool starts_first : {false, true}) {
-        GridPlan plan = backend("ctmc").plan_grids(one, rates, wide);
-        for (std::size_t wave = 0; wave < waves_of(plan); ++wave) {
-            for (const bool optional : {starts_first, !starts_first}) {
-                for (BatchTask& task : plan.tasks) {
-                    if (task.wave == wave && task.optional == optional) {
-                        task.run();
-                    }
-                }
-            }
-        }
-        const std::vector<GridOutcome> outcomes = plan.collect();
-        ASSERT_TRUE(outcomes.front().ok()) << starts_first;
+    const auto expect_serial = [&](const std::vector<GridOutcome>& outcomes,
+                                   const std::string& label) {
+        SCOPED_TRACE(label);
+        ASSERT_TRUE(outcomes.front().ok());
         for (std::size_t i = 0; i < rates.size(); ++i) {
             expect_bitwise_equal(outcomes.front().value()[i], serial[i]);
         }
+        EXPECT_TRUE(reported_once());
+    };
+    expect_serial(run_in_order(one, rates, {4, 3, 2, 1, 0}, counted), "reverse order");
+    expect_serial(run_in_order(one, rates, {1, 3, 2, 4, 0}, counted), "leaves first");
+
+    common::ThreadPool pool(4);
+    for (const int width : {2, 4}) {
+        GridOptions wide = counted;
+        wide.num_threads = width;
+        wide.pool = &pool;
+        expect_serial(backend("ctmc").evaluate_grids(one, rates, wide),
+                      std::to_string(width) + " seats");
     }
 }
 
-TEST(ExecutePlans, OptionalTasksTakeOnlyTheSeatsTheMergedWaveLeavesEmpty) {
-    // Plan a: wave 0 holds 1 task and 5 optional ones, wave 1 holds 2 and
-    // 3. Plan b: wave 0 holds 3 tasks. Optional tasks run in plan order on
-    // the empty seats of the merged wave, and never at one thread.
-    std::vector<std::atomic<int>> runs(14);
-    const auto plans = [&] {
-        std::vector<GridPlan> made(2);
-        int id = 0;
-        const auto add = [&](GridPlan& plan, std::size_t wave, bool optional) {
-            plan.tasks.push_back({wave, [&runs, i = id++] { ++runs[i]; }, optional});
-        };
-        add(made[0], 0, false);
-        for (int i = 0; i < 5; ++i) {
-            add(made[0], 0, true);  // ids 1-5
-        }
-        add(made[0], 1, false);
-        add(made[0], 1, false);
-        for (int i = 0; i < 3; ++i) {
-            add(made[0], 1, true);  // ids 8-10
-        }
-        for (int i = 0; i < 3; ++i) {
-            add(made[1], 0, false);  // ids 11-13
-        }
-        return made;
-    };
-    const auto ran = [&] {
-        std::vector<int> ids;
-        for (std::size_t i = 0; i < runs.size(); ++i) {
-            if (runs[i].exchange(0) == 1) {
-                ids.push_back(static_cast<int>(i));
-            }
-        }
-        return ids;
-    };
-    common::ThreadPool pool(4);
-    GridOptions wide;
-    wide.num_threads = 4;
-    wide.pool = &pool;
-
-    std::vector<GridPlan> alone = plans();
-    alone.pop_back();
-    BatchStats stats = execute_plans(alone, wide);
-    EXPECT_EQ(ran(), (std::vector<int>{0, 1, 2, 3, 6, 7, 8, 9}));
-    EXPECT_EQ(stats.tasks, 8u);
-    EXPECT_EQ(stats.max_wave_width, 4u);
-
-    std::vector<GridPlan> merged = plans();
-    stats = execute_plans(merged, wide);
-    EXPECT_EQ(ran(), (std::vector<int>{0, 6, 7, 8, 9, 11, 12, 13}));
-    EXPECT_EQ(stats.tasks, 8u);
-
-    std::vector<GridPlan> serial = plans();
-    stats = execute_plans(serial, GridOptions{});
-    EXPECT_EQ(ran(), (std::vector<int>{0, 6, 7, 11, 12, 13}));
-    EXPECT_EQ(stats.tasks, 6u);
-}
-
-TEST(EvaluateGrids, FailingSpeculativeStartsLeaveTheSerialOutcomes) {
-    // At a sweep limit equal to the root's own sweep count, the dependent's
-    // product-form solve, which its speculative start runs, fails to
-    // converge, while its own warm-started solve converges (on this
-    // 12,012-state cell: root 310 sweeps, dependent 320 cold and 300 from
-    // its transfer). A limit of 3 fails every solve. Neither may show: at
-    // width 4 every grid reports the width-1 errors, or the width-1 points
-    // bit for bit.
-    const std::vector<double> rates{0.7, 0.9};
+TEST(EvaluateGrids, FailuresLeaveTheSerialOutcomesInAnyTaskOrder) {
+    // Two-point grids at sweep limits that fail some solves. (a) At a limit
+    // equal to the root's own sweep count, the dependent's product-form
+    // solve fails to converge, while its warm-started solve converges (on
+    // this 12,012-state cell: root 310 sweeps, dependent 320 cold and 300
+    // from its transfer). Run before its root, the dependent leaves that
+    // failure to the root's task, which solves it again from the transfer.
+    // (b) A limit of 3 fails every solve. (c) On a 2 % cell with 6
+    // sessions the root at 0.3 calls/s needs 420 sweeps and its dependent
+    // at 1.0, whose transfer loses, 340: at a limit of 380 the root fails,
+    // and the dependent, which would converge, is skipped wherever it ran
+    // (it never settles, so it never reports). None of it may
+    // show: at widths 2 and 4 and in reverse order every grid reports the
+    // serial error, or the serial points bit for bit, and the serial
+    // number of progress calls.
     ScenarioQuery query = tiny_query();
     query.parameters.total_channels = 8;
     query.parameters.buffer_capacity = 25;
     query.parameters.max_gprs_sessions = 10;
-    const auto solve_alone = [&](double rate, long long limit) {
-        ScenarioQuery point = query;
+    ScenarioQuery low_share = query;
+    low_share.parameters.gprs_fraction = 0.02;
+    low_share.parameters.max_gprs_sessions = 6;
+    const auto solve_alone = [](ScenarioQuery point, double rate, long long limit) {
         point.call_arrival_rate = rate;
         point.solver.max_iterations = limit;
         return backend("ctmc").evaluate(point);
     };
-    const auto root = solve_alone(rates[0], query.solver.max_iterations);
+    const auto root = solve_alone(query, 0.7, query.solver.max_iterations);
     ASSERT_TRUE(root.ok());
     const long long limit = root.value().iterations;
-    ASSERT_FALSE(solve_alone(rates[1], limit).ok()) << "the speculative start would converge";
+    ASSERT_FALSE(solve_alone(query, 0.9, limit).ok()) << "the product-form solve would converge";
+    ASSERT_FALSE(solve_alone(low_share, 0.3, 380).ok()) << "the root would converge";
+    ASSERT_TRUE(solve_alone(low_share, 1.0, 380).ok()) << "the dependent would fail";
 
+    struct Case {
+        ScenarioQuery query;
+        std::vector<double> rates;
+        long long sweeps;
+    };
+    const std::vector<Case> cases{
+        {query, {0.7, 0.9}, limit}, {query, {0.7, 0.9}, 3}, {low_share, {0.3, 1.0}, 380}};
     common::ThreadPool pool(4);
-    GridOptions wide;
-    wide.num_threads = 4;
-    wide.pool = &pool;
-    for (const long long sweeps : {limit, 3LL}) {
-        query.solver.max_iterations = sweeps;
-        const std::span<const ScenarioQuery> one(&query, 1);
-        const std::vector<GridOutcome> serial = backend("ctmc").evaluate_grids(one, rates);
-        const std::vector<GridOutcome> speculated =
-            backend("ctmc").evaluate_grids(one, rates, wide);
-        ASSERT_EQ(serial.front().ok(), sweeps == limit) << sweeps;
-        ASSERT_EQ(speculated.front().ok(), serial.front().ok()) << sweeps;
-        if (!serial.front().ok()) {
-            EXPECT_EQ(speculated.front().error().code, serial.front().error().code);
-            EXPECT_EQ(speculated.front().error().message, serial.front().error().message);
-            continue;
-        }
-        for (std::size_t i = 0; i < rates.size(); ++i) {
-            expect_bitwise_equal(speculated.front().value()[i], serial.front().value()[i]);
+    for (const Case& c : cases) {
+        SCOPED_TRACE("limit " + std::to_string(c.sweeps));
+        ScenarioQuery limited = c.query;
+        limited.solver.max_iterations = c.sweeps;
+        const std::span<const ScenarioQuery> one(&limited, 1);
+        int reports = 0;
+        GridOptions counted;
+        counted.progress = [&reports](std::size_t, const PointEvaluation&) { ++reports; };
+        const std::vector<GridOutcome> serial =
+            backend("ctmc").evaluate_grids(one, c.rates, counted);
+        ASSERT_EQ(serial.front().ok(), c.sweeps == limit);
+        EXPECT_EQ(reports, serial.front().ok() ? 2 : 0);
+        const int serial_reports = reports;
+
+        const auto expect_serial = [&](const std::vector<GridOutcome>& other,
+                                       const char* label) {
+            SCOPED_TRACE(label);
+            EXPECT_EQ(reports, serial_reports);
+            reports = 0;
+            ASSERT_EQ(other.front().ok(), serial.front().ok());
+            if (!serial.front().ok()) {
+                EXPECT_EQ(other.front().error().code, serial.front().error().code);
+                EXPECT_EQ(other.front().error().message, serial.front().error().message);
+                return;
+            }
+            for (std::size_t i = 0; i < c.rates.size(); ++i) {
+                expect_bitwise_equal(other.front().value()[i], serial.front().value()[i]);
+            }
+        };
+        reports = 0;
+        expect_serial(run_in_order(one, c.rates, {1, 0}, counted), "reverse order");
+        for (const int width : {2, 4}) {
+            GridOptions wide = counted;
+            wide.num_threads = width;
+            wide.pool = &pool;
+            expect_serial(backend("ctmc").evaluate_grids(one, c.rates, wide),
+                          width == 2 ? "2 seats" : "4 seats");
         }
     }
 }
@@ -479,11 +471,10 @@ TEST(EvaluateCampaign, MergesBackendsIntoFewerWavesThanSequential) {
             ASSERT_EQ(outcome.value().size(), request.rates.size());
         }
     }
-    // The merged depth is the deepest plan (ctmc's bisection schedule);
-    // running one (backend, variant) grid at a time queues 3 ctmc grids +
-    // 3 des grids + 3 erlang grids one after another.
-    const std::size_t ctmc_depth = bisection_schedule(request.rates.size()).levels.size();
-    EXPECT_EQ(evaluation.stats.waves, ctmc_depth);
+    // The merged depth is the deepest plan, and every plan here is one
+    // wave; running one (backend, variant) grid at a time queues 3 ctmc
+    // grids + 3 des grids + 3 erlang grids one after another.
+    EXPECT_EQ(evaluation.stats.waves, 1u);
     std::size_t sequential_waves = 0;
     for (const std::string& name : request.backends) {
         for (const ScenarioQuery& query : request.queries) {
@@ -493,7 +484,7 @@ TEST(EvaluateCampaign, MergesBackendsIntoFewerWavesThanSequential) {
         }
     }
     EXPECT_GT(sequential_waves, evaluation.stats.waves);
-    EXPECT_EQ(sequential_waves, 3 * ctmc_depth + 3 + 3);  // ctmc + des + erlang
+    EXPECT_EQ(sequential_waves, 3u + 3u + 3u);  // ctmc + des + erlang
     EXPECT_GE(evaluation.stats.max_wave_width,
               request.queries.size());  // cross-variant interleaving
     // Slots agree bitwise with standalone grids.

@@ -98,57 +98,55 @@ TEST(TransferRule, GridPointsAreStandaloneSolvesFromTheirWinningRawStarts) {
     ASSERT_TRUE(grid.front().ok());
     const std::vector<PointEvaluation>& evaluated = grid.front().value();
 
-    const SolveSchedule schedule = bisection_schedule(rates.size());
+    const std::vector<int> schedule = bisection_schedule(rates.size());
     std::vector<std::vector<double>> deviations(rates.size());
     ctmc::SolverEngine engine;
     int won = 0;
-    for (const std::vector<int>& level : schedule.levels) {
-        for (const int i : level) {
-            SCOPED_TRACE("point " + std::to_string(i));
-            const auto at = static_cast<std::size_t>(i);
-            const int parent = schedule.parent[at];
-            ScenarioQuery point = query;
-            point.call_arrival_rate = rates[at];
-            const core::Parameters p = point.resolved_parameters();
-            core::GprsModel model(p);
-            const std::vector<double> product =
-                core::product_form_initial(p, model.balanced(), model.space());
-            std::vector<double> start = product;
-            bool wins = false;
-            if (parent >= 0) {
-                const std::vector<double>& transferred =
-                    deviations[static_cast<std::size_t>(parent)];
-                wins = transfer_wins(model, product, transferred);
-                if (wins) {
-                    for (std::size_t s = 0; s < start.size(); ++s) {
-                        start[s] *= transferred[s];
-                    }
+    // In grid order: every parent precedes its dependents.
+    for (std::size_t at = 0; at < rates.size(); ++at) {
+        SCOPED_TRACE("point " + std::to_string(at));
+        const int parent = schedule[at];
+        ScenarioQuery point = query;
+        point.call_arrival_rate = rates[at];
+        const core::Parameters p = point.resolved_parameters();
+        core::GprsModel model(p);
+        const std::vector<double> product =
+            core::product_form_initial(p, model.balanced(), model.space());
+        std::vector<double> start = product;
+        bool wins = false;
+        if (parent >= 0) {
+            const std::vector<double>& transferred =
+                deviations[static_cast<std::size_t>(parent)];
+            wins = transfer_wins(model, product, transferred);
+            if (wins) {
+                for (std::size_t s = 0; s < start.size(); ++s) {
+                    start[s] *= transferred[s];
                 }
             }
-            won += wins ? 1 : 0;
-
-            ctmc::SolveOptions options;
-            options.tolerance = point.solver.tolerance;
-            options.max_iterations = point.solver.max_iterations;
-            options.initial = start;
-            const ctmc::SolveResult csr =
-                engine.solve(model.generator().to_qt_matrix(), options);
-            const ctmc::SolveResult& stencil = model.solve(std::move(options), engine);
-            ASSERT_TRUE(stencil.converged);
-            EXPECT_EQ(stencil.iterations, csr.iterations);
-            EXPECT_EQ(stencil.distribution, csr.distribution);
-
-            const PointEvaluation& e = evaluated[at];
-            const core::Measures measures =
-                core::compute_measures(p, model.balanced(), model.space(), stencil.distribution);
-            EXPECT_EQ(std::memcmp(&e.measures, &measures, sizeof(core::Measures)), 0);
-            EXPECT_EQ(e.iterations, static_cast<long long>(stencil.iterations));
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(e.residual),
-                      std::bit_cast<std::uint64_t>(stencil.residual));
-            EXPECT_EQ(e.warm_parent, parent);
-            EXPECT_EQ(e.warm_started, wins);
-            deviations[at] = deviation_of(stencil.distribution, product);
         }
+        won += wins ? 1 : 0;
+
+        ctmc::SolveOptions options;
+        options.tolerance = point.solver.tolerance;
+        options.max_iterations = point.solver.max_iterations;
+        options.initial = start;
+        const ctmc::SolveResult csr =
+            engine.solve(model.generator().to_qt_matrix(), options);
+        const ctmc::SolveResult& stencil = model.solve(std::move(options), engine);
+        ASSERT_TRUE(stencil.converged);
+        EXPECT_EQ(stencil.iterations, csr.iterations);
+        EXPECT_EQ(stencil.distribution, csr.distribution);
+
+        const PointEvaluation& e = evaluated[at];
+        const core::Measures measures =
+            core::compute_measures(p, model.balanced(), model.space(), stencil.distribution);
+        EXPECT_EQ(std::memcmp(&e.measures, &measures, sizeof(core::Measures)), 0);
+        EXPECT_EQ(e.iterations, static_cast<long long>(stencil.iterations));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(e.residual),
+                  std::bit_cast<std::uint64_t>(stencil.residual));
+        EXPECT_EQ(e.warm_parent, parent);
+        EXPECT_EQ(e.warm_started, wins);
+        deviations[at] = deviation_of(stencil.distribution, product);
     }
     // Both of the rule's outcomes occur on this grid.
     EXPECT_EQ(won, 2);

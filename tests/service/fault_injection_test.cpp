@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,11 +49,27 @@ std::vector<Frame> drain(const RequestStreamPtr& stream) {
 
 TEST(FaultInjection, MalformedSpecIsATypedRejection) {
     CampaignService service(ServiceOptions{});
-    auto stream = service.submit(1, "{\"name\": \"broken\", \"metho");
-    ASSERT_FALSE(stream.ok());
-    EXPECT_EQ(stream.error().code, common::EvalErrorCode::invalid_query);
-    EXPECT_NE(stream.error().message.find("campaign spec"), std::string::npos);
-    EXPECT_EQ(service.stats().requests_rejected, 1u);
+    // Truncated, and nested far deeper than any spec (300,000 levels fit
+    // the 1 MiB request cap) as an array and as an object.
+    std::string deep_object;
+    for (int i = 0; i < 150000; ++i) {
+        deep_object += "{\"\":";
+    }
+    const std::vector<std::string> malformed{"{\"name\": \"broken\", \"metho",
+                                             std::string(300000, '['), deep_object};
+    std::uint64_t id = 0;
+    for (const std::string& spec : malformed) {
+        auto stream = service.submit(++id, spec);
+        ASSERT_FALSE(stream.ok());
+        EXPECT_EQ(stream.error().code, common::EvalErrorCode::invalid_query);
+        EXPECT_NE(stream.error().message.find("campaign spec"), std::string::npos);
+    }
+    EXPECT_EQ(service.stats().requests_rejected, malformed.size());
+
+    // The service keeps serving.
+    auto next = service.submit(++id, kSmallSpec);
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ(drain(next.value()).back().type, "done");
 }
 
 TEST(FaultInjection, UnknownBackendIsATypedRejection) {
