@@ -156,10 +156,10 @@ inline bool write_json_records(const std::string& path,
 /// solver method, and are keyed accordingly in the JSON so tooling never
 /// mistakes a campaign for an iteration scheme).
 struct SolverRecord {
-    std::string name;      ///< bench/case identifier
-    long long states = 0;  ///< chain states (solver) / campaign points (dispatch)
-    std::string method;    ///< iteration scheme; solver records only
-    std::string dispatch;  ///< non-empty marks a campaign dispatch record
+    std::string name;        ///< bench/case identifier
+    long long states = 0;    ///< chain states (solver) / campaign points (dispatch)
+    std::string method{};    ///< iteration scheme; solver records only
+    std::string dispatch{};  ///< non-empty marks a campaign dispatch record
     int threads = 1;
     double seconds = 0.0;
     long long iterations = 0;

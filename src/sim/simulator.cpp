@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
@@ -82,11 +83,18 @@ struct Packet {
     double enqueue_time = 0.0;
 };
 
+constexpr double kNoFrame = std::numeric_limits<double>::infinity();  ///< no tick pending
+constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();  ///< no frame fires
+
 struct Cell {
     int gsm_calls = 0;
     int gprs_sessions = 0;
     std::deque<Packet> buffer;
-    bool tick_active = false;
+    bool busy = false;        ///< frames run until one finds the buffer empty
+    double last_frame = 0.0;  ///< the last frame run, or the busy period's start
+    double next_frame = 0.0;  ///< last_frame + frame_duration
+    double tick_frame = kNoFrame;  ///< the frame the pending tick runs
+    des::EventHandle tick;         ///< that tick, or the helper scheduling it
 };
 
 struct GsmCall {
@@ -146,9 +154,14 @@ struct NetworkSimulator::Impl {
     std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions;
     std::unordered_map<std::uint64_t, GsmCall> gsm_calls;
     std::uint64_t next_entity_id = 1;
-    /// frame_tick() scratch (indices of packets completed this frame);
+    /// run_frame() scratch (indices of packets completed this frame);
     /// member so the per-frame hot path never allocates.
     std::vector<std::size_t> finished_scratch;
+    /// When the running cell-changing event was scheduled.
+    double change_scheduled = 0.0;
+    /// Frames run, fired or replayed, less the tick and helper events that
+    /// ran them: events_executed counts every frame once and no tick.
+    std::int64_t frames_minus_ticks = 0;
 
     des::RandomStream gsm_arrival_rng;
     des::RandomStream gprs_arrival_rng;
@@ -200,6 +213,20 @@ struct NetworkSimulator::Impl {
     double block_bits(int cell) const {
         return p(cell).pdch_rate_kbps * 1000.0 * config.frame_duration;
     }
+    /// PDCHs usable this frame: every channel not held by a voice call.
+    int available_pdch(int cell) const {
+        return p(cell).total_channels - cells[static_cast<std::size_t>(cell)].gsm_calls;
+    }
+    /// Schedules an event that may change a cell's buffer or voice count
+    /// (one that calls catch_up()), recording when it was scheduled: that
+    /// decides its order against a frame at its own time.
+    template <typename Change>
+    des::EventHandle schedule_change(double delay, Change change) {
+        return sim.schedule(delay, [this, scheduled = sim.now(), change] {
+            change_scheduled = scheduled;
+            change();
+        });
+    }
     /// Dwell means at the mobility speed (dividing by the default scale of
     /// 1 is exact, so the classic configuration is untouched).
     double gsm_dwell_mean(int cell) const {
@@ -245,7 +272,7 @@ struct NetworkSimulator::Impl {
     // --- GSM voice traffic -------------------------------------------------
     void schedule_gsm_arrival(int cell) {
         const double rate = p(cell).gsm_arrival_rate();
-        sim.schedule(gsm_arrival_rng.exponential(1.0 / rate), [this, cell] {
+        schedule_change(gsm_arrival_rng.exponential(1.0 / rate), [this, cell] {
             gsm_arrival(cell);
             schedule_gsm_arrival(cell);
         });
@@ -264,6 +291,8 @@ struct NetworkSimulator::Impl {
     }
 
     void gsm_enter(int cell) {
+        // One channel fewer: the finishing frame can only move later.
+        catch_up(cell, change_scheduled);
         ++cells[static_cast<std::size_t>(cell)].gsm_calls;
         if (measuring && measured(cell)) {
             stat(cell).tw_voice.update(sim.now(),
@@ -272,11 +301,13 @@ struct NetworkSimulator::Impl {
     }
 
     void gsm_leave(int cell) {
+        catch_up(cell, change_scheduled);
         --cells[static_cast<std::size_t>(cell)].gsm_calls;
         if (measuring && measured(cell)) {
             stat(cell).tw_voice.update(sim.now(),
                                        cells[static_cast<std::size_t>(cell)].gsm_calls);
         }
+        plan_tick(cell);
     }
 
     void gsm_arrival(int cell) {
@@ -291,14 +322,14 @@ struct NetworkSimulator::Impl {
         GsmCall call;
         call.cell = cell;
         call.completion =
-            sim.schedule(duration_rng.exponential(p(cell).mean_gsm_call_duration), [this, id] {
+            schedule_change(duration_rng.exponential(p(cell).mean_gsm_call_duration), [this, id] {
                 const auto it = gsm_calls.find(id);
                 gsm_leave(it->second.cell);
                 sim.cancel(it->second.dwell);
                 gsm_calls.erase(it);
             });
-        call.dwell = sim.schedule(dwell_rng.exponential(gsm_dwell_mean(cell)),
-                                  [this, id] { gsm_handover(id); });
+        call.dwell = schedule_change(dwell_rng.exponential(gsm_dwell_mean(cell)),
+                                     [this, id] { gsm_handover(id); });
         gsm_calls.emplace(id, std::move(call));
     }
 
@@ -321,8 +352,8 @@ struct NetworkSimulator::Impl {
         }
         call.cell = target;
         gsm_enter(target);
-        call.dwell = sim.schedule(dwell_rng.exponential(gsm_dwell_mean(target)),
-                                  [this, id] { gsm_handover(id); });
+        call.dwell = schedule_change(dwell_rng.exponential(gsm_dwell_mean(target)),
+                                     [this, id] { gsm_handover(id); });
     }
 
     // --- GPRS sessions -----------------------------------------------------
@@ -380,7 +411,7 @@ struct NetworkSimulator::Impl {
                 sim, config.tcp, [this, id](std::int64_t seq, bool) {
                     // Segment leaves the server; reaches the BSC after the
                     // wired one-way delay.
-                    sim.schedule(config.wired_delay, [this, id, seq] {
+                    schedule_change(config.wired_delay, [this, id, seq] {
                         const auto it = sessions.find(id);
                         if (it == sessions.end()) {
                             return;  // session ended while in flight
@@ -390,8 +421,8 @@ struct NetworkSimulator::Impl {
                 });
         }
         gprs_enter(cell);
-        session->dwell = sim.schedule(dwell_rng.exponential(gprs_dwell_mean(cell)),
-                                      [this, id] { gprs_handover(id); });
+        session->dwell = schedule_change(dwell_rng.exponential(gprs_dwell_mean(cell)),
+                                         [this, id] { gprs_handover(id); });
         Session* raw = session.get();
         sessions.emplace(id, std::move(session));
         begin_packet_call(*raw);
@@ -408,8 +439,8 @@ struct NetworkSimulator::Impl {
         // generator_event before the session is destroyed, so this event
         // can never fire on a dead session (map nodes are pointer-stable).
         session.generator_event =
-            sim.schedule(traffic_rng.exponential(p(session.cell).traffic.mean_packet_interarrival),
-                         [this, s = &session] { generate_packet(*s); });
+            schedule_change(traffic_rng.exponential(p(session.cell).traffic.mean_packet_interarrival),
+                            [this, s = &session] { generate_packet(*s); });
     }
 
     void generate_packet(Session& session) {
@@ -470,11 +501,15 @@ struct NetworkSimulator::Impl {
     }
 
     void remove_session_packets(int cell, std::uint64_t id) {
+        catch_up(cell, change_scheduled);
         auto& buffer = cells[static_cast<std::size_t>(cell)].buffer;
         const auto removed = std::erase_if(
             buffer, [id](const Packet& pkt) { return pkt.session_id == id; });
-        if (removed > 0 && measuring && measured(cell)) {
-            stat(cell).tw_queue.update(sim.now(), static_cast<double>(buffer.size()));
+        if (removed > 0) {
+            if (measuring && measured(cell)) {
+                stat(cell).tw_queue.update(sim.now(), static_cast<double>(buffer.size()));
+            }
+            plan_tick(cell);
         }
     }
 
@@ -493,7 +528,6 @@ struct NetworkSimulator::Impl {
             if (measuring && measured(source)) {
                 ++totals.gprs_handover_failures;
             }
-            remove_session_packets(source, id);
             end_session(id, /*drop_buffered=*/true);
             return;
         }
@@ -502,6 +536,8 @@ struct NetworkSimulator::Impl {
         gprs_enter(target);
 
         // Relocate the session's queued packets to the target BSC.
+        catch_up(source, change_scheduled);
+        catch_up(target, change_scheduled);
         auto& src_buffer = cells[static_cast<std::size_t>(source)].buffer;
         auto& dst_buffer = cells[static_cast<std::size_t>(target)].buffer;
         std::deque<Packet> moved;
@@ -528,14 +564,24 @@ struct NetworkSimulator::Impl {
         if (measuring && measured(target) && !moved.empty()) {
             stat(target).tw_queue.update(sim.now(), static_cast<double>(dst_buffer.size()));
         }
-        ensure_tick(target);
+        if (!moved.empty()) {
+            // Both head sets changed: a forwarded packet keeps the bits it
+            // has left, so either cell may now finish one sooner.
+            plan_tick(source);
+            ensure_tick(target);
+            plan_tick(target);
+        }
 
-        session.dwell = sim.schedule(dwell_rng.exponential(gprs_dwell_mean(target)),
-                                     [this, id] { gprs_handover(id); });
+        session.dwell = schedule_change(dwell_rng.exponential(gprs_dwell_mean(target)),
+                                        [this, id] { gprs_handover(id); });
     }
 
     // --- BSC buffer and radio service ---------------------------------------
+    // A cell's tick fires only on a frame that can do more than subtract
+    // bits; catch_up() replays the frames in between (see "Frames" and
+    // "Equal times" in simulator.hpp).
     void bsc_enqueue(int cell, std::uint64_t session_id, std::int64_t seq) {
+        catch_up(cell, change_scheduled);
         auto& buffer = cells[static_cast<std::size_t>(cell)].buffer;
         if (measuring && measured(cell)) {
             ++stat(cell).batch_offered;
@@ -552,79 +598,187 @@ struct NetworkSimulator::Impl {
         if (measuring && measured(cell)) {
             stat(cell).tw_queue.update(sim.now(), static_cast<double>(buffer.size()));
         }
+        // A packet joining at the back moves the finishing frame no earlier
+        // (head shares shrink or stay; its own is the smallest) unless the
+        // front one, forwarded from a cell of larger packets, has more bits.
         ensure_tick(cell);
-    }
-
-    void ensure_tick(int cell) {
-        Cell& c = cells[static_cast<std::size_t>(cell)];
-        if (!c.tick_active && !c.buffer.empty()) {
-            c.tick_active = true;
-            sim.schedule(config.frame_duration, [this, cell] { frame_tick(cell); });
+        if (buffer.front().bits_remaining > buffer.back().bits_remaining) {
+            plan_tick(cell);
         }
     }
 
-    void frame_tick(int cell) {
+    /// Starts a busy period on a cell with packets and none running: its
+    /// first tick, a frame from now.
+    void ensure_tick(int cell) {
         Cell& c = cells[static_cast<std::size_t>(cell)];
+        if (c.busy || c.buffer.empty()) {
+            return;
+        }
+        c.busy = true;
+        c.last_frame = sim.now();
+        c.next_frame = c.tick_frame = sim.now() + config.frame_duration;
+        c.tick = sim.schedule_at(c.tick_frame, [this, cell] { frame_tick(cell); });
+    }
+
+    /// Fair split of `available` PDCHs over the first min(queued, available)
+    /// packets, at most 8 slots per packet (multislot class limit): calls
+    /// send(i, share) per head packet and returns the channels used. The
+    /// fired frame, the replayed frame and the look-ahead all split here.
+    template <typename Send>
+    static int allocate(std::size_t queued, int available, Send&& send) {
+        if (available <= 0 || queued == 0) {
+            return 0;
+        }
+        const int head_count = std::min<int>(static_cast<int>(queued), available);
+        const int base = available / head_count;  // >= 1
+        const int extra = available % head_count;
+        int used = 0;
+        for (int i = 0; i < head_count; ++i) {
+            const int share = std::min(8, base + (i < extra ? 1 : 0));
+            used += share;
+            send(static_cast<std::size_t>(i), share);
+        }
+        return used;
+    }
+
+    /// Runs the cell's next frame at that frame's time: the bits sent, the
+    /// packets delivered (only ever by a frame at the current time) and
+    /// the time averages, or, on an empty buffer, the busy period's end.
+    void run_frame(int cell) {
+        Cell& c = cells[static_cast<std::size_t>(cell)];
+        const double t = c.next_frame;
+        c.last_frame = t;
+        c.next_frame = t + config.frame_duration;
+        ++frames_minus_ticks;
         if (c.buffer.empty()) {
-            c.tick_active = false;
+            c.busy = false;
             if (measuring && measured(cell)) {
-                stat(cell).tw_pdch.update(sim.now(), 0.0);
+                stat(cell).tw_pdch.update(t, 0.0);
             }
             return;
         }
-
-        // PDCHs usable this frame: every channel not held by a voice call.
-        const int available = p(cell).total_channels - c.gsm_calls;
-        int channels_used = 0;
-        if (available > 0) {
-            const int head_count = std::min<int>(static_cast<int>(c.buffer.size()), available);
-            // Fair split of `available` channels over the first head_count
-            // packets, at most 8 slots per packet (multislot class limit).
-            const int base = available / head_count;
-            const int extra = available % head_count;
-            std::vector<std::size_t>& finished = finished_scratch;
-            finished.clear();  // Impl-owned scratch: no per-tick allocation
-            for (int i = 0; i < head_count; ++i) {
-                const int share = std::min(8, base + (i < extra ? 1 : 0));
-                if (share == 0) {
-                    break;
-                }
-                channels_used += share;
-                Packet& pkt = c.buffer[static_cast<std::size_t>(i)];
+        const double bler = p(cell).block_error_rate;
+        const double bits = block_bits(cell);
+        std::vector<std::size_t>& finished = finished_scratch;
+        finished.clear();
+        const int used =
+            allocate(c.buffer.size(), available_pdch(cell), [&](std::size_t i, int share) {
                 // RLC acknowledged mode: a corrupted block occupies the
                 // channel but delivers nothing; ARQ resends it on a later
                 // frame (extension; BLER = 0 reproduces the paper).
                 int good_blocks = share;
-                if (p(cell).block_error_rate > 0.0) {
+                if (bler > 0.0) {
                     good_blocks = 0;
                     for (int blk = 0; blk < share; ++blk) {
-                        if (!radio_rng.bernoulli(p(cell).block_error_rate)) {
+                        if (!radio_rng.bernoulli(bler)) {
                             ++good_blocks;
                         }
                     }
                 }
-                pkt.bits_remaining -= static_cast<double>(good_blocks) * block_bits(cell);
+                Packet& pkt = c.buffer[i];
+                pkt.bits_remaining -= static_cast<double>(good_blocks) * bits;
                 if (pkt.bits_remaining <= 0.0) {
-                    finished.push_back(static_cast<std::size_t>(i));
+                    finished.push_back(i);
                 }
-            }
-            // Deliver finished packets (reverse order keeps indices valid).
-            for (auto it = finished.rbegin(); it != finished.rend(); ++it) {
-                Packet done = c.buffer[*it];
-                c.buffer.erase(c.buffer.begin() + static_cast<std::ptrdiff_t>(*it));
-                deliver_packet(cell, done);
-            }
+            });
+        // Deliver finished packets (reverse order keeps indices valid).
+        for (auto it = finished.rbegin(); it != finished.rend(); ++it) {
+            Packet done = c.buffer[*it];
+            c.buffer.erase(c.buffer.begin() + static_cast<std::ptrdiff_t>(*it));
+            deliver_packet(cell, done);
         }
         if (measuring && measured(cell)) {
             CellStats& s = stat(cell);
-            s.tw_pdch.update(sim.now(), static_cast<double>(channels_used));
-            if (!c.buffer.empty()) {
-                s.tw_queue.update(sim.now(), static_cast<double>(c.buffer.size()));
-            } else {
-                s.tw_queue.update(sim.now(), 0.0);
+            s.tw_pdch.update(t, static_cast<double>(used));
+            s.tw_queue.update(t, static_cast<double>(c.buffer.size()));
+        }
+    }
+
+    /// Frames from the next one to the first that must fire: it finishes a
+    /// head packet or finds the buffer empty. With BLER > 0 the horizon is
+    /// one frame (draws cannot be foreseen); while voice holds every
+    /// channel there is none (kNever). Until that frame the split stays the
+    /// same, so each head packet's bits are subtracted here frame by frame
+    /// exactly as run_frame() will.
+    std::int64_t frames_to_next_tick(int cell) const {
+        const Cell& c = cells[static_cast<std::size_t>(cell)];
+        if (c.buffer.empty()) {
+            return 1;
+        }
+        std::int64_t frames = p(cell).block_error_rate > 0.0 ? 1 : kNever;
+        const double bits = block_bits(cell);
+        allocate(c.buffer.size(), available_pdch(cell), [&](std::size_t i, int share) {
+            const double sent = static_cast<double>(share) * bits;
+            double left = c.buffer[i].bits_remaining - sent;
+            std::int64_t n = 1;
+            for (; left > 0.0 && n < frames; ++n) {
+                left -= sent;
+            }
+            frames = n;
+        });
+        return frames;
+    }
+
+    /// Schedules the busy cell's tick on the frame frames_to_next_tick()
+    /// names, unless the pending one comes no later: a tick on a frame that
+    /// finishes nothing runs it exactly as a replay would. So besides the
+    /// ticks only a change that can bring the finishing frame earlier calls
+    /// this: a voice call leaving, a head packet removed or moved, a packet
+    /// arriving with fewer bits than the front one. A tick two or more
+    /// frames ahead is scheduled by a helper event on the frame before it.
+    void plan_tick(int cell) {
+        Cell& c = cells[static_cast<std::size_t>(cell)];
+        const std::int64_t frames = c.busy ? frames_to_next_tick(cell) : kNever;
+        if (frames == kNever) {
+            return;
+        }
+        double before = c.last_frame;
+        double frame = c.next_frame;
+        for (std::int64_t n = 1; n < frames; ++n) {
+            before = frame;
+            frame += config.frame_duration;
+        }
+        if (!(frame < c.tick_frame)) {
+            return;
+        }
+        sim.cancel(c.tick);
+        c.tick_frame = frame;
+        if (frames == 1) {
+            c.tick = sim.schedule_at(frame, [this, cell] { frame_tick(cell); });
+            return;
+        }
+        c.tick = sim.schedule_at(before, [this, cell] {
+            --frames_minus_ticks;
+            cells[static_cast<std::size_t>(cell)].tick =
+                sim.schedule(config.frame_duration, [this, cell] { frame_tick(cell); });
+        });
+    }
+
+    void frame_tick(int cell) {
+        --frames_minus_ticks;
+        cells[static_cast<std::size_t>(cell)].tick_frame = kNoFrame;
+        catch_up(cell, kNoFrame);  // the frames since the last one run, then this one
+        plan_tick(cell);
+    }
+
+    /// Runs the frames the per-frame calendar ran before the current event:
+    /// every frame before now, and the one at now if the event was
+    /// `scheduled` after the frame before it ran. A tick and a measurement
+    /// boundary pass kNoFrame: they come after every frame at their time.
+    /// Running the pending tick's frame cancels that tick and re-plans.
+    void catch_up(int cell, double scheduled) {
+        Cell& c = cells[static_cast<std::size_t>(cell)];
+        const double now = sim.now();
+        while (c.busy && (c.next_frame < now ||
+                          (c.next_frame == now && scheduled > c.last_frame))) {
+            const bool ticks_here = c.next_frame == c.tick_frame;
+            run_frame(cell);
+            if (ticks_here) {
+                sim.cancel(c.tick);
+                c.tick_frame = kNoFrame;
+                plan_tick(cell);
             }
         }
-        sim.schedule(config.frame_duration, [this, cell] { frame_tick(cell); });
     }
 
     void deliver_packet(int cell, const Packet& pkt) {
@@ -659,7 +813,16 @@ struct NetworkSimulator::Impl {
         return config.measure_all_cells ? static_cast<int>(block) : 0;
     }
 
+    /// A measurement boundary comes after every frame at its time:
+    /// run_until(horizon) ran them.
+    void catch_up_all_cells() {
+        for (int cell = 0; cell < config.num_cells; ++cell) {
+            catch_up(cell, kNoFrame);
+        }
+    }
+
     void reset_measurement() {
+        catch_up_all_cells();
         const double t = sim.now();
         for (std::size_t k = 0; k < stats.size(); ++k) {
             const Cell& c = cells[static_cast<std::size_t>(stat_cell(k))];
@@ -677,6 +840,7 @@ struct NetworkSimulator::Impl {
     }
 
     void close_batch() {
+        catch_up_all_cells();
         const double t = sim.now();
         for (std::size_t k = 0; k < stats.size(); ++k) {
             CellStats& s = stats[k];
@@ -772,7 +936,8 @@ struct NetworkSimulator::Impl {
                 totals.tcp_fast_retransmits += session->sender->fast_retransmits();
             }
         }
-        totals.events_executed = sim.events_executed();
+        totals.events_executed =
+            sim.events_executed() + static_cast<std::uint64_t>(frames_minus_ticks);
         totals.simulated_time = sim.now();
         totals.wall_seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();

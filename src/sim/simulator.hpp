@@ -22,6 +22,38 @@
 // and per-cell measurement. All of them empty/default reproduces the
 // classic cluster bit for bit: the legacy paths draw the same random
 // variates in the same order and run the identical measurement arithmetic.
+//
+// Frames. A busy cell sends its buffer frame after frame, each frame time
+// the previous one plus frame_duration, until a frame finds the buffer
+// empty. Most frames only subtract bits from the head-of-line packets and
+// add to two time averages, so a calendar event (the cell's tick) fires
+// only on a frame that can do more: where a head packet finishes, where
+// the buffer is found empty, and with BLER > 0 on every frame, since each
+// draws. The frames in between are replayed, with the same arithmetic at
+// each frame's own time, before the cell's next tick, before any change to
+// its buffer or voice count, and at every measurement boundary (frames at
+// the boundary time included, as run_until() ran them). While voice holds
+// every channel no tick is pending. events_executed counts every frame
+// once, fired or replayed, and no helper event, as the per-frame ticks did.
+//
+// Equal times. The calendar pops events by (time, schedule sequence), and
+// the per-frame tick of frame j took its sequence when frame j-1 ran: an
+// event at frame j's time came after frame j exactly when it was scheduled
+// after frame j-1 ran. Every event that changes a cell records when it was
+// scheduled, and frame j replays first when that is later than frame j-1
+// (TCP with a 0.01 s wired delay: an ack at t + 0.01 sends a segment that
+// often reaches the BSC at exactly the frame after t). Scheduled at frame
+// j-1's own time, the event comes first: the one fixed delay before a
+// cell-changing event is wired_delay, so that needs wired_delay equal to
+// frame_duration, where the event is a segment sent on the ack of a packet
+// that frame j-2 delivered, and a frame schedules its acks before its
+// successor. (Random delays hit a frame time with probability near 2^-52;
+// an ack of another cell whose frames match this cell's to the bit is the
+// one case this orders differently.) A fired tick is scheduled at the time
+// of the frame before it, by that frame's tick, by the event that starts
+// the busy period, or by a helper event there, so it keeps the per-frame
+// tick's place; an event that pops before a tick scheduled late (after a
+// re-plan) but was scheduled after the frame before it runs that frame.
 #pragma once
 
 #include <cstdint>
@@ -150,7 +182,7 @@ struct SimulationResults {
     std::int64_t routing_area_updates = 0;
     double routing_area_update_rate = 0.0;
 
-    std::uint64_t events_executed = 0;
+    std::uint64_t events_executed = 0;  ///< every frame once, fired or replayed
     double simulated_time = 0.0;
     double wall_seconds = 0.0;
 };
