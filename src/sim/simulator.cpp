@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <deque>
 #include <limits>
 #include <memory>
@@ -95,6 +96,7 @@ struct Cell {
     double next_frame = 0.0;  ///< last_frame + frame_duration
     double tick_frame = kNoFrame;  ///< the frame the pending tick runs
     des::EventHandle tick;         ///< that tick, or the helper scheduling it
+    bool tick_waits = false;       ///< its tick fired; it waits for an earlier one
 };
 
 struct GsmCall {
@@ -132,6 +134,7 @@ struct NetworkSimulator::Impl {
         config.validate();
         cells.resize(static_cast<std::size_t>(config.num_cells));
         stats.resize(config.measure_all_cells ? cells.size() : 1u);
+        runs_first.assign(cells.size() * cells.size(), 0);
         // Cumulative target weights per cell for the one-uniform-draw
         // weighted handover target selection of network mode.
         target_cdf.reserve(config.network_targets.size());
@@ -162,6 +165,9 @@ struct NetworkSimulator::Impl {
     /// Frames run, fired or replayed, less the tick and helper events that
     /// ran them: events_executed counts every frame once and no tick.
     std::int64_t frames_minus_ticks = 0;
+    /// runs_first[a * num_cells + b]: at a frame time the busy periods of
+    /// cells a and b share, the per-frame calendar ran a's frame first.
+    std::vector<char> runs_first;
 
     des::RandomStream gsm_arrival_rng;
     des::RandomStream gprs_arrival_rng;
@@ -618,6 +624,79 @@ struct NetworkSimulator::Impl {
         c.last_frame = sim.now();
         c.next_frame = c.tick_frame = sim.now() + config.frame_duration;
         c.tick = sim.schedule_at(c.tick_frame, [this, cell] { frame_tick(cell); });
+        order_against_busy_cells(cell);
+    }
+
+    /// Records which of this new busy period and each other busy cell's the
+    /// per-frame calendar ran first at the frame times they share (or may
+    /// share: grids within a rounding of each other can merge). That order
+    /// holds until either period ends, since each frame scheduled the next.
+    /// The other cell's frame at the start time ran first when it ran
+    /// before the event starting this period (catch_up()'s rule); a frame
+    /// before the start time was scheduled earlier; between grids apart by
+    /// a rounding, the lower one's frames were scheduled first.
+    void order_against_busy_cells(int cell) {
+        const Cell& c = cells[static_cast<std::size_t>(cell)];
+        const auto n = static_cast<std::size_t>(config.num_cells);
+        const auto near = [](double x, double y) { return std::abs(x - y) <= 1e-9 * y; };
+        for (int other = 0; other < config.num_cells; ++other) {
+            const Cell& o = cells[static_cast<std::size_t>(other)];
+            if (other == cell || !o.busy) {
+                continue;
+            }
+            catch_up(other, change_scheduled);
+            const bool later = o.next_frame == c.last_frame ||
+                               (near(o.next_frame, c.last_frame) && o.next_frame > c.last_frame);
+            const bool shared = later || near(o.next_frame, c.next_frame);
+            const bool other_first = !later && o.next_frame <= c.next_frame;
+            runs_first[static_cast<std::size_t>(other) * n + static_cast<std::size_t>(cell)] =
+                shared && other_first;
+            runs_first[static_cast<std::size_t>(cell) * n + static_cast<std::size_t>(other)] =
+                shared && !other_first;
+        }
+    }
+
+    /// Whether `first`'s tick frame is due now and the per-frame calendar
+    /// ran it before `then`'s.
+    bool earlier_tick(int first, int then) const {
+        const auto n = static_cast<std::size_t>(config.num_cells);
+        return cells[static_cast<std::size_t>(first)].tick_frame == sim.now() &&
+               runs_first[static_cast<std::size_t>(first) * n + static_cast<std::size_t>(then)];
+    }
+
+    /// Runs a cell's tick frame (and any frames replayed before it) in the
+    /// per-frame calendar's order against other cells' tick frames at this
+    /// time: they deliver, and the acks they schedule keep their order.
+    /// Earlier ones still due run first, and ones that waited for this one
+    /// run right after it.
+    void run_tick_frame(int cell) {
+        Cell& c = cells[static_cast<std::size_t>(cell)];
+        sim.cancel(c.tick);
+        c.tick_frame = kNoFrame;
+        c.tick_waits = false;
+        for (int other = 0; other < config.num_cells; ++other) {
+            if (earlier_tick(other, cell)) {
+                run_tick_frame(other);
+            }
+        }
+        catch_up(cell, kNoFrame);
+        plan_tick(cell);
+        for (int other = 0; other < config.num_cells; ++other) {
+            if (cells[static_cast<std::size_t>(other)].tick_waits &&
+                !waits_for_earlier_tick(other)) {
+                run_tick_frame(other);
+            }
+        }
+    }
+
+    /// Whether another cell's tick frame due now goes before this cell's.
+    bool waits_for_earlier_tick(int cell) const {
+        for (int other = 0; other < config.num_cells; ++other) {
+            if (earlier_tick(other, cell)) {
+                return true;
+            }
+        }
+        return false;
     }
 
     /// Fair split of `available` PDCHs over the first min(queued, available)
@@ -756,9 +835,11 @@ struct NetworkSimulator::Impl {
 
     void frame_tick(int cell) {
         --frames_minus_ticks;
-        cells[static_cast<std::size_t>(cell)].tick_frame = kNoFrame;
-        catch_up(cell, kNoFrame);  // the frames since the last one run, then this one
-        plan_tick(cell);
+        if (waits_for_earlier_tick(cell)) {
+            cells[static_cast<std::size_t>(cell)].tick_waits = true;  // run after it
+            return;
+        }
+        run_tick_frame(cell);
     }
 
     /// Runs the frames the per-frame calendar ran before the current event:
@@ -771,12 +852,10 @@ struct NetworkSimulator::Impl {
         const double now = sim.now();
         while (c.busy && (c.next_frame < now ||
                           (c.next_frame == now && scheduled > c.last_frame))) {
-            const bool ticks_here = c.next_frame == c.tick_frame;
-            run_frame(cell);
-            if (ticks_here) {
-                sim.cancel(c.tick);
-                c.tick_frame = kNoFrame;
-                plan_tick(cell);
+            if (c.next_frame == c.tick_frame) {
+                run_tick_frame(cell);
+            } else {
+                run_frame(cell);
             }
         }
     }

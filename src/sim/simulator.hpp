@@ -47,13 +47,17 @@
 // cell-changing event is wired_delay, so that needs wired_delay equal to
 // frame_duration, where the event is a segment sent on the ack of a packet
 // that frame j-2 delivered, and a frame schedules its acks before its
-// successor. (Random delays hit a frame time with probability near 2^-52;
-// an ack of another cell whose frames match this cell's to the bit is the
-// one case this orders differently.) A fired tick is scheduled at the time
-// of the frame before it, by that frame's tick, by the event that starts
-// the busy period, or by a helper event there, so it keeps the per-frame
-// tick's place; an event that pops before a tick scheduled late (after a
-// re-plan) but was scheduled after the frame before it runs that frame.
+// successor. (Random delays hit a frame time with probability near 2^-52.)
+// A fired tick is scheduled at the time of the frame before it, by that
+// frame's tick, by the event that starts the busy period, or by a helper
+// event there, so it keeps the per-frame tick's place; an event that pops
+// before a tick scheduled late (after a re-plan) but was scheduled after
+// the frame before it runs that frame. Busy periods of two cells can share
+// frame times (a segment one cell delivers starts the other's a fixed delay
+// later), and the per-frame calendar then ran their frames in one order,
+// set when the later period started. A tick that fires before an earlier
+// cell's tick at its time waits for it, so deliveries and radio draws keep
+// that order.
 #pragma once
 
 #include <cstdint>
