@@ -9,7 +9,7 @@
 // controller would re-evaluate as load estimates change.
 #pragma once
 
-#include "ctmc/solver.hpp"
+#include "ctmc/engine.hpp"
 #include "core/measures.hpp"
 #include "core/parameters.hpp"
 

@@ -94,12 +94,12 @@ struct GprsGenerator::Kernel {
     /// sweep t of the group two levels behind chain t - 1, more than the
     /// one-level bandwidth: every row it reads below itself already holds
     /// its own sweep's value and every row above still holds the previous
-    /// sweep's, exactly as in T back-to-back sweeps (gs_wavefront_pass's
-    /// argument). The chains at one (n, pair) position share its rates,
-    /// and their updates are independent, so they overlap. The group's
-    /// last sweep adds the iterate to *final_sum in index order. `lane`
-    /// keeps the leading chain as far behind the previous group's trailing
-    /// chain, and publishes the levels this group's trailing chain finished.
+    /// sweep's, exactly as in T back-to-back sweeps. The chains at one
+    /// (n, pair) position share its rates, and their updates are
+    /// independent, so they overlap. The group's last sweep adds the
+    /// iterate to *final_sum in index order. `lane` keeps the leading chain
+    /// as far behind the previous group's trailing chain, and publishes the
+    /// levels this group's trailing chain finished.
     template <index_type T>
     static void wavefront_pass(const GprsGenerator& g, double* x, double* final_sum,
                                const ctmc::detail::GroupLane& lane) {
@@ -185,7 +185,7 @@ GprsGenerator::BlockRates GprsGenerator::block_rates(index_type k, index_type n)
 double GprsGenerator::gauss_seidel_sweeps(double* x, index_type count, bool want_sum,
                                           bool team) const {
     return ctmc::detail::grouped_sweeps(
-        count, want_sum, true, team,
+        count, want_sum, team,
         [&](auto group, double* sum, const ctmc::detail::GroupLane& lane) {
             Kernel::wavefront_pass<decltype(group)::value>(*this, x, sum, lane);
         });

@@ -20,7 +20,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "ctmc/solver.hpp"
+#include "ctmc/engine.hpp"
 #include "ctmc/sparse_matrix.hpp"
 #include "core/parameters.hpp"
 #include "core/state_space.hpp"
@@ -72,7 +72,7 @@ public:
         }
     }
 
-    // --- ctmc::TeamSweepOperator ----------------------------------------
+    // --- ctmc::PipelinedSweepOperator -----------------------------------
     /// `count` forward Gauss-Seidel sweeps over x in wavefront groups of up
     /// to four sweeps, bitwise `count` one-at-a-time sweeps of
     /// to_qt_matrix(). With `want_sum` returns the left-to-right sum of the

@@ -8,7 +8,6 @@
 
 #include "common/result.hpp"
 #include "ctmc/engine.hpp"
-#include "ctmc/solver.hpp"
 #include "core/generator.hpp"
 #include "core/handover.hpp"
 #include "core/measures.hpp"

@@ -4,16 +4,6 @@
 
 namespace gprsim::ctmc {
 
-double QtMatrix::gauss_seidel_sweeps(double* x, index_type count, bool want_sum) const {
-    return detail::gauss_seidel_sweeps(detail::csr_view(*this), x, count, want_sum);
-}
-
-double QtMatrix::fused_normalize_residual(double* x, double sum,
-                                          double uniformization_rate) const {
-    return detail::fused_normalize_residual(detail::csr_view(*this), x, sum,
-                                            uniformization_rate);
-}
-
 int SolverEngine::resolve_thread_count(int requested) {
     return common::ThreadPool::resolve_thread_count(requested);
 }

@@ -15,14 +15,16 @@
 // that the observed convergence rate picks, so the residual is evaluated
 // only when it could matter. A sweep is linear in the iterate, so leaving
 // it unnormalized between checkpoints changes it only by rounding. An
-// operator with its own pipelined pass (the CSR QtMatrix, the GPRS stencil)
-// runs each run of sweeps as wavefront groups and fuses the normalization
-// sum into the final sweep and the residual into the normalizing division:
-// bitwise the one-sweep-at-a-time schedule, about 2x faster.
+// operator with its own pipelined pass (PipelinedSweepOperator: the GPRS
+// stencil) runs each run of sweeps as wavefront groups and fuses the
+// normalization sum into the final sweep and the residual into the
+// normalizing division: bitwise the one-sweep-at-a-time schedule that any
+// other operator (the CSR QtMatrix, the reference) runs on the generic
+// kernels.
 //
 // Threads never change the answer: it is bitwise the serial solve at every
-// width. The stencil's runs on a chain of kTeamMinStates states or more
-// go as a team (kernels.hpp) whose sweep groups idle threads may claim:
+// width. A pipelined pass on a chain of kTeamMinStates states or more runs
+// as a team (kernels.hpp) whose sweep groups idle threads may claim:
 // the other seats of the campaign wave the solve runs in, or, with
 // SolveOptions::num_threads > 1 (0 = all hardware threads) outside a wave,
 // this engine's pool, where the solve (and its progress callback) runs on
@@ -99,8 +101,8 @@ private:
     std::mutex pool_mutex_;
 };
 
-/// Process-wide engine used by the solve_steady_state() convenience wrapper
-/// and by model-layer callers that do not manage their own engine.
+/// Process-wide engine used by model-layer callers that do not manage their
+/// own engine.
 SolverEngine& default_engine();
 
 /// Prepares `x` in place exactly as a solve prepares SolveOptions::initial
@@ -152,7 +154,7 @@ double prepare_start(const Op& op, std::vector<double>& x) {
 
 template <QtOperatorConcept Op>
 SolveResult SolverEngine::solve(const Op& op, SolveOptions options) {
-    if constexpr (TeamSweepOperator<Op>) {
+    if constexpr (PipelinedSweepOperator<Op>) {
         const int seats = resolve_thread_count(options.num_threads);
         if (seats > 1 && op.size() >= kTeamMinStates && !common::Crew::seated()) {
             SolveResult result;
@@ -172,11 +174,11 @@ SolveResult SolverEngine::solve_here(const Op& op, SolveOptions options) {
     const auto t0 = std::chrono::steady_clock::now();
     const index_type n = op.size();
     if (n <= 0) {
-        throw std::invalid_argument("solve_steady_state: empty state space");
+        throw std::invalid_argument("SolverEngine::solve: empty state space");
     }
     if (!options.initial.empty() &&
         static_cast<index_type>(options.initial.size()) != n) {
-        throw std::invalid_argument("solve_steady_state: initial vector size mismatch");
+        throw std::invalid_argument("SolverEngine::solve: initial vector size mismatch");
     }
 
     SolveResult result;
@@ -202,12 +204,7 @@ SolveResult SolverEngine::solve_here(const Op& op, SolveOptions options) {
     // kernels.
     const auto run_to_checkpoint = [&](index_type count) {
         if constexpr (PipelinedSweepOperator<Op>) {
-            double sum = 0.0;
-            if constexpr (TeamSweepOperator<Op>) {
-                sum = op.gauss_seidel_sweeps(x.data(), count, true, team);
-            } else {
-                sum = op.gauss_seidel_sweeps(x.data(), count, true);
-            }
+            const double sum = op.gauss_seidel_sweeps(x.data(), count, true, team);
             result.residual = op.fused_normalize_residual(x.data(), sum, lambda);
         } else {
             for (index_type s = 0; s < count; ++s) {

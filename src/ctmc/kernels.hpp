@@ -1,6 +1,8 @@
 // Gauss-Seidel kernels: the generic one-sweep-at-a-time sweep, the plain
-// normalization, residual and uniformization-rate loops, and the wavefront
-// passes of the operators with their own pipelined sweep.
+// normalization, residual and uniformization-rate loops that every operator
+// without its own pass runs (the CSR QtMatrix among them), and the
+// wavefront groups and team lanes of an operator's pipelined pass (the
+// GPRS stencil, core::GprsGenerator).
 //
 // A wavefront pass runs T sweeps at once, sweep t trailing sweep t-1 by
 // more than the operator's bandwidth, so every read sees exactly the value
@@ -9,9 +11,7 @@
 // grouped_sweeps splits a batch into such groups; run as a team, idle
 // threads claim groups in order (common::Crew), and a lane keeps group g's
 // leading sweep trailing group g-1's trailing sweep by the same distance:
-// the same argument across threads, bitwise at any width. The raw-CSR
-// kernels at the end are QtMatrix's serial pass, the reference the GPRS
-// stencil (core::GprsGenerator) is checked against.
+// the same argument across threads, bitwise at any width.
 #pragma once
 
 #include <algorithm>
@@ -22,7 +22,6 @@
 #include <span>
 #include <stdexcept>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "ctmc/solver_options.hpp"
@@ -99,7 +98,7 @@ void gauss_seidel_forward(const Op& op, std::span<double> x) {
     }
 }
 
-// --- pipelined passes, shared by the raw-CSR kernels and the GPRS stencil --
+// --- pipelined passes (the GPRS stencil's) -------------------------------
 
 /// How many levels (the operator's unit of distance, e.g. the stencil's
 /// buffer levels) a team group's trailing sweep has finished, and the count
@@ -168,13 +167,11 @@ private:
 };
 
 /// A batch's wavefront groups: 4 sweeps while at least 4 are left, then 2,
-/// then 1 (only 1s without pipelining). A 10-sweep batch is 4, 4, 2.
+/// then 1. A 10-sweep batch is 4, 4, 2.
 struct GroupSplit {
     index_type fours, two, one;
-    GroupSplit(index_type count, bool pipeline)
-        : fours(pipeline ? count / 4 : 0),
-          two(pipeline ? count % 4 / 2 : 0),
-          one(pipeline ? count % 2 : count) {}
+    explicit GroupSplit(index_type count)
+        : fours(count / 4), two(count % 4 / 2), one(count % 2) {}
     index_type groups() const { return fours + two + one; }
     int size(index_type g) const { return g < fours ? 4 : g < fours + two ? 2 : 1; }
 };
@@ -187,8 +184,8 @@ struct GroupSplit {
 /// groups are pieces of a common::Crew batch that idle seats may claim; one
 /// thread that claims every group runs the solo schedule.
 template <typename Pass>
-double grouped_sweeps(index_type count, bool want_sum, bool pipeline, bool team, Pass&& pass) {
-    const GroupSplit split(count, pipeline);
+double grouped_sweeps(index_type count, bool want_sum, bool team, Pass&& pass) {
+    const GroupSplit split(count);
     double sum = 0.0;
     const auto run = [&](index_type g, const GroupLane& lane) {
         double* const tail_sum = want_sum && g + 1 == split.groups() ? &sum : nullptr;
@@ -236,134 +233,6 @@ double lagged_normalize_residual(double* x, index_type n, index_type lag, double
         }
     }
     return worst / uniformization_rate;
-}
-
-// --- raw-CSR serial Gauss-Seidel fast path ------------------------------
-
-/// Borrowed contiguous view of a QtMatrix: off-diagonal CSR arrays plus the
-/// diagonal, with the assembly-time bandwidth. The pipelined sweep kernels
-/// work on this view so the hot loops touch plain arrays (32-bit columns,
-/// no span re-materialization, no per-entry callback) the compiler can
-/// schedule aggressively.
-struct QtCsrView {
-    index_type n = 0;
-    const index_type* row_ptr = nullptr;
-    const col_type* cols = nullptr;
-    const double* vals = nullptr;
-    const double* diag = nullptr;
-    index_type bandwidth = 0;
-};
-
-inline QtCsrView csr_view(const QtMatrix& qt) {
-    const SparseMatrix& off = qt.off_diagonal();
-    return {qt.size(),        off.row_ptr_data(), off.col_data(),
-            off.value_data(), qt.diagonal_data(), off.bandwidth()};
-}
-
-/// One Gauss-Seidel update of row i on the raw view; the same arithmetic as
-/// gauss_seidel_update over plain arrays.
-inline void gs_row_update(const QtCsrView& m, double* x, index_type i) {
-    const double d = m.diag[i];
-    if (d == 0.0) {
-        return;  // isolated state keeps its (zero) mass
-    }
-    double acc = 0.0;
-    const index_type end = m.row_ptr[i + 1];
-    for (index_type p = m.row_ptr[i]; p < end; ++p) {
-        acc += m.vals[p] * x[m.cols[p]];
-    }
-    x[i] = acc / -d;
-}
-
-/// T forward sweeps pipelined in one wavefront pass. Chain t executes sweep
-/// t of the group and trails chain t-1 by D rows; with D > bandwidth every
-/// row it reads above itself still holds the previous sweep's value and
-/// every row below holds its own sweep's value — exactly the sequential
-/// schedule, so the pass is bitwise identical to T back-to-back
-/// gauss_seidel_forward calls. The win is throughput: the per-row
-/// divide/accumulate dependency chains of the T sweeps interleave instead
-/// of serializing. When `final_sum` is non-null the trailing chain (the
-/// group's last sweep) accumulates x left-to-right as it writes, which
-/// equals summing the finished vector afterwards.
-template <int T>
-void gs_wavefront_pass(const QtCsrView& m, double* x, index_type D, double* final_sum) {
-    static_assert(T >= 1);
-    const index_type n = m.n;
-    const index_type trail_offset = static_cast<index_type>(T - 1) * D;
-
-    const auto guarded_step = [&](index_type lead) {
-        [&]<std::size_t... Ts>(std::index_sequence<Ts...>) {
-            ([&] {
-                const index_type row = lead - static_cast<index_type>(Ts) * D;
-                if (row >= 0 && row < n) {
-                    gs_row_update(m, x, row);
-                    if constexpr (Ts == static_cast<std::size_t>(T - 1)) {
-                        if (final_sum != nullptr) {
-                            *final_sum += x[row];
-                        }
-                    }
-                }
-            }(),
-             ...);
-        }(std::make_index_sequence<static_cast<std::size_t>(T)>{});
-    };
-
-    index_type lead = 0;
-    const index_type total = n + trail_offset;
-    for (const index_type prologue_end = std::min(trail_offset, n); lead < prologue_end;
-         ++lead) {
-        guarded_step(lead);
-    }
-    // Steady state: all T chains in range — no bounds checks, the fold
-    // expression keeps the T row updates in one straight-line loop body.
-    for (; lead < n; ++lead) {
-        [&]<std::size_t... Ts>(std::index_sequence<Ts...>) {
-            (gs_row_update(m, x, lead - static_cast<index_type>(Ts) * D), ...);
-        }(std::make_index_sequence<static_cast<std::size_t>(T)>{});
-        if (final_sum != nullptr) {
-            *final_sum += x[lead - trail_offset];
-        }
-    }
-    for (; lead < total; ++lead) {
-        guarded_step(lead);
-    }
-}
-
-/// Runs `count` forward Gauss-Seidel sweeps on the raw view,
-/// pipelined in wavefront groups of up to 4 sweeps. Bitwise identical to
-/// `count` sequential gauss_seidel_forward passes. When
-/// `accumulate_final_sum` is set, returns the left-to-right sum of x after
-/// the last sweep (equal to summing the final vector separately: the
-/// trailing chain writes rows in order, and skipped zero-diagonal rows
-/// contribute their unchanged value); otherwise returns 0.
-inline double gauss_seidel_sweeps(const QtCsrView& m, double* x, index_type count,
-                                  bool accumulate_final_sum) {
-    const index_type D = m.bandwidth + 8;  // > bandwidth: safe wavefront gap
-    // Pipelining pays off only when the steady state dominates; tiny chains
-    // (or near-dense bandwidth) run the plain sequential schedule (T == 1).
-    return grouped_sweeps(count, accumulate_final_sum, 8 * D < m.n, false,
-                          [&](auto group, double* sum, const GroupLane&) {
-                              gs_wavefront_pass<decltype(group)::value>(m, x, D, sum);
-                          });
-}
-
-/// fused_normalize_residual on the raw view: a row reads at most the
-/// bandwidth ahead of itself.
-inline double fused_normalize_residual(const QtCsrView& m, double* x, double sum,
-                                       double uniformization_rate) {
-    return lagged_normalize_residual(
-        x, m.n, m.bandwidth + 1, sum, uniformization_rate,
-        [&](index_type begin, index_type end) {
-            double worst = 0.0;
-            for (index_type i = begin; i < end; ++i) {
-                double acc = m.diag[i] * x[i];
-                for (index_type p = m.row_ptr[i]; p < m.row_ptr[i + 1]; ++p) {
-                    acc += m.vals[p] * x[m.cols[p]];
-                }
-                worst = std::max(worst, std::fabs(acc));
-            }
-            return worst;
-        });
 }
 
 }  // namespace detail

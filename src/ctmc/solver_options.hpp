@@ -7,10 +7,10 @@
 // They operate on the *transposed* generator: a type modelling the
 // QtOperatorConcept below exposes, for every state i, the diagonal Q_ii and
 // the incoming transition rates Q_ji (j != i). An operator that also brings
-// its own pipelined Gauss-Seidel pass (PipelinedSweepOperator) gets the
-// engine's fast path: the explicit CSR matrix (QtMatrix) and the GPRS
-// chain's stencil (core::GprsGenerator) both do; the stencil's can also run
-// as a team on idle threads (TeamSweepOperator).
+// its own pipelined Gauss-Seidel pass (PipelinedSweepOperator), which can
+// run as a team on idle threads, gets the engine's fast path: the GPRS
+// chain's stencil (core::GprsGenerator) does. Every other operator, the
+// explicit CSR matrix (QtMatrix) included, runs the generic kernels.
 #pragma once
 
 #include <cstddef>
@@ -42,31 +42,24 @@ concept QtOperatorConcept = requires(const Op& op, index_type i) {
 };
 
 /// An operator with its own pipelined Gauss-Seidel pass, which the engine
-/// runs instead of one-sweep-at-a-time kernels. gauss_seidel_sweeps runs
-/// `count` forward sweeps (returning the final iterate's left-to-right sum
-/// when want_sum, else 0); fused_normalize_residual divides x by `sum` and
-/// returns max_i |(x Q)_i| / lambda. Both are bitwise equal to the generic
-/// kernels they replace.
+/// runs instead of the one-sweep-at-a-time kernels.
+/// gauss_seidel_sweeps(x, count, want_sum, team) runs `count` forward
+/// sweeps (returning the final iterate's left-to-right sum when want_sum,
+/// else 0); with team = true it hands its sweep groups to idle threads of
+/// the calling thread's common::Crew. fused_normalize_residual divides x by
+/// `sum` and returns max_i |(x Q)_i| / lambda. Both are bitwise equal to
+/// the generic kernels they replace, at any team width.
 template <typename Op>
 concept PipelinedSweepOperator =
     QtOperatorConcept<Op> &&
-    requires(const Op& op, double* x, index_type count, bool want_sum, double sum) {
-        { op.gauss_seidel_sweeps(x, count, want_sum) } -> std::convertible_to<double>;
+    requires(const Op& op, double* x, index_type count, bool flag, double sum) {
+        { op.gauss_seidel_sweeps(x, count, flag, flag) } -> std::convertible_to<double>;
         { op.fused_normalize_residual(x, sum, sum) } -> std::convertible_to<double>;
     };
 
-/// A pipelined operator whose pass can run as a team:
-/// gauss_seidel_sweeps(x, count, want_sum, team) with team = true hands its
-/// sweep groups to idle threads of the calling thread's common::Crew, with
-/// results bitwise equal to the solo pass.
-template <typename Op>
-concept TeamSweepOperator =
-    PipelinedSweepOperator<Op> &&
-    requires(const Op& op, double* x, index_type count, bool flag) {
-        { op.gauss_seidel_sweeps(x, count, flag, flag) } -> std::convertible_to<double>;
-    };
-
 /// Transposed generator stored explicitly: off-diagonal CSR + diagonal array.
+/// The engine sweeps it with the generic kernels; it is the reference the
+/// GPRS stencil is checked against (core::GprsGenerator::to_qt_matrix).
 class QtMatrix {
 public:
     QtMatrix() = default;
@@ -90,13 +83,7 @@ public:
         }
     }
 
-    /// PipelinedSweepOperator over the raw-CSR kernels (engine.cpp).
-    double gauss_seidel_sweeps(double* x, index_type count, bool want_sum) const;
-    double fused_normalize_residual(double* x, double sum, double uniformization_rate) const;
-
     const SparseMatrix& off_diagonal() const { return off_diag_; }
-    /// Contiguous diagonal array (size() entries) for the raw sweep kernels.
-    const double* diagonal_data() const { return diag_.data(); }
 
 private:
     SparseMatrix off_diag_;  // entry (i, j) = Q_ji, i != j
@@ -125,7 +112,7 @@ QtMatrix build_qt_matrix(index_type num_states, Outgoing&& outgoing) {
     return QtMatrix(std::move(off), std::move(diag));
 }
 
-/// Iteration scheme used by SolverEngine::solve() / solve_steady_state().
+/// Iteration scheme used by SolverEngine::solve().
 /// Forward Gauss-Seidel is the one scheme; the value is the one it had when
 /// sor, jacobi, power, symmetric and red-black Gauss-Seidel still existed,
 /// so a printed value keeps its meaning.

@@ -17,23 +17,6 @@ void check_col_capacity(index_type cols) {
 
 }  // namespace
 
-void SparseMatrix::compute_bandwidth() {
-    index_type w = 0;
-    for (index_type i = 0; i < rows_; ++i) {
-        const index_type begin = row_ptr_[static_cast<std::size_t>(i)];
-        const index_type end = row_ptr_[static_cast<std::size_t>(i) + 1];
-        if (begin == end) {
-            continue;
-        }
-        // Columns are sorted, so only the row's extremes can set the max.
-        const index_type lo = cols_idx_[static_cast<std::size_t>(begin)];
-        const index_type hi = cols_idx_[static_cast<std::size_t>(end) - 1];
-        w = std::max(w, i > lo ? i - lo : lo - i);
-        w = std::max(w, i > hi ? i - hi : hi - i);
-    }
-    bandwidth_ = w;
-}
-
 SparseMatrix SparseMatrix::from_triplets(index_type rows, index_type cols,
                                          std::vector<Triplet> triplets) {
     if (rows < 0 || cols < 0) {
@@ -102,7 +85,6 @@ SparseMatrix SparseMatrix::from_triplets(index_type rows, index_type cols,
     m.cols_idx_.shrink_to_fit();
     m.values_.resize(static_cast<std::size_t>(write));
     m.values_.shrink_to_fit();
-    m.compute_bandwidth();
     return m;
 }
 
@@ -142,7 +124,6 @@ SparseMatrix SparseMatrix::from_csr(index_type rows, index_type cols,
     m.row_ptr_ = std::move(row_ptr);
     m.cols_idx_ = std::move(cols_idx);
     m.values_ = std::move(values);
-    m.compute_bandwidth();
     return m;
 }
 

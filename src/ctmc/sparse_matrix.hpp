@@ -30,9 +30,7 @@ struct Triplet {
 /// Immutable CSR sparse matrix with double precision values.
 ///
 /// Rows are stored contiguously; duplicate (row, col) triplets are summed
-/// during assembly. Column indices within a row are sorted. Assembly also
-/// records the bandwidth (max |i - j| over stored entries), which the
-/// pipelined Gauss-Seidel kernel needs to pick a safe wavefront distance.
+/// during assembly. Column indices within a row are sorted.
 class SparseMatrix {
 public:
     SparseMatrix() = default;
@@ -66,27 +64,14 @@ public:
                 static_cast<std::size_t>(row_ptr_[i + 1] - row_ptr_[i])};
     }
 
-    // --- raw contiguous views (sweep kernels) ----------------------------
-    const index_type* row_ptr_data() const { return row_ptr_.data(); }
-    const col_type* col_data() const { return cols_idx_.data(); }
-    const double* value_data() const { return values_.data(); }
-
-    /// max |i - j| over stored entries (0 for an empty matrix). For the
-    /// GPRS generator this is one QBD buffer level: (N_gsm + 1) times the
-    /// (m, r) pair count.
-    index_type bandwidth() const { return bandwidth_; }
-
     /// Value at (i, j); zero when the entry is not stored.
     double at(index_type i, index_type j) const;
 
     SparseMatrix transpose() const;
 
 private:
-    void compute_bandwidth();
-
     index_type rows_ = 0;
     index_type cols_ = 0;
-    index_type bandwidth_ = 0;
     std::vector<index_type> row_ptr_;
     std::vector<col_type> cols_idx_;
     std::vector<double> values_;

@@ -9,7 +9,7 @@
 #include <span>
 #include <vector>
 
-#include "ctmc/solver.hpp"
+#include "ctmc/engine.hpp"
 #include "common/types.hpp"
 
 namespace gprsim::ctmc {

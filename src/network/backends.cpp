@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -68,6 +69,15 @@ network::MobilityModel mobility_from(const ScenarioQuery& query) {
     return mobility;
 }
 
+/// A point whose lattice or fixed point cannot be built (a reuse split that
+/// leaves a cell too few channels, say) fails as the query's fault, on the
+/// single-point path as in the grid plan.
+EvalError construction_error(const std::exception& e, const ScenarioQuery& query) {
+    return {EvalErrorCode::invalid_query,
+            std::string(e.what()) + " [" +
+                scenario_context(query.parameters, query.call_arrival_rate) + "]"};
+}
+
 network::NetworkOptions outer_options(const ScenarioQuery& query) {
     network::NetworkOptions options;
     options.tolerance = query.network.outer_tolerance;
@@ -99,9 +109,14 @@ public:
             if (!inner.ok()) {
                 return inner.error();
             }
-            network::NetworkFixedPoint fp(lattice_from(query), mobility_from(query),
-                                          query, *inner.value(), outer_options(query));
-            common::Result<network::NetworkSolution> solution = fp.solve();
+            std::optional<network::NetworkFixedPoint> fp;
+            try {
+                fp.emplace(lattice_from(query), mobility_from(query), query, *inner.value(),
+                           outer_options(query));
+            } catch (const std::exception& e) {
+                return construction_error(e, query);
+            }
+            common::Result<network::NetworkSolution> solution = fp->solve();
             if (!solution.ok()) {
                 return solution.error();
             }
@@ -179,11 +194,8 @@ public:
                         *inner.value(), outer_options(query), waves);
                 } catch (const std::exception& e) {
                     if (!state->errors[q][i]) {
-                        state->errors[q][i] = std::make_unique<EvalError>(EvalError{
-                            EvalErrorCode::invalid_query,
-                            std::string(e.what()) + " [" +
-                                scenario_context(base.parameters, state->rates[i]) +
-                                "]"});
+                        state->errors[q][i] =
+                            std::make_unique<EvalError>(construction_error(e, query));
                     }
                     continue;
                 }

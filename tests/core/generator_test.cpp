@@ -8,6 +8,7 @@
 #include <functional>
 #include <initializer_list>
 #include <map>
+#include <numeric>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -100,7 +101,7 @@ TEST(GprsGenerator, SteadyStateMatchesGthGroundTruth) {
 
     ctmc::SolveOptions options;
     options.tolerance = 1e-13;
-    const ctmc::SolveResult iterative = ctmc::solve_steady_state(gen.to_qt_matrix(), options);
+    const ctmc::SolveResult iterative = ctmc::default_engine().solve(gen.to_qt_matrix(), options);
     ASSERT_TRUE(iterative.converged);
     for (common::index_type i = 0; i < gen.size(); ++i) {
         EXPECT_NEAR(iterative.distribution[static_cast<std::size_t>(i)],
@@ -108,7 +109,7 @@ TEST(GprsGenerator, SteadyStateMatchesGthGroundTruth) {
     }
 
     // Matrix-free path reaches the same fixed point.
-    const ctmc::SolveResult matrix_free = ctmc::solve_steady_state(gen, options);
+    const ctmc::SolveResult matrix_free = ctmc::default_engine().solve(gen, options);
     ASSERT_TRUE(matrix_free.converged);
     for (common::index_type i = 0; i < gen.size(); ++i) {
         EXPECT_NEAR(matrix_free.distribution[static_cast<std::size_t>(i)],
@@ -192,6 +193,16 @@ protected:
         return x;
     }
 
+    /// `count` sweeps of the CSR reference on the generic kernel; returns
+    /// the final iterate's left-to-right sum, what the stencil's pass
+    /// returns when asked for it.
+    double reference_sweeps(std::vector<double>& x, common::index_type count) const {
+        for (common::index_type s = 0; s < count; ++s) {
+            ctmc::detail::gauss_seidel_forward(qt_, x);
+        }
+        return std::accumulate(x.begin(), x.end(), 0.0);
+    }
+
     const GprsGenerator gen_;
     const ctmc::QtMatrix qt_;
 };
@@ -221,7 +232,8 @@ TEST_P(GeneratorStencil, SweepsMatchCsrKernel) {
             std::vector<double> stencil = start();
             std::vector<double> csr = start();
             const double stencil_sum = gen_.gauss_seidel_sweeps(stencil.data(), count, want_sum);
-            const double csr_sum = qt_.gauss_seidel_sweeps(csr.data(), count, want_sum);
+            const double sum = reference_sweeps(csr, count);
+            const double csr_sum = want_sum ? sum : 0.0;
             SCOPED_TRACE("count " + std::to_string(count) + (want_sum ? " with sum" : ""));
             EXPECT_EQ(std::bit_cast<std::uint64_t>(stencil_sum),
                       std::bit_cast<std::uint64_t>(csr_sum));
@@ -240,10 +252,14 @@ TEST_P(GeneratorStencil, TeamSweepsMatchCsrKernel) {
         bool late;
     };
     common::ThreadPool pool(4);
+    // The counts only grow, so the reference carries on from the last
+    // count's iterate: it is always `count` sweeps from start().
+    std::vector<double> csr = start();
+    common::index_type csr_count = 0;
     const auto expect_team_matches_csr = [&](common::index_type count,
                                              std::initializer_list<Seating> seatings) {
-        std::vector<double> csr = start();
-        const double csr_sum = qt_.gauss_seidel_sweeps(csr.data(), count, true);
+        const double csr_sum = reference_sweeps(csr, count - csr_count);
+        csr_count = count;
         for (const Seating& seating : seatings) {
             std::vector<double> team = start();
             double team_sum = 0.0;
@@ -276,13 +292,18 @@ TEST_P(GeneratorStencil, TeamSweepsMatchCsrKernel) {
 }
 
 TEST_P(GeneratorStencil, FusedNormalizeResidualMatchesCsr) {
+    // The fused pass against the division by the sum followed by the
+    // generic residual over the CSR.
     std::vector<double> stencil = start();
     std::vector<double> csr = start();
     const double sum = gen_.gauss_seidel_sweeps(stencil.data(), 3, true);
-    qt_.gauss_seidel_sweeps(csr.data(), 3, true);
+    reference_sweeps(csr, 3);
     const double lambda = ctmc::detail::max_exit_rate(qt_);
     const double stencil_residual = gen_.fused_normalize_residual(stencil.data(), sum, lambda);
-    const double csr_residual = qt_.fused_normalize_residual(csr.data(), sum, lambda);
+    for (double& v : csr) {
+        v /= sum;
+    }
+    const double csr_residual = ctmc::detail::scaled_residual(qt_, csr, lambda);
     EXPECT_GT(csr_residual, 0.0);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(stencil_residual),
               std::bit_cast<std::uint64_t>(csr_residual));
@@ -293,8 +314,14 @@ TEST_P(GeneratorStencil, FusedNormalizeResidualMatchesCsr) {
 TEST_P(GeneratorStencil, ModelSolveMatchesCsrSolve) {
     const Parameters& p = GetParam().parameters;
     // At every width the stencil solve is the serial CSR solve, bit for
-    // bit: distribution, sweeps, residual and residual passes.
+    // bit: distribution, sweeps, residual and residual passes. A CSR solve
+    // runs on the calling thread at any width, so it is solved once.
     ctmc::SolverEngine engine;
+    ctmc::SolveOptions reference;
+    reference.tolerance = 1e-11;
+    reference.initial = product_form_initial(p, balance_handover(p), gen_.space());
+    const ctmc::SolveResult csr = engine.solve(qt_, std::move(reference));
+    ASSERT_TRUE(csr.converged);
     for (const int threads : {1, 2, 4}) {
         SCOPED_TRACE(std::to_string(threads) + " threads");
         ctmc::SolveOptions options;
@@ -305,11 +332,6 @@ TEST_P(GeneratorStencil, ModelSolveMatchesCsrSolve) {
         // A large chain runs a wide solve as a team on all its seats.
         const bool team = gen_.size() >= ctmc::kTeamMinStates;
         EXPECT_EQ(stencil.threads_used, team ? threads : 1);
-
-        ctmc::SolveOptions reference = options;
-        reference.initial = product_form_initial(p, model.balanced(), model.space());
-        const ctmc::SolveResult csr = engine.solve(model.generator().to_qt_matrix(), reference);
-        ASSERT_TRUE(csr.converged);
         EXPECT_EQ(stencil.iterations, csr.iterations);
         EXPECT_EQ(stencil.residual_evaluations, csr.residual_evaluations);
         EXPECT_EQ(std::bit_cast<std::uint64_t>(stencil.residual),

@@ -74,12 +74,12 @@ TEST(ProductFormInitial, CutsIterationsVsUniformStart) {
 
     ctmc::SolveOptions uniform;
     uniform.tolerance = 1e-11;
-    const ctmc::SolveResult from_uniform = ctmc::solve_steady_state(qt, uniform);
+    const ctmc::SolveResult from_uniform = ctmc::default_engine().solve(qt, uniform);
     ASSERT_TRUE(from_uniform.converged);
 
     ctmc::SolveOptions warm = uniform;
     warm.initial = product_form_initial(p, balanced, generator.space());
-    const ctmc::SolveResult from_guess = ctmc::solve_steady_state(qt, warm);
+    const ctmc::SolveResult from_guess = ctmc::default_engine().solve(qt, warm);
     ASSERT_TRUE(from_guess.converged);
 
     EXPECT_LT(from_guess.iterations, from_uniform.iterations);

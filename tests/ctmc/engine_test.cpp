@@ -1,10 +1,9 @@
-// SolverEngine tests: the serial solve against the free-function facade,
-// moved-in starts, prepare_start against the solve's own preparation of
-// its start, the pool, degenerate inputs, the method spellings,
-// and that a width above one leaves an operator without a team pass (the
-// CSR) on the calling thread, bitwise the serial solve. The stencil's team
-// is tested in tests/core/generator_test.cpp, the crew in
-// tests/common/crew_test.cpp.
+// SolverEngine tests: moved-in starts, prepare_start against the solve's
+// own preparation of its start, the pool, degenerate inputs, the method
+// spellings, and that a width above one leaves an operator without a
+// pipelined pass (the CSR) on the calling thread, bitwise the serial solve.
+// The stencil's pass and team are tested in tests/core/generator_test.cpp,
+// the crew in tests/common/crew_test.cpp.
 #include "ctmc/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -14,8 +13,6 @@
 #include <random>
 #include <utility>
 #include <vector>
-
-#include "ctmc/solver.hpp"
 
 namespace gprsim::ctmc {
 namespace {
@@ -50,18 +47,6 @@ QtMatrix qt_from_triplets(index_type n, const std::vector<Triplet>& triplets) {
     });
 }
 
-/// The CSR without its pipelined pass: the engine's generic kernels.
-struct GenericView {
-    const QtMatrix* qt;
-
-    index_type size() const { return qt->size(); }
-    double diagonal(index_type i) const { return qt->diagonal(i); }
-    template <typename F>
-    void for_each_incoming(index_type i, F&& f) const {
-        qt->for_each_incoming(i, std::forward<F>(f));
-    }
-};
-
 TEST(SolverEngine, CsrSolveStaysOnTheCallingThreadAtAnyWidth) {
     SolverEngine engine;
     const index_type n = 60;
@@ -78,26 +63,6 @@ TEST(SolverEngine, CsrSolveStaysOnTheCallingThreadAtAnyWidth) {
     EXPECT_EQ(wide.threads_used, 1);
     EXPECT_EQ(wide.iterations, serial.iterations);
     EXPECT_EQ(wide.distribution, serial.distribution);
-}
-
-TEST(SolverEngine, SerialPathMatchesFreeFunctionBitwise) {
-    // The solve_steady_state() facade routes through the default engine;
-    // a private engine with num_threads = 1 must agree exactly.
-    SolverEngine engine;
-    const index_type n = 50;
-    const QtMatrix qt = qt_from_triplets(n, random_chain(n, 11));
-
-    SolveOptions options;
-    options.tolerance = 1e-12;
-    const SolveResult a = engine.solve(qt, options);
-    const SolveResult b = solve_steady_state(qt, options);
-    ASSERT_TRUE(a.converged);
-    ASSERT_TRUE(b.converged);
-    EXPECT_EQ(a.iterations, b.iterations);
-    for (index_type i = 0; i < n; ++i) {
-        EXPECT_EQ(a.distribution[static_cast<std::size_t>(i)],
-                  b.distribution[static_cast<std::size_t>(i)]);
-    }
 }
 
 TEST(SolverEngine, PoolGrowsButNeverShrinks) {
@@ -152,12 +117,12 @@ TEST(SolverEngine, MovedInStartsMatchCopiedInStartsBitwise) {
 
 TEST(SolverEngine, PrepareStartLeavesTheVectorASolveIteratesFrom) {
     // prepare_start prepares a start exactly as a solve prepares
-    // SolveOptions::initial (the pipelined operator's fused division is
-    // the generic normalize bit for bit) and returns the prepared vector's
-    // scaled residual. So a caller that ranks prepared copies and hands the
-    // raw winner to the solve iterates from the vector it ranked: one sweep
-    // from the raw start is one sweep from the prepared copy, on the
-    // pipelined and the generic operator alike.
+    // SolveOptions::initial and returns the prepared vector's scaled
+    // residual. So a caller that ranks prepared copies and hands the raw
+    // winner to the solve iterates from the vector it ranked: one sweep
+    // from the raw start is one sweep from the prepared copy. (The
+    // stencil's fused division is checked against this in
+    // GeneratorStencil.WarmStartCandidatesMatchCsr.)
     SolverEngine engine;
     const index_type n = 60;
     const QtMatrix qt = qt_from_triplets(n, random_chain(n, 5));
@@ -173,28 +138,24 @@ TEST(SolverEngine, PrepareStartLeavesTheVectorASolveIteratesFrom) {
     const std::vector<double> uniform(static_cast<std::size_t>(n), 1.0);
     const double lambda = detail::max_exit_rate(qt);
 
-    const auto check = [&](const auto& op, const char* path) {
-        for (const std::vector<double>& raw : {uniform, near, clamped, reference.distribution}) {
-            std::vector<double> prepared = raw;
-            const double residual = prepare_start(op, prepared);
-            std::vector<double> expected = raw;
-            for (double& v : expected) {
-                v = std::max(v, 0.0);
-            }
-            detail::normalize(expected);
-            EXPECT_EQ(prepared, expected) << path;
-            EXPECT_EQ(residual, detail::scaled_residual(op, expected, lambda)) << path;
-
-            SolveOptions one_sweep;
-            one_sweep.max_iterations = 1;
-            one_sweep.initial = raw;
-            detail::gauss_seidel_forward(op, prepared);
-            detail::normalize(prepared);
-            EXPECT_EQ(engine.solve(op, one_sweep).distribution, prepared) << path;
+    for (const std::vector<double>& raw : {uniform, near, clamped, reference.distribution}) {
+        std::vector<double> prepared = raw;
+        const double residual = prepare_start(qt, prepared);
+        std::vector<double> expected = raw;
+        for (double& v : expected) {
+            v = std::max(v, 0.0);
         }
-    };
-    check(qt, "pipelined");
-    check(GenericView{&qt}, "generic");
+        detail::normalize(expected);
+        EXPECT_EQ(prepared, expected);
+        EXPECT_EQ(residual, detail::scaled_residual(qt, expected, lambda));
+
+        SolveOptions one_sweep;
+        one_sweep.max_iterations = 1;
+        one_sweep.initial = raw;
+        detail::gauss_seidel_forward(qt, prepared);
+        detail::normalize(prepared);
+        EXPECT_EQ(engine.solve(qt, one_sweep).distribution, prepared);
+    }
 
     std::vector<double> missized(7, 0.1);
     EXPECT_THROW(prepare_start(qt, missized), std::invalid_argument);

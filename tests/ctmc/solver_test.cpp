@@ -1,4 +1,4 @@
-#include "ctmc/solver.hpp"
+#include "ctmc/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -65,7 +65,7 @@ TEST_P(SolverMethods, MatchesGthOnRandomChains) {
         options.method = GetParam();
         options.tolerance = 1e-13;
         options.max_iterations = 500000;
-        const SolveResult result = solve_steady_state(qt, options);
+        const SolveResult result = default_engine().solve(qt, options);
         ASSERT_TRUE(result.converged) << "seed " << seed;
         for (index_type i = 0; i < n; ++i) {
             EXPECT_NEAR(result.distribution[static_cast<std::size_t>(i)],
@@ -87,7 +87,7 @@ TEST(Solver, TwoStateChainExact) {
             emit(0, 3.0);
         }
     });
-    const SolveResult result = solve_steady_state(qt);
+    const SolveResult result = default_engine().solve(qt);
     ASSERT_TRUE(result.converged);
     EXPECT_NEAR(result.distribution[0], 0.6, 1e-10);
     EXPECT_NEAR(result.distribution[1], 0.4, 1e-10);
@@ -100,12 +100,12 @@ TEST(Solver, WarmStartReducesIterations) {
 
     SolveOptions cold;
     cold.tolerance = 1e-13;
-    const SolveResult first = solve_steady_state(qt, cold);
+    const SolveResult first = default_engine().solve(qt, cold);
     ASSERT_TRUE(first.converged);
 
     SolveOptions warm = cold;
     warm.initial = first.distribution;
-    const SolveResult second = solve_steady_state(qt, warm);
+    const SolveResult second = default_engine().solve(qt, warm);
     ASSERT_TRUE(second.converged);
     EXPECT_LT(second.iterations, first.iterations);
 }
@@ -116,7 +116,7 @@ TEST(Solver, ReportsNonConvergenceInsteadOfThrowing) {
     SolveOptions options;
     options.tolerance = 1e-16;  // unreachable
     options.max_iterations = 3;
-    const SolveResult result = solve_steady_state(qt, options);
+    const SolveResult result = default_engine().solve(qt, options);
     EXPECT_FALSE(result.converged);
     EXPECT_GT(result.residual, 0.0);
 }
@@ -127,7 +127,7 @@ TEST(Solver, RejectsBadInputs) {
     });
     SolveOptions options;
     options.initial = {1.0};  // wrong size
-    EXPECT_THROW(solve_steady_state(qt, options), std::invalid_argument);
+    EXPECT_THROW(default_engine().solve(qt, options), std::invalid_argument);
 }
 
 TEST(Solver, ProgressCallbackIsInvoked) {
@@ -136,7 +136,7 @@ TEST(Solver, ProgressCallbackIsInvoked) {
     int calls = 0;
     SolveOptions options;
     options.progress = [&](index_type, double) { ++calls; };
-    const SolveResult result = solve_steady_state(qt, options);
+    const SolveResult result = default_engine().solve(qt, options);
     ASSERT_TRUE(result.converged);
     EXPECT_GT(calls, 0);
 }

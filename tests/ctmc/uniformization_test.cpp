@@ -5,7 +5,7 @@
 #include <cmath>
 #include <vector>
 
-#include "ctmc/solver.hpp"
+#include "ctmc/engine.hpp"
 
 namespace gprsim::ctmc {
 namespace {
@@ -46,7 +46,7 @@ TEST(Uniformization, ConvergesToSteadyState) {
     const QtMatrix qt = two_state_chain(2.0, 3.0);
     const std::vector<double> initial{0.0, 1.0};
     const std::vector<double> pi = transient_distribution(qt, initial, 100.0);
-    const SolveResult steady = solve_steady_state(qt);
+    const SolveResult steady = default_engine().solve(qt);
     EXPECT_NEAR(pi[0], steady.distribution[0], 1e-8);
     EXPECT_NEAR(pi[1], steady.distribution[1], 1e-8);
 }

@@ -1,7 +1,7 @@
 // The network backends through the unified eval API: registration,
 // bitwise thread-count invariance of evaluate_grids for both network-fp
 // and network-des, provenance fields, and typed failures for bad inner
-// backends.
+// backends and for lattices that cannot be built.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -130,6 +130,23 @@ TEST(NetworkBackends, UnknownInnerBackendFailsTyped) {
     auto recursive = backend("network-fp").evaluate(query);
     ASSERT_FALSE(recursive.ok());
     EXPECT_EQ(recursive.error().code, common::EvalErrorCode::invalid_query);
+}
+
+TEST(NetworkBackends, LatticeThatCannotBeBuiltIsAnInvalidQuery) {
+    // Eight reuse groups over six channels: group 6 (cell (1, 1)) gets
+    // none, fewer than its reserved PDCH. Both paths blame the query.
+    ScenarioQuery query = tiny_network_query();
+    query.network.reuse_factor = 8;
+    auto point = backend("network-fp").evaluate(query);
+    ASSERT_FALSE(point.ok());
+    EXPECT_EQ(point.error().code, common::EvalErrorCode::invalid_query)
+        << point.error().to_string();
+    const std::vector<double> rates{query.call_arrival_rate};
+    auto grid = backend("network-fp").evaluate_grid(query, rates);
+    ASSERT_FALSE(grid.ok());
+    EXPECT_EQ(grid.error().code, common::EvalErrorCode::invalid_query)
+        << grid.error().to_string();
+    EXPECT_EQ(grid.error().message, point.error().message);
 }
 
 }  // namespace
